@@ -104,9 +104,9 @@ class Faults:
         self.counts.append(resource.getrusage(resource.RUSAGE_SELF).ru_minflt - self._before)
 
 
-def attempt(wl, req, probe=None) -> dict:
-    """One request: the timed call inside ``probe``, then the untimed check."""
-    failure = None
+def timed_call(wl, req, probe=None) -> dict:
+    """The timed part of one request, inside ``probe``."""
+    out, failure = None, None
     with probe or contextlib.nullcontext():
         start = time.perf_counter()
         try:
@@ -114,10 +114,15 @@ def attempt(wl, req, probe=None) -> dict:
         except Exception as exc:  # a request that raises is a failed request
             failure = f"raised {exc!r}"
         latency = time.perf_counter() - start
-    errors = []
+    return {"req": req, "out": out, "failure": failure, "latency": latency}
+
+
+def check(wl, call: dict) -> dict:
+    """The untimed check of a ``timed_call``."""
+    failure, errors = call["failure"], []
     if failure is None:
         try:
-            errors = wl.errors(req, out)
+            errors = wl.errors(call["req"], call["out"])
         except (ValueError, OSError) as exc:
             failure = f"check failed: {exc}"
         else:
@@ -125,7 +130,12 @@ def attempt(wl, req, probe=None) -> dict:
             if missed:
                 failure = (f"{missed} of {len(errors)} densities miss the tolerance "
                            f"{wl.tolerance:g} (worst {max(errors):.3g})")
-    return {"latency": latency, "errors": errors, "failure": failure}
+    return {"latency": call["latency"], "errors": errors, "failure": failure}
+
+
+def attempt(wl, req, probe=None) -> dict:
+    """One request: the timed call, then the untimed check."""
+    return check(wl, timed_call(wl, req, probe))
 
 
 def measure(wl, seconds: float, min_requests: int, modes=((None, None),)) -> dict:
@@ -189,8 +199,9 @@ def worker(workload: str, seed: int, seconds: float, trace: bool) -> dict:
     import workloads
     wl = workloads.WORKLOADS[workload](pool, workdir)
     try:
-        warm = [attempt(wl, req) for req in wl.kinds()]
+        warm = [timed_call(wl, req) for req in wl.kinds()]
         setup_s = time.perf_counter() - start
+        warm = [check(wl, call) for call in warm]
         probes = [host_probe()]
         if trace:
             outcomes, layers = measure_traced(wl, Tracer(levyfourier, [workloads]),

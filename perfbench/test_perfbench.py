@@ -5,6 +5,8 @@ from __future__ import annotations
 import importlib
 import json
 import math
+import os
+import subprocess
 import sys
 from pathlib import Path
 
@@ -36,13 +38,11 @@ def _summary(wl, outcomes, trace=False, layers=None):
     return run.summarize([part], trace)
 
 
-@pytest.mark.filterwarnings("ignore:divide by zero:RuntimeWarning")
-def test_singular_density_counts_as_failed_request_and_latency_miss(tmp_path):
-    # Y = 1.5 (gamma = 2) at M = 2^13: the leftmost DE node underflows to
-    # y = 0, where mu = y^(1-Y) is infinite, and Step 1 raises. When the
-    # solver learns to skip such nodes, this request must become one that
-    # still fails (for instance a mu that is infinite everywhere).
-    wl = workloads.CalibSweep([{"C": 1.0, "M": 1.0, "Y": 1.5}, CALIB_OK], tmp_path, i=13)
+def test_failed_request_counts_in_error_rate_and_as_latency_miss(tmp_path):
+    # C = NaN makes the CGMY jump density NaN everywhere, so Step 1 raises
+    # whatever the solver does about singular nodes.
+    broken = {"C": math.nan, "M": 1.0, "Y": 0.5}
+    wl = workloads.CalibSweep([broken, CALIB_OK], tmp_path)
     outcomes = run.measure(wl, 0.0, 2)[None]
     assert [o["failure"] is not None for o in outcomes] == [True, False]
     assert "non-finite" in outcomes[0]["failure"]
@@ -53,6 +53,26 @@ def test_singular_density_counts_as_failed_request_and_latency_miss(tmp_path):
     assert set(summary["metrics"]) == {name for name, _ in run.END_TO_END}
     line = json.loads(json.dumps(run.result_line(summary)))
     assert line["correct"] is False and set(line["metrics"]) == set(summary["metrics"])
+
+
+@pytest.mark.filterwarnings("ignore:divide by zero:RuntimeWarning")
+def test_singular_cgmy_request_is_counted_by_its_outcome(tmp_path):
+    # Y = 1.5 (gamma = 2) at M = 2^13: the leftmost DE node underflows to
+    # y = 0, where mu = y^(1-Y) is infinite, and Step 1 raises today. Once
+    # the solver handles such nodes the request must pass its check instead;
+    # either way it is counted, never dropped.
+    wl = workloads.CalibSweep([{"C": 1.0, "M": 1.0, "Y": 1.5}], tmp_path)
+    wl.i = 13
+    outcome = run.attempt(wl, wl.pool[0])
+    summary = _summary(wl, [outcome])
+    assert summary["attempted"] == 1
+    if outcome["failure"] is not None:
+        assert "non-finite" in outcome["failure"]
+        assert summary["failed"] == 1
+        assert summary["metrics"]["request_p50_ms"][0] == math.inf
+    else:
+        assert summary["failed"] == 0 and len(outcome["errors"]) == wl.densities
+        assert summary["metrics"]["request_p50_ms"][0] < math.inf
 
 
 def test_density_past_tolerance_counts_as_failed(tmp_path):
@@ -112,6 +132,7 @@ def test_inputs_and_accuracy_are_reproducible_from_the_seed(tmp_path):
 
 
 def test_trace_discovers_cross_module_calls_by_inspection(tmp_path, monkeypatch):
+    workloads.CliBatch([], tmp_path).close()      # binds workloads.cli_main
     tracer = Tracer(levyfourier, [workloads])
     found = {(m.__name__.rsplit(".", 1)[-1], name): span.__wrapped__.__module__
              for m, name, _, span in tracer.targets}
@@ -147,6 +168,15 @@ def test_traced_run_accounts_for_request_time_and_restores_the_package(tmp_path)
     layers["calls"].pop("nufft")
     with pytest.raises(RuntimeError, match="nufft"):
         _summary(wl, outcomes, trace=True, layers=layers)
+
+
+def test_only_cli_batch_imports_the_cli(tmp_path):
+    code = ("import pathlib, sys, workloads\n"
+            "assert 'levyfourier.cli' not in sys.modules\n"
+            f"workloads.CliBatch([], pathlib.Path({str(tmp_path)!r})).close()\n"
+            "assert 'levyfourier.cli' in sys.modules\n")
+    env = {**os.environ, "PYTHONPATH": os.pathsep.join([str(HERE), str(HERE.parent / "src")])}
+    subprocess.run([sys.executable, "-c", code], env=env, check=True)
 
 
 def test_host_probe_is_positive():
