@@ -1,9 +1,10 @@
 """Fourier-space solver for transition densities of symmetric pure-jump Levy
 processes.
 
-Pipeline: (1) a double-exponential quadrature turns the jump density into
-weighted point sources whose semi-infinite Fourier transform is evaluated on a
-uniform frequency grid by a Gaussian-gridding nonuniform FFT; (2) a sinc-Gauss
+Pipeline: (1) a double-exponential quadrature turns mu(y) = y^gamma nu(y),
+nu the Levy density, into weighted point sources whose semi-infinite Fourier
+transform is evaluated on a uniform frequency grid by a Gaussian-gridding
+nonuniform FFT; (2) a sinc-Gauss
 sampling formula integrates the transform indefinitely (once or twice) via FFT
 convolution, yielding the characteristic exponent; (3) a continuous Euler
 transform inverts e^{t G} back to the density with a fractional FFT.

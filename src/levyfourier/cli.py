@@ -395,8 +395,8 @@ def build_parser() -> argparse.ArgumentParser:
     common.add_argument("--config", help="key=value config file (flags override)")
     common.add_argument("--model", choices=("vg", "nig", "custom"))
     common.add_argument("--gamma", type=int, help="order for --model custom (1 or 2)")
-    common.add_argument("--mu", help="jump density of y for --model custom, "
-                                     "e.g. 'np.exp(-y)'")
+    common.add_argument("--mu", help="mu(y) = y^gamma nu(y), nu the Levy density, "
+                                     "for --model custom, e.g. 'np.exp(-y)'")
     common.add_argument("--t", help="comma-separated times, e.g. 1,2,3")
     common.add_argument("--i-range", dest="i_range",
                         help="grid exponents i with M = 2^i: '7..12', '11' or '7,9,11'")

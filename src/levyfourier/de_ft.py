@@ -4,7 +4,9 @@ transform integral_0^inf mu(y) e^{-i zeta y} dy.
 The variable change y = P*phi(t) concentrates the integrand so that a
 trapezoidal sum over t = j*h converges double-exponentially; the output is a
 set of weighted point sources (weights, points) that the nufft module turns
-into uniform-frequency samples."""
+into uniform-frequency samples.  Only the factor mu(y_j) of each weight
+depends on the density: node_plan builds the rest once per grid and
+_sources_stacked multiplies it by mu."""
 from __future__ import annotations
 
 import math
@@ -145,55 +147,85 @@ def phi(t, alpha: float, beta: float):
     return float(out[0]) if np.ndim(t) == 0 else out
 
 
-def build_sources(mu, params: DeFtParams) -> DeSources:
-    """Evaluate the DE weights and points for a density mu on (0, inf).
+@dataclass(frozen=True, eq=False)
+class NodePlan:
+    """The mu-free part of the DE sources of runs that share (h, m_minus,
+    m_plus, beta), built once per grid.
 
-    weights_j = -(2 pi i / zeta0) mu(y_j) sin((pi/2h) phihat(jh)) phi'(jh)
-                * exp((i pi/2h) phihat(jh)),  y_j = (pi/(zeta0 h)) phi(jh).
+    points holds every DE point y_j, j = -m_minus..m_plus-1, one row per run.
+    A node whose weight vanishes for every mu (phi' or sin((pi/2h) phihat)
+    has underflowed to 0, as at both truncation ends of large grids) is
+    dropped: live lists the flat indices into points of the other nodes, y
+    their points and factor their mu-free weights
+
+      factor_j = -(2 pi i / zeta0) sin((pi/2h) phihat(jh)) phi'(jh)
+                 * exp((i pi/2h) phihat(jh)) * exp(-i shift y_j),
+
+    so the weights of a density mu are mu(y_j) * factor_j.
+    """
+
+    points: np.ndarray
+    live: np.ndarray
+    y: np.ndarray
+    factor: np.ndarray
+    m_minus: int
+
+
+def node_plan(runs, shift: float = 0.0) -> NodePlan:
+    """DE points and mu-free weight factors of the given runs.
+
+    shift moves the transform's output frequencies by zeta -> zeta + shift
+    (the gridding step centres its output that way); 0 gives the plain
+    weights of build_sources.
+    """
+    runs = tuple(runs)
+    first = runs[0]
+    if len({(r.h, r.m_minus, r.m_plus, r.beta) for r in runs}) != 1:
+        raise ValueError("stacked runs must share h, m_minus/m_plus and beta")
+    t = np.broadcast_to(np.arange(-first.m_minus, first.m_plus) * first.h,
+                        (len(runs), first.m))
+    ph, phat, dph = phi_parts(t, np.array([[r.alpha] for r in runs]), first.beta)
+    points = np.array([[r.point_scale] for r in runs]) * ph
+    s = (np.pi / (2 * first.h)) * phat
+    zeta0 = np.array([[r.zeta0] for r in runs])
+    factor = ((-2j * np.pi / zeta0) * np.sin(s) * dph * np.exp(1j * s)
+              * np.exp(-1j * shift * points))
+    live = np.flatnonzero(factor)
+    arrays = (points, live, points.ravel()[live], factor.ravel()[live])
+    for arr in arrays:
+        arr.flags.writeable = False
+    return NodePlan(*arrays, first.m_minus)
+
+
+def _sources_stacked(mu, plan: NodePlan) -> np.ndarray:
+    """Weights mu(y_j) * factor_j at the plan's live nodes, from one call of mu.
 
     Raises on non-finite mu values, naming the offending j and y_j.
     """
-    j = np.arange(-params.m_minus, params.m_plus)
-    ph, phat, dph = phi_parts(j * params.h, params.alpha, params.beta)
-    y = params.point_scale * ph
-    mu_vals = np.asarray(mu(y), dtype=float)
+    mu_vals = np.asarray(mu(plan.y), dtype=float)
     bad = np.flatnonzero(~np.isfinite(mu_vals))
     if bad.size:
         i = bad[0]
+        j = plan.live[i] % plan.points.shape[1] - plan.m_minus
         raise ValueError(
-            f"mu returned non-finite value {mu_vals[i]} at j={j[i]}, y={y[i]!r}"
+            f"mu returned non-finite value {mu_vals[i]} at j={j}, y={plan.y[i]!r}"
         )
-    s = (np.pi / (2 * params.h)) * phat
-    weights = (-2j * np.pi / params.zeta0) * mu_vals * np.sin(s) * dph * np.exp(1j * s)
-    return DeSources(weights, y, params)
+    return mu_vals * plan.factor
 
 
-def _sources_stacked(mu, params_a: DeFtParams, params_b: DeFtParams):
-    """build_sources for two runs sharing (h, m) in one vectorized pass.
+def build_sources(mu, params: DeFtParams) -> DeSources:
+    """Evaluate the DE weights and points of one run for a density mu on (0, inf).
 
-    Returns (weights, points) of shape (2, m); row r reproduces
-    build_sources(mu, params_r) element for element.
+    weights_j = -(2 pi i / zeta0) mu(y_j) sin((pi/2h) phihat(jh)) phi'(jh)
+                * exp((i pi/2h) phihat(jh)),  y_j = (pi/(zeta0 h)) phi(jh);
+
+    mu is not evaluated where the weight vanishes for every mu.  Raises on
+    non-finite mu values, naming the offending j and y_j.
     """
-    if params_a.h != params_b.h or params_a.m != params_b.m \
-            or params_a.m_minus != params_b.m_minus or params_a.beta != params_b.beta:
-        raise ValueError("stacked runs must share h, m_minus/m_plus and beta")
-    h = params_a.h
-    t = np.broadcast_to(np.arange(-params_a.m_minus, params_a.m_plus) * h, (2, params_a.m))
-    alpha = np.array([[params_a.alpha], [params_b.alpha]])
-    ph, phat, dph = phi_parts(t, alpha, params_a.beta)
-    scale = np.array([[params_a.point_scale], [params_b.point_scale]])
-    y = scale * ph
-    mu_vals = np.stack([np.asarray(mu(y[0]), dtype=float),
-                        np.asarray(mu(y[1]), dtype=float)])
-    bad = np.argwhere(~np.isfinite(mu_vals))
-    if bad.size:
-        r, i = bad[0]
-        raise ValueError(f"mu returned non-finite value {mu_vals[r, i]} at "
-                         f"j={i - params_a.m_minus}, y={y[r, i]!r}")
-    s = (np.pi / (2 * h)) * phat
-    zeta0 = np.array([[params_a.zeta0], [params_b.zeta0]])
-    weights = (-2j * np.pi / zeta0) * mu_vals * np.sin(s) * dph * np.exp(1j * s)
-    return weights, y
+    plan = node_plan((params,))
+    weights = np.zeros(params.m, dtype=complex)
+    weights[plan.live] = _sources_stacked(mu, plan)
+    return DeSources(weights, plan.points[0], params)
 
 
 def splice_plan(n_gamma: int, h_tilde: float):

@@ -4,17 +4,22 @@ Evaluates mu_hat_k = sum_j Phi_j e^{-i k h_tilde y_j} for k = 0..N_gamma in
 O(M log M): each source is smeared onto a uniform grid through a truncated
 Gaussian, one length-M FFT transforms the grid, and division by the Gaussian's
 transform undoes the smearing.  Output indices are shifted by floor(N_gamma/2)
-before the FFT so the deconvolution factor exp(tau (a k')^2) stays moderate."""
+before the FFT so the deconvolution factor exp(tau (a k')^2) stays moderate.
+
+Everything except the weights depends only on the grid: gridding_plan builds
+the Gaussian pattern as one sparse matrix over all runs, with the
+deconvolution and phase factors, and _forward_stacked applies it to one set
+of weights."""
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field
-from functools import lru_cache
+from dataclasses import dataclass
 
 import numpy as np
+from scipy import sparse
 
 from .de_ft import DeSources
-from .numkit import ComplexSeries, fft_array
+from .numkit import ComplexSeries
 
 
 @dataclass(frozen=True)
@@ -86,11 +91,12 @@ def build_windows(points: np.ndarray, params: NufftParams, h_tilde: float) -> In
     Both threshold sequences are nondecreasing because the points are, so each
     bound is one sorted-array rank query, evaluated for every l at once.  When
     no source qualifies, j_min falls back to the lowest index and j_max to one
-    below it (the empty-window convention).
+    below it (the empty-window convention).  Tied points are allowed: large
+    DE grids put several nodes at y = 0.
     """
     points = np.asarray(points, dtype=float)
-    if np.any(np.diff(points) <= 0):
-        raise ValueError("points must be strictly increasing")
+    if np.any(np.diff(points) < 0):
+        raise ValueError("points must be nondecreasing")
     c = h_tilde * points / params.a
     t_min = np.ceil((c + params.b) / params.h_check)
     t_max = np.floor((c - params.b) / params.h_check)
@@ -104,130 +110,105 @@ def build_windows(points: np.ndarray, params: NufftParams, h_tilde: float) -> In
     return IndexWindows(j_min, j_max, -params.l_minus)
 
 
-def _gridded_buffer(sources: DeSources, params: NufftParams, h_tilde: float,
-                    n_gamma: int) -> np.ndarray:
-    """Accumulate the shifted sources onto the M outer nodes.
+def source_shift(h_tilde: float, n_gamma: int) -> float:
+    """zeta_s = floor(N_gamma/2) h~.  The weights enter the gridding step
+    multiplied by e^{-i zeta_s y}, so output k is read at the centred index
+    k' = k - floor(N_gamma/2), which keeps exp(tau (a k')^2) moderate."""
+    return (n_gamma // 2) * h_tilde
 
-    Buffer position p holds node l = l_lo + p; the window ranges are expanded
-    to flat (l, j) pairs and bincount-summed, which evaluates exactly
-    sum_{j in J~(l)} Phi~_j exp(-(l h_check - c_j)^2 / (4 tau)) per node.
+
+@dataclass(frozen=True, eq=False)
+class GriddingPlan:
+    """Everything of a nonuniform FFT over one or more runs except the
+    weights, built once per grid.
+
+    matrix is the block-diagonal gridding pattern: row r*M + p is node
+    l = l_lo(r) + p of run r, column i is the i-th live source (see
+    gridding_plan), and the entry is the Gaussian factor
+    exp(-(l h_check - c_j)^2 / (4 tau)) for each pair of build_windows.  post (runs, n_gamma + 1) holds the deconvolution
+    sqrt(pi/tau) exp(tau (a k')^2), the node-offset phase
+    exp(-2 pi i k' l_lo / M) and h_check / 2pi; gather = k' mod M reads the
+    FFT bins.
     """
-    m = len(sources.weights)
-    y = sources.points
-    c = h_tilde * y / params.a
-    k_shift = n_gamma // 2
-    w_shifted = sources.weights * np.exp(-1j * k_shift * h_tilde * y)
 
-    win = build_windows(y, params, h_tilde)
-    counts = np.maximum(win.j_max - win.j_min + 1, 0)
-    total = int(counts.sum())
-    l_vals = np.arange(win.l_lo, win.l_lo + len(counts))
-    ll = np.repeat(l_vals, counts)
-    first = np.repeat(np.cumsum(counts) - counts, counts)
-    jj = np.repeat(win.j_min, counts) + (np.arange(total) - first)
-    j_lo = -(m // 2)
-    sel = jj - j_lo
-    gauss = np.exp(-((ll * params.h_check - c[sel]) ** 2) / (4 * params.tau))
-    vals = w_shifted[sel] * gauss
-    pos = ll - win.l_lo
-    buf = np.bincount(pos, weights=vals.real, minlength=m) + 1j * np.bincount(
-        pos, weights=vals.imag, minlength=m
-    )
-    return buf
+    matrix: sparse.csr_array
+    post: np.ndarray
+    gather: np.ndarray
+
+
+def gridding_plan(points: np.ndarray, params_rows, h_tilde: float, n_gamma: int,
+                  live=None) -> GriddingPlan:
+    """Gridding plan for runs of M sources each at the rows of points.
+
+    params_rows holds one NufftParams per run; they must share
+    (tau, a, h_check, b).  live, if given, lists the flat indices into points
+    of the sources that can carry weight; the plan's columns are those
+    sources, in that order, and the pairs of every other source are dropped.
+    """
+    points = np.atleast_2d(np.asarray(points, dtype=float))
+    runs, m = points.shape
+    if m != 2 * n_gamma:
+        raise ValueError(f"M = {m} must equal 2*n_gamma = {2 * n_gamma}")
+    if m & (m - 1):
+        raise ValueError(f"M = {m} must be a power of two")
+    par = params_rows[0]
+    if len({(p.tau, p.a, p.h_check, p.b) for p in params_rows}) != 1:
+        raise ValueError("stacked runs must share tau, a, h_check and b")
+    live = np.arange(runs * m) if live is None else np.asarray(live)
+    # window l of run r is the flat source range [lo, hi); its live sources
+    # are the plan columns start..stop-1 since live is sorted
+    lo, hi, nodes = [], [], []
+    for r, (row, p) in enumerate(zip(points, params_rows)):
+        win = build_windows(row, p, h_tilde)
+        lo.append(win.j_min + r * m + m // 2)
+        hi.append(win.j_max + 1 + r * m + m // 2)
+        nodes.append(np.arange(win.l_lo, win.l_lo + m) * par.h_check)
+    start = np.searchsorted(live, np.concatenate(lo))
+    counts = np.maximum(np.searchsorted(live, np.concatenate(hi)) - start, 0)
+    indptr = np.concatenate(([0], np.cumsum(counts))).astype(np.int32)
+    cols = (np.arange(indptr[-1], dtype=np.int32)
+            - np.repeat((indptr[:-1] - start).astype(np.int32), counts))
+    c = h_tilde * points.ravel()[live] / par.a
+    gauss = np.exp(-((np.repeat(np.concatenate(nodes), counts) - c[cols]) ** 2)
+                   / (4 * par.tau))
+    matrix = sparse.csr_array((gauss, cols, indptr), shape=(runs * m, len(live)))
+
+    kp = np.arange(0, n_gamma + 1) - n_gamma // 2
+    deconv = math.sqrt(math.pi / par.tau) * np.exp(par.tau * (par.a * kp) ** 2)
+    l_lo = np.array([[-p.l_minus] for p in params_rows])
+    post = deconv * (par.h_check / (2 * np.pi)) * np.exp(-2j * np.pi * kp * l_lo / m)
+    gather = kp % m
+    for arr in (matrix.data, matrix.indices, matrix.indptr, post, gather):
+        arr.flags.writeable = False
+    return GriddingPlan(matrix, post, gather)
+
+
+def _forward_stacked(weights: np.ndarray, plan: GriddingPlan) -> np.ndarray:
+    """Source sums sum_j w_j e^{-i k h~ y_j}, k = 0..n_gamma, of every run of
+    the plan; weights are one per plan column, already multiplied by
+    e^{-i zeta_s y_j} (source_shift).  Returns shape (runs, n_gamma + 1).
+
+    One real sparse product per part of the weights grids all runs and one
+    batched length-M FFT transforms the grids.  Position p of a grid carries
+    node l = l_lo + p, and e^{-i(2pi/M)k'l} = e^{-i(2pi/M)k'l_lo}
+    e^{-i(2pi/M)k'p} since k' is an integer, so reading bin (k' mod M) and
+    applying the l_lo phase reproduces the sum over the original node range
+    exactly.
+    """
+    grids = np.empty(plan.matrix.shape[0], dtype=complex)
+    grids.real = plan.matrix @ weights.real
+    grids.imag = plan.matrix @ weights.imag
+    spectrum = np.fft.fft(grids.reshape(len(plan.post), -1), axis=-1)
+    return plan.post * spectrum[:, plan.gather]
 
 
 def nufft_forward(sources: DeSources, params: NufftParams, h_tilde: float,
                   n_gamma: int) -> ComplexSeries:
-    """Fast evaluation of the source sum at zeta = k*h_tilde, k = 0..n_gamma.
-
-    Requires M = 2*n_gamma (a power of two).  The outer node sum is one
-    length-M FFT: position p of the gridded buffer carries node l = l_lo + p,
-    and e^{-i(2pi/M)k'l} = e^{-i(2pi/M)k'l_lo} e^{-i(2pi/M)k'p} since k' is an
-    integer, so reading bin (k' mod M) and applying the l_lo phase reproduces
-    the sum over the original node range exactly.
-    """
-    m = len(sources.weights)
-    if m != 2 * n_gamma:
-        raise ValueError(f"M = {m} must equal 2*n_gamma = {2 * n_gamma}")
-    if m & (m - 1):
-        raise ValueError(f"M = {m} must be a power of two")
-    buf = _gridded_buffer(sources, params, h_tilde, n_gamma)
-    spectrum = fft_array(buf)
-    k = np.arange(0, n_gamma + 1)
-    kp = k - n_gamma // 2
-    deconv = math.sqrt(math.pi / params.tau) * np.exp(params.tau * (params.a * kp) ** 2)
-    l_lo = -params.l_minus
-    phase = np.exp(-2j * np.pi * kp * l_lo / m)
-    out = deconv * (params.h_check / (2 * np.pi)) * phase * spectrum[kp % m]
-    return ComplexSeries(0, out, h_tilde)
-
-
-def _forward_stacked(weights: np.ndarray, points: np.ndarray, params_pair,
-                     h_tilde: float, n_gamma: int) -> np.ndarray:
-    """nufft_forward for two runs at once; returns shape (2, n_gamma + 1).
-
-    weights/points are (2, M) stacks; the runs share (M, tau, a, h_check, b)
-    so gridding, accumulation and the FFT run as single combined passes.  Row r
-    reproduces nufft_forward on run r element for element.
-    """
-    m = weights.shape[1]
-    if m != 2 * n_gamma:
-        raise ValueError(f"M = {m} must equal 2*n_gamma = {2 * n_gamma}")
-    if m & (m - 1):
-        raise ValueError(f"M = {m} must be a power of two")
-    pa, pb = params_pair
-    if (pb.tau, pb.a, pb.h_check, pb.b) != (pa.tau, pa.a, pa.h_check, pa.b):
-        raise ValueError("stacked runs must share tau, a, h_check and b")
-    tau, a, hc = pa.tau, pa.a, pa.h_check
-    k_shift = n_gamma // 2
-    c = h_tilde * points / a
-    w_shifted = weights * np.exp(-1j * k_shift * h_tilde * points)
-
-    t_min = np.ceil((c + pa.b) / hc)
-    t_max = np.floor((c - pa.b) / hc)
-    counts_rows, node_rows, start_rows = [], [], []
-    for r, par in enumerate((pa, pb)):
-        l_vals = np.arange(-par.l_minus, par.l_plus + 1)
-        j_min = np.maximum(np.searchsorted(t_min[r], l_vals, side="right") - 1, 0)
-        j_max = np.searchsorted(t_max[r], l_vals, side="right") - 1
-        counts_rows.append(np.maximum(j_max - j_min + 1, 0))
-        node_rows.append(l_vals * hc)
-        start_rows.append(j_min + r * m)    # flat index into the (2, M) stack
-    counts = np.concatenate(counts_rows)
-    total = int(counts.sum())
-    first = np.cumsum(counts) - counts
-    rel = np.arange(total) - np.repeat(first, counts)
-    sel = np.repeat(np.concatenate(start_rows), counts) + rel
-    node = np.repeat(np.concatenate(node_rows), counts)
-    c_flat = c.ravel()
-    w_flat = w_shifted.ravel()
-    gauss = np.exp(-((node - c_flat[sel]) ** 2) / (4 * tau))
-    vals = w_flat[sel] * gauss
-    # pairs are emitted node-major, so each node's terms sit contiguously and
-    # reduceat sums them in the same order bincount would
-    if total:
-        buf = np.add.reduceat(vals, np.minimum(first, total - 1))
-        buf[counts == 0] = 0.0
-    else:
-        buf = np.zeros(2 * m, dtype=complex)
-    spectrum = np.fft.fft(buf.reshape(2, m), axis=-1)
-    kp, deconv, phase = _deconv_cached(n_gamma, tau, a, m,
-                                       pa.l_minus, pb.l_minus)
-    return deconv * (hc / (2 * np.pi)) * phase * spectrum[:, kp % m]
-
-
-@lru_cache(maxsize=64)
-def _deconv_cached(n_gamma: int, tau: float, a: float, m: int,
-                   l_minus_a: int, l_minus_b: int):
-    """Gaussian deconvolution and node-offset phase factors (plan constants)."""
-    kp = np.arange(0, n_gamma + 1) - n_gamma // 2
-    deconv = math.sqrt(math.pi / tau) * np.exp(tau * (a * kp) ** 2)
-    l_lo = np.array([[-l_minus_a], [-l_minus_b]])
-    phase = np.exp(-2j * np.pi * kp * l_lo / m)
-    kp.flags.writeable = False
-    deconv.flags.writeable = False
-    phase.flags.writeable = False
-    return kp, deconv, phase
+    """Fast evaluation of the source sum at zeta = k*h_tilde, k = 0..n_gamma,
+    for one run.  Requires M = 2*n_gamma (a power of two)."""
+    plan = gridding_plan(sources.points, (params,), h_tilde, n_gamma)
+    shift = np.exp(-1j * source_shift(h_tilde, n_gamma) * sources.points)
+    return ComplexSeries(0, _forward_stacked(sources.weights * shift, plan)[0], h_tilde)
 
 
 def extend_conjugate(series: ComplexSeries) -> ComplexSeries:

@@ -9,6 +9,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass, field
+from functools import cached_property
 
 import numpy as np
 
@@ -56,6 +57,18 @@ class KernelTable:
         """G_r at signed integer arguments |k| <= n_prime."""
         k = np.asarray(k)
         return np.sign(k) * self.g[np.abs(k)]
+
+    @cached_property
+    def circulant_spectrum(self) -> np.ndarray:
+        """FFT of G_r(k), k = -N'+1..N', zero-extended onto the 4N' circle of
+        indefinite_integral; computed on first use and kept with the table."""
+        n = self.n_prime
+        ker = np.zeros(4 * n, dtype=complex)
+        k_idx = np.arange(-n + 1, n + 1)
+        ker[k_idx % (4 * n)] = self.signed(k_idx)
+        spectrum = fft_array(ker)
+        spectrum.flags.writeable = False
+        return spectrum
 
 
 def kernel_table(r: float, n_prime: int, m_table: int | None = None) -> KernelTable:
@@ -121,9 +134,10 @@ def indefinite_integral(samples: ComplexSeries, cfg: SincGaussConfig,
             - sum_{k=-N'+1}^{N'} h~ f(k h~) G_r(-k) + H_{l,N'},
 
     with H the two-case tail correction.  The first term is a discrete
-    convolution: the kernel is zero-extended onto a 4N' circle and one
-    forward/inverse FFT pair evaluates every l at once; outputs at l <= 0
-    would touch the unavailable quarter of the circle and are discarded.
+    convolution: the kernel is zero-extended onto a 4N' circle (its transform
+    is kept with the table) and one forward/inverse FFT pair evaluates every
+    l at once; outputs at l <= 0 would touch the unavailable quarter of the
+    circle and are discarded.
     H is accumulated with running prefix sums in O(N').
     """
     n = cfg.n_prime
@@ -143,10 +157,8 @@ def indefinite_integral(samples: ComplexSeries, cfg: SincGaussConfig,
 
     u = np.zeros(big, dtype=complex)
     u[np.arange(-n, 2 * n) % big] = f
-    ker = np.zeros(big, dtype=complex)
+    conv = fft_array(fft_array(u) * table.circulant_spectrum, "inverse")
     k_idx = np.arange(-n + 1, n + 1)
-    ker[k_idx % big] = table.signed(k_idx)
-    conv = fft_array(fft_array(u) * fft_array(ker), "inverse")
     ell = np.arange(1, n + 1)
     s1 = h * conv[ell]
 

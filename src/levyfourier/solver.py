@@ -12,21 +12,26 @@ from typing import Callable, Optional
 import numpy as np
 import scipy.special as sp
 
-from .de_ft import _sources_stacked, splice_plan
+from .de_ft import _sources_stacked, node_plan, splice_plan
 from .euler_ft import EulerParams, inverse_ft
 from .numkit import ComplexSeries
-from .nufft import _forward_stacked, extend_conjugate, nufft_params
+from .nufft import (_forward_stacked, extend_conjugate, gridding_plan, nufft_params,
+                    source_shift)
 from .sinc_gauss import (SincGaussConfig, indefinite_integral, kernel_table,
                          negative_extension)
 
 DEFAULT_EPSILON = 1e-10
 DEFAULT_B = 20.0
+# Step-1 plans kept at once; one M = 2^14 plan holds about 14 MB
+PLAN_CACHE_SIZE = 4
 
 
 @dataclass(frozen=True)
 class LevyModel:
-    """A symmetric pure-jump model: jump density mu on (0, inf) and the order
-    gamma of the required integrability at the origin (1 or 2).
+    """A symmetric pure-jump model: mu(y) = y^gamma nu(y) on (0, inf), where
+    nu is the Levy density of the jumps, and the order gamma of the required
+    integrability at the origin (1 or 2).  Pass mu, not nu: nu is not
+    integrable at 0, and passing it typically ends in a Step-3 failure.
 
     exact_density(x, t) and exact_exponent(omega), when present, are
     closed-form references used for error columns and oracle runs.
@@ -167,12 +172,13 @@ _NIG = LevyModel(2, _nig_mu, "nig", exact_density=exact_nig, exact_exponent=_nig
 
 
 def vg_model() -> LevyModel:
-    """The variance-gamma model: mu(y) = e^{-y}, gamma = 1."""
+    """The variance-gamma model: mu(y) = e^{-y} (nu(y) = e^{-y}/y), gamma = 1."""
     return _VG
 
 
 def nig_model() -> LevyModel:
-    """The normal-inverse-Gaussian model: mu(y) = y K_1(y) / pi, gamma = 2."""
+    """The normal-inverse-Gaussian model: mu(y) = y K_1(y) / pi
+    (nu(y) = K_1(y) / (pi y)), gamma = 2."""
     return _NIG
 
 
@@ -192,37 +198,51 @@ def _integrate_block(series: ComplexSeries, n_prime: int) -> ComplexSeries:
     return indefinite_integral(window, cfg, _table_cached(n_prime))
 
 
+@lru_cache(maxsize=PLAN_CACHE_SIZE)
+def _step1_plan(grid: GridSpec, epsilon: float, b: float):
+    """Everything of Step 1 that does not depend on mu: the DE nodes and
+    mu-free weight factors of both splice runs, their gridding plan, and the
+    k-ranges each run covers."""
+    (run_a, range_a), (run_b, range_b) = splice_plan(grid.n_gamma, grid.h_tilde)
+    nodes = node_plan((run_a, run_b), source_shift(grid.h_tilde, grid.n_gamma))
+    npar = [nufft_params(grid.m, row, grid.h_tilde, epsilon=epsilon, b=b)
+            for row in nodes.points]
+    gridding = gridding_plan(nodes.points, npar, grid.h_tilde, grid.n_gamma, nodes.live)
+    return nodes, gridding, (range_a, range_b)
+
+
 def _spliced_transform(model: LevyModel, grid: GridSpec,
                        epsilon: float, b: float) -> ComplexSeries:
     """Step 1: m^(k h~) for k = 0..N_gamma, stitched from the two DE runs.
 
-    The runs share every size constant, so sources and gridding are evaluated
-    as stacked (2, M) passes; results equal the run-by-run composition of
-    build_sources and nufft_forward.
+    With the grid's plan this is mu at the DE nodes times the mu-free
+    factors, one sparse gridding product and one batched FFT over both runs;
+    results agree with the run-by-run composition of build_sources and
+    nufft_forward to rounding.
     """
-    (run_a, range_a), (run_b, range_b) = splice_plan(grid.n_gamma, grid.h_tilde)
-    weights, points = _sources_stacked(model.mu, run_a, run_b)
-    npar = (nufft_params(grid.m, points[0], grid.h_tilde, epsilon=epsilon, b=b),
-            nufft_params(grid.m, points[1], grid.h_tilde, epsilon=epsilon, b=b))
-    out = _forward_stacked(weights, points, npar, grid.h_tilde, grid.n_gamma)
+    nodes, gridding, ranges = _step1_plan(grid, epsilon, b)
+    out = _forward_stacked(_sources_stacked(model.mu, nodes), gridding)
     vals = np.empty(grid.n_gamma + 1, dtype=complex)
-    vals[range_a.start:range_a.stop] = out[0, range_a.start:range_a.stop]
-    vals[range_b.start:range_b.stop] = out[1, range_b.start:range_b.stop]
+    for row, rng in enumerate(ranges):
+        vals[rng.start:rng.stop] = out[row, rng.start:rng.stop]
     return ComplexSeries(0, vals, grid.h_tilde)
 
 
 @lru_cache(maxsize=64)
 def _exponent_cached(model: LevyModel, grid: GridSpec, epsilon: float, b: float):
-    """(exponent series over l = -N+1..N, step-1 seconds, step-2 seconds)."""
+    """(exponent series over l = -N+1..N, step-1 seconds, step-2 seconds,
+    whether Step 1 found its plan cached)."""
     if grid.gamma != model.gamma:
         raise ValueError(f"grid built for gamma = {grid.gamma}, "
                          f"model {model.name} has gamma = {model.gamma}")
+    plan_hits = _step1_plan.cache_info().hits
     t0 = time.perf_counter()
     try:
         mhat = extend_conjugate(_spliced_transform(model, grid, epsilon, b))
     except ValueError as exc:
         raise ValueError(f"[step 1] {exc}") from exc
     t1 = time.perf_counter()
+    plan_cached = _step1_plan.cache_info().hits > plan_hits
     try:
         if model.gamma == 1:
             inner = _integrate_block(mhat, grid.n)
@@ -235,7 +255,7 @@ def _exponent_cached(model: LevyModel, grid: GridSpec, epsilon: float, b: float)
     except ValueError as exc:
         raise ValueError(f"[step 2] {exc}") from exc
     t2 = time.perf_counter()
-    return series, t1 - t0, t2 - t1
+    return series, t1 - t0, t2 - t1, plan_cached
 
 
 def g_gamma(model: LevyModel, grid: GridSpec,
@@ -251,7 +271,9 @@ def g_gamma(model: LevyModel, grid: GridSpec,
 
 
 def clear_exponent_cache():
+    """Drop every cached exponent and Step-1 plan, so the next solve is cold."""
     _exponent_cached.cache_clear()
+    _step1_plan.cache_clear()
 
 
 def solve(model: LevyModel, grid: GridSpec, t: float, euler: EulerParams,
@@ -261,6 +283,11 @@ def solve(model: LevyModel, grid: GridSpec, t: float, euler: EulerParams,
 
     use_exact_exponent feeds model.exact_exponent straight to Step 3, skipping
     Steps 1-2 (oracle runs isolating the inversion stage).
+
+    timings holds seconds per step and in total, exponent_cached (the
+    exponent came from the cache) and plan_cached (Step 1 found the grid's
+    plan built).  step1, step2 and plan_cached describe the solve that
+    computed the exponent, which is this one unless exponent_cached.
     """
     if not (np.ndim(t) == 0 and math.isfinite(t) and t > 0):
         raise ValueError(f"t must be a positive finite scalar, got {t!r}")
@@ -270,7 +297,7 @@ def solve(model: LevyModel, grid: GridSpec, t: float, euler: EulerParams,
         raise ValueError("euler parameters inconsistent with grid")
     t = float(t)
     total0 = time.perf_counter()
-    cached = False
+    cached = plan_cached = False
     if use_exact_exponent:
         if model.exact_exponent is None:
             raise ValueError(f"model {model.name!r} has no exact_exponent")
@@ -280,7 +307,7 @@ def solve(model: LevyModel, grid: GridSpec, t: float, euler: EulerParams,
         s1 = s2 = 0.0
     else:
         hits_before = _exponent_cached.cache_info().hits
-        gser, s1, s2 = _exponent_cached(model, grid, float(epsilon), float(b))
+        gser, s1, s2, plan_cached = _exponent_cached(model, grid, float(epsilon), float(b))
         cached = _exponent_cached.cache_info().hits > hits_before
     t3 = time.perf_counter()
     try:
@@ -298,8 +325,8 @@ def solve(model: LevyModel, grid: GridSpec, t: float, euler: EulerParams,
         abs_err = np.abs(p - p_exact)
     else:
         p_exact = abs_err = None
-    timings = {"step1": s1, "step2": s2, "step3": s3,
-               "total": total, "exponent_cached": cached}
+    timings = {"step1": s1, "step2": s2, "step3": s3, "total": total,
+               "exponent_cached": cached, "plan_cached": plan_cached}
     return SolveResult(x, p, p_exact, abs_err, timings,
                        params_echo(model, grid, euler, t=t, epsilon=float(epsilon),
                                    b=float(b), use_exact_exponent=use_exact_exponent))

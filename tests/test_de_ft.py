@@ -5,8 +5,8 @@ import numpy as np
 import pytest
 
 import oracles
-from levyfourier.de_ft import (DeFtParams, DeSources, _sources_stacked, build_sources, phi,
-                               phi_parts, splice_plan)
+from levyfourier.de_ft import (DeFtParams, DeSources, _sources_stacked, build_sources,
+                               node_plan, phi, phi_parts, splice_plan)
 from levyfourier.euler_ft import EulerParams
 
 H_TILDE_2_11 = math.sqrt(14 * math.pi / 2**11)
@@ -128,11 +128,45 @@ def test_sources_stacked_matches_per_run():
     h_tilde = EulerParams.from_theorem(128, 2.0, 5.0, 1.0).h_tilde
     (run_a, _), (run_b, _) = splice_plan(n_gamma, h_tilde)
     mu = lambda y: np.exp(-y)
-    weights, points = _sources_stacked(mu, run_a, run_b)
+    shift = 0.37
+    plan = node_plan((run_a, run_b), shift)
+    weights = _sources_stacked(mu, plan)
+    assert len(plan.live) == 2 * run_a.m          # nothing underflows at M = 2^9
     for row, run in ((0, run_a), (1, run_b)):
         src = build_sources(mu, run)
-        assert np.array_equal(weights[row], src.weights)
-        assert np.array_equal(points[row], src.points)
+        assert np.array_equal(plan.points[row], src.points)
+        ref = src.weights * np.exp(-1j * shift * src.points)
+        got = weights[row * run.m:(row + 1) * run.m]
+        assert np.max(np.abs(got - ref)) <= 1e-15 * np.max(np.abs(ref))
+
+
+def test_node_plan_drops_zero_weight_nodes_and_never_evaluates_mu_there():
+    # vg at M = 2^14: phi' underflows to 0 at the left end, 75 points of it
+    # at y = 0, and phihat to 0 at the right end, where the sine vanishes
+    h_tilde = EulerParams.from_theorem(2**12, 2.0, 5.0, 1.0).h_tilde
+    (run_a, _), (run_b, _) = splice_plan(8192, h_tilde)
+    plan = node_plan((run_a, run_b))
+    assert 2 * run_a.m - len(plan.live) == 1525
+    assert np.count_nonzero(plan.points == 0.0) == 75 and np.all(plan.y > 0)
+    assert np.all(plan.factor != 0)
+    seen = []
+
+    def mu(y):
+        seen.append(y.copy())
+        return y ** -0.5                         # infinite at y = 0
+    weights = _sources_stacked(mu, plan)
+    assert len(seen) == 1 and np.array_equal(seen[0], plan.points.ravel()[plan.live])
+    assert np.all(np.isfinite(weights))
+
+
+def test_sources_stacked_rejects_nonfinite_mu_at_live_nodes():
+    (run_a, _), (run_b, _) = splice_plan(256, 0.05)
+    plan = node_plan((run_a, run_b))
+    y_bad = plan.y[plan.live >= run_a.m][3]      # a node of run b
+    mu = lambda y: np.where(y == y_bad, np.nan, 1.0)
+    j = plan.live[np.flatnonzero(plan.y == y_bad)[0]] - run_a.m - run_a.m_minus
+    with pytest.raises(ValueError, match=f"non-finite value nan at j={j}, y="):
+        _sources_stacked(mu, plan)
 
 
 def test_splice_plan_rules():

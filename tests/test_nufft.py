@@ -7,8 +7,8 @@ import pytest
 import oracles
 from levyfourier.de_ft import DeFtParams, DeSources, build_sources, splice_plan
 from levyfourier.euler_ft import EulerParams
-from levyfourier.nufft import (NufftParams, _forward_stacked, _gridded_buffer, build_windows,
-                               extend_conjugate, nufft_forward, nufft_params)
+from levyfourier.nufft import (NufftParams, _forward_stacked, build_windows, extend_conjugate,
+                               gridding_plan, nufft_forward, nufft_params, source_shift)
 from levyfourier.numkit import ComplexSeries, fft_array
 
 
@@ -84,6 +84,39 @@ def test_windows_reject_unsorted_points():
     par = NufftParams(1e-10, 20.0, -math.log(1e-10) / math.pi**2, 1.0, 1.0, 25, 40)
     with pytest.raises(ValueError):
         build_windows(np.array([1.0, 0.5]), par, 1.0)
+
+
+def test_windows_with_tied_points_match_brute_force():
+    # large DE grids put a run of nodes at y = 0; the rank queries must
+    # still reproduce the defining max-expressions
+    points = np.concatenate((np.zeros(5), np.linspace(0.1, 4.0, 27)))
+    par = nufft_params(32, points, 0.9)
+    win = build_windows(points, par, 0.9)
+    j_min, j_max = oracles.windows_brute(points, par, 0.9)
+    assert np.array_equal(win.j_min, j_min)
+    assert np.array_equal(win.j_max, j_max)
+
+
+def test_gridding_plan_rows_are_the_window_pairs():
+    h_tilde, n_gamma, runs = vg_runs()
+    points = np.stack([src.points for src, _, _ in runs])
+    params = [par for _, par, _ in runs]
+    m = 2 * n_gamma
+    plan = gridding_plan(points, params, h_tilde, n_gamma)
+    assert plan.matrix.shape == (2 * m, 2 * m)
+    for r, (src, par, _) in enumerate(runs):
+        win = build_windows(src.points, par, h_tilde)
+        c = h_tilde * src.points / par.a
+        for p in (0, m // 3, m // 2, m - 1):
+            row = plan.matrix[[r * m + p]]
+            cols = np.arange(win.j_min[p], win.j_max[p] + 1) + m // 2
+            assert np.array_equal(row.indices, cols + r * m)
+            node = (win.l_lo + p) * par.h_check
+            assert np.array_equal(row.data, np.exp(-((node - c[cols]) ** 2) / (4 * par.tau)))
+    # restricting to live sources keeps the other columns' entries unchanged
+    live = np.flatnonzero(np.arange(2 * m) % 3)
+    sub = gridding_plan(points, params, h_tilde, n_gamma, live)
+    assert (sub.matrix != plan.matrix[:, live]).nnz == 0
 
 
 def test_forward_zero_weights():
@@ -163,7 +196,9 @@ def test_phase_compensated_spectrum_is_m_periodic():
     h_tilde, n_gamma = 0.21, 8
     par = nufft_params(16, src.points, h_tilde)
     m = 16
-    spec = fft_array(_gridded_buffer(src, par, h_tilde, n_gamma))
+    plan = gridding_plan(src.points, (par,), h_tilde, n_gamma)
+    shifted = src.weights * np.exp(-1j * source_shift(h_tilde, n_gamma) * src.points)
+    spec = fft_array(plan.matrix @ shifted)
     l_lo = -par.l_minus
     for k in range(n_gamma + 1):
         kp = k - n_gamma // 2
@@ -174,9 +209,11 @@ def test_phase_compensated_spectrum_is_m_periodic():
 
 def test_stacked_forward_matches_composition():
     h_tilde, n_gamma, runs = vg_runs()
-    weights = np.stack([runs[0][0].weights, runs[1][0].weights])
     points = np.stack([runs[0][0].points, runs[1][0].points])
-    both = _forward_stacked(weights, points, (runs[0][1], runs[1][1]), h_tilde, n_gamma)
+    weights = np.concatenate([runs[0][0].weights, runs[1][0].weights])
+    shifted = weights * np.exp(-1j * source_shift(h_tilde, n_gamma) * points.ravel())
+    plan = gridding_plan(points, (runs[0][1], runs[1][1]), h_tilde, n_gamma)
+    both = _forward_stacked(shifted, plan)
     for row, (src, par, _) in enumerate(runs):
         ref = nufft_forward(src, par, h_tilde, n_gamma).values
         assert np.max(np.abs(both[row] - ref)) <= 1e-13 * np.max(np.abs(ref))

@@ -68,6 +68,17 @@ def test_kernel_table_huge_r_gives_sine_integral():
     assert err[4096] >= 8 * err[16384]
 
 
+def test_kernel_table_keeps_its_circulant_spectrum():
+    n_prime = 64
+    table = kernel_table(math.sqrt(n_prime / math.pi), n_prime)
+    spectrum = table.circulant_spectrum
+    assert spectrum is table.circulant_spectrum
+    ker = np.zeros(4 * n_prime, dtype=complex)
+    k = np.arange(-n_prime + 1, n_prime + 1)
+    ker[k % (4 * n_prime)] = table.signed(k)
+    assert np.array_equal(spectrum, np.fft.fft(ker))
+
+
 def test_kernel_table_size_errors():
     with pytest.raises(ValueError):
         kernel_table(3.0, 32, m_table=100)

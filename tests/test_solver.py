@@ -4,11 +4,15 @@ import math
 
 import numpy as np
 import pytest
+import scipy.special as sp
 
 import oracles
+from levyfourier.de_ft import build_sources, splice_plan
 from levyfourier.euler_ft import EulerParams
 from levyfourier.numkit import bessel_k
-from levyfourier.solver import (GridSpec, LevyModel, clear_exponent_cache, custom_model,
+from levyfourier.nufft import nufft_forward, nufft_params
+from levyfourier.solver import (DEFAULT_B, DEFAULT_EPSILON, GridSpec, LevyModel,
+                                _spliced_transform, clear_exponent_cache, custom_model,
                                 exact_nig, exact_vg, g_gamma, gamma_fn, make_grid, nig_model,
                                 solve, vg_model)
 
@@ -212,7 +216,8 @@ def test_solve_timings_and_echo():
     model = nig_model()
     grid, euler = setup_case(model, 10)
     res = solve(model, grid, 1.5, euler)
-    assert set(res.timings) >= {"step1", "step2", "step3", "total", "exponent_cached"}
+    assert set(res.timings) >= {"step1", "step2", "step3", "total", "exponent_cached",
+                                "plan_cached"}
     echo = res.params_echo
     needed = {"model", "gamma", "n", "n_gamma", "m", "x_l", "x_u", "d", "h_tilde",
               "h_hat", "zeta0_rule", "zeta0_low", "zeta0_high", "h_de_rule", "h_de",
@@ -254,3 +259,55 @@ def test_solve_result_lengths():
     custom = custom_model("expdecay", 1, lambda y: np.exp(-y))
     res2 = solve(custom, grid, 1.0, euler)
     assert res2.p_exact is None and res2.abs_err is None
+
+
+def test_plan_and_exponent_cache_flags():
+    # step1, step2 and plan_cached describe the solve that computed the exponent
+    vg = vg_model()
+    grid, euler = setup_case(vg, 10)
+    scaled = custom_model("expdecay-2", 1, lambda y: 2.0 * np.exp(-y))
+    clear_exponent_cache()
+    flags = []
+    for model, t in ((vg, 1.0), (vg, 2.0), (scaled, 1.0)):
+        timings = solve(model, grid, t, euler).timings
+        flags.append((timings["exponent_cached"], timings["plan_cached"]))
+    assert flags == [(False, False), (True, False), (False, True)]
+    clear_exponent_cache()                      # drops the plan too
+    timings = solve(scaled, grid, 1.0, euler).timings
+    assert (timings["exponent_cached"], timings["plan_cached"]) == (False, False)
+
+
+@pytest.mark.parametrize("model", [vg_model(), nig_model()], ids=["vg", "nig"])
+def test_step1_plan_matches_per_run_composition(model):
+    for i in range(8, 13):
+        grid, _ = setup_case(model, i)
+        clear_exponent_cache()
+        cold = _spliced_transform(model, grid, DEFAULT_EPSILON, DEFAULT_B).values
+        warm = _spliced_transform(model, grid, DEFAULT_EPSILON, DEFAULT_B).values
+        assert np.array_equal(cold, warm)
+        ref = np.empty(grid.n_gamma + 1, dtype=complex)
+        for params, krange in splice_plan(grid.n_gamma, grid.h_tilde):
+            src = build_sources(model.mu, params)
+            npar = nufft_params(grid.m, src.points, grid.h_tilde)
+            out = nufft_forward(src, npar, grid.h_tilde, grid.n_gamma).values
+            ref[krange.start:krange.stop] = out[krange.start:krange.stop]
+        assert np.max(np.abs(cold - ref)) <= 1e-14 * np.max(np.abs(ref)), i
+
+
+def test_singular_cgmy_density_matches_exact_exponent_inversion():
+    # CGMY with C = M = 1, Y = 1.5 (gamma = 2): mu(y) = y^(-1/2) e^(-y) is
+    # infinite at y = 0, where DE nodes of the M = 2^13 grid underflow; their
+    # weights vanish for any mu, so mu is never evaluated there
+    big_y = 1.5
+
+    def exponent(omega):
+        w = np.asarray(omega, dtype=float)
+        return 2 * sp.gamma(-big_y) * ((1 + w * w) ** (big_y / 2)
+                                       * np.cos(big_y * np.arctan(w)) - 1)
+    model = custom_model("cgmy", 2, lambda y: y ** (1 - big_y) * np.exp(-y),
+                         exact_exponent=exponent)
+    grid, euler = setup_case(model, 13)
+    res = solve(model, grid, 1.0, euler)
+    ref = solve(model, grid, 1.0, euler, use_exact_exponent=True)
+    window = (np.abs(res.x) >= 2.0) & (np.abs(res.x) <= 5.0)
+    assert np.max(np.abs(res.p - ref.p)[window]) <= 1e-6
