@@ -125,10 +125,10 @@ class GriddingPlan:
     matrix is the block-diagonal gridding pattern: row r*M + p is node
     l = l_lo(r) + p of run r, column i is the i-th live source (see
     gridding_plan), and the entry is the Gaussian factor
-    exp(-(l h_check - c_j)^2 / (4 tau)) for each pair of build_windows.  post (runs, n_gamma + 1) holds the deconvolution
-    sqrt(pi/tau) exp(tau (a k')^2), the node-offset phase
-    exp(-2 pi i k' l_lo / M) and h_check / 2pi; gather = k' mod M reads the
-    FFT bins.
+    exp(-(l h_check - c_j)^2 / (4 tau)) for each pair of build_windows.
+    post (runs, n_gamma + 1) holds the deconvolution sqrt(pi/tau)
+    exp(tau (a k')^2), the node-offset phase exp(-2 pi i k' l_lo / M) and
+    h_check / 2pi; gather = k' mod M reads the FFT bins.
     """
 
     matrix: sparse.csr_array
