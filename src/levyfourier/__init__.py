@@ -10,11 +10,11 @@ convolution, yielding the characteristic exponent; (3) a continuous Euler
 transform inverts e^{t G} back to the density with a fractional FFT.
 """
 
-from .de_ft import DeFtParams, DeSources, build_sources, phi, phi_parts, splice_plan
+from .de_ft import DeFtParams, node_plan, phi_parts, splice_plan
 from .euler_ft import EulerParams, inverse_ft, weight
-from .numkit import ComplexSeries, FrftPlan, bessel_k, erf, erfc, fft, fft_array, frft
-from .nufft import (IndexWindows, NufftParams, build_windows, extend_conjugate,
-                    nufft_forward, nufft_params)
+from .numkit import ComplexSeries, FrftPlan, erfc, fft_array, frft
+from .nufft import (NufftParams, build_windows, extend_conjugate, gridding_plan,
+                    nufft_params)
 from .sinc_gauss import (KernelTable, SincGaussConfig, indefinite_integral,
                          kernel_table, negative_extension, sg_interpolate)
 from .solver import (GridSpec, LevyModel, SolveResult, clear_exponent_cache,
@@ -24,11 +24,10 @@ from .solver import (GridSpec, LevyModel, SolveResult, clear_exponent_cache,
 __version__ = "0.1.0"
 
 __all__ = [
-    "ComplexSeries", "FrftPlan", "bessel_k", "erf", "erfc", "fft", "fft_array",
-    "frft",
-    "DeFtParams", "DeSources", "build_sources", "phi", "phi_parts", "splice_plan",
-    "IndexWindows", "NufftParams", "build_windows", "extend_conjugate",
-    "nufft_forward", "nufft_params",
+    "ComplexSeries", "FrftPlan", "erfc", "fft_array", "frft",
+    "DeFtParams", "node_plan", "phi_parts", "splice_plan",
+    "NufftParams", "build_windows", "extend_conjugate", "gridding_plan",
+    "nufft_params",
     "KernelTable", "SincGaussConfig", "indefinite_integral", "kernel_table",
     "negative_extension", "sg_interpolate",
     "EulerParams", "inverse_ft", "weight",

@@ -4,6 +4,7 @@ JSON manifest of every resolved parameter."""
 from __future__ import annotations
 
 import argparse
+import ast
 import json
 import math
 import statistics
@@ -17,18 +18,22 @@ from typing import Optional
 import numpy as np
 from scipy.integrate import quad
 
-from .de_ft import build_sources, splice_plan
+from .de_ft import _sources_stacked, node_plan, splice_plan
 from .euler_ft import EulerParams
 from .numkit import ComplexSeries, frft
-from .nufft import nufft_forward, nufft_params
+from .nufft import _forward_stacked
 from .sinc_gauss import kernel_table
-from .solver import (DEFAULT_B, DEFAULT_EPSILON, _spliced_transform,
+from .solver import (DEFAULT_B, DEFAULT_EPSILON, _spliced_transform, _step1_plan,
                      clear_exponent_cache, custom_model, g_gamma, make_grid,
                      nig_model, solve, vg_model)
 
 CONFIG_SCHEMA_VERSION = "1"
 _CONFIG_KEYS = ("schema_version", "model", "gamma", "mu", "t", "i_range",
                 "xl", "xu", "d", "b", "eps", "out", "reps")
+# the names a --mu expression may use besides y, as np.NAME or math.NAME
+_MU_MODULES = {"np": np, "math": math}
+_MU_SYNTAX = (ast.Expression, ast.BinOp, ast.UnaryOp, ast.Compare,
+              ast.operator, ast.unaryop, ast.cmpop, ast.Load)
 
 
 @dataclass(frozen=True)
@@ -136,12 +141,45 @@ def _build_model(config: RunConfig):
         return vg_model()
     if config.model == "nig":
         return nig_model()
-    code = compile(config.mu_expr, "<mu>", "eval")
+    code = _compile_mu(config.mu_expr)
 
     def mu(y, _code=code):
-        return eval(_code, {"__builtins__": {}}, {"np": np, "math": math, "y": y})
+        return eval(_code, {"__builtins__": {}}, {**_MU_MODULES, "y": y})
 
     return custom_model("custom", config.gamma, mu)
+
+
+def _compile_mu(expr: str):
+    """Compile a --mu expression after checking every node of its syntax
+    tree: numeric constants, the name y, arithmetic, unary and comparison
+    operators, and calls or attributes np.NAME / math.NAME with NAME not
+    starting with '_'.  Anything else raises ValueError naming the node."""
+    try:
+        tree = ast.parse(expr, "<mu>", mode="eval")
+    except SyntaxError as exc:
+        raise ValueError(f"mu expression {expr!r} does not parse: {exc.msg}") from None
+    module_refs = set()          # the np/math names under an allowed attribute
+    for node in ast.walk(tree):  # parents come before their children
+        if isinstance(node, ast.Attribute):
+            ok = (isinstance(node.value, ast.Name) and node.value.id in _MU_MODULES
+                  and not node.attr.startswith("_"))
+            module_refs.add(node.value)
+            what = f"attribute {node.attr!r}"
+        elif isinstance(node, ast.Name):
+            ok = node.id == "y" or node in module_refs
+            what = f"name {node.id!r}"
+        elif isinstance(node, ast.Call):
+            ok = isinstance(node.func, ast.Attribute) and not node.keywords
+            what = "call with keywords" if node.keywords else "call of a non-attribute"
+        elif isinstance(node, ast.Constant):
+            ok = type(node.value) in (int, float, complex)
+            what = f"constant {node.value!r}"
+        else:
+            ok = isinstance(node, _MU_SYNTAX)
+            what = type(node).__name__
+        if not ok:
+            raise ValueError(f"mu expression {expr!r}: {what} is not allowed")
+    return compile(tree, "<mu>", "eval")
 
 
 def _grid_pair(model, config: RunConfig, i: int):
@@ -316,14 +354,17 @@ def _check_nufft():
     model = vg_model()
     euler = EulerParams.from_theorem(128, 2.0, 5.0, 1.0)
     grid = make_grid(model, euler)
-    worst = 0.0
+    nodes, gridding, _ = _step1_plan(grid, DEFAULT_EPSILON, DEFAULT_B)
+    got = _forward_stacked(_sources_stacked(model.mu, nodes), gridding)
+    # the plain (unshifted) weights of both runs, summed directly
+    plain = node_plan(run for run, _ in splice_plan(grid.n_gamma, grid.h_tilde))
+    weights = _sources_stacked(model.mu, plain)
     k = np.arange(grid.n_gamma + 1)
-    for params, _ in splice_plan(grid.n_gamma, grid.h_tilde):
-        src = build_sources(model.mu, params)
-        npar = nufft_params(grid.m, src.points, grid.h_tilde)
-        got = nufft_forward(src, npar, grid.h_tilde, grid.n_gamma)
-        direct = np.exp(-1j * np.outer(k * grid.h_tilde, src.points)) @ src.weights
-        worst = max(worst, float(np.max(np.abs(got.values - direct))))
+    worst = 0.0
+    for row in range(len(got)):
+        mine = plain.live // grid.m == row
+        direct = np.exp(-1j * np.outer(k * grid.h_tilde, plain.y[mine])) @ weights[mine]
+        worst = max(worst, float(np.max(np.abs(got[row] - direct))))
     return worst, 1e-8
 
 

@@ -62,30 +62,6 @@ class DeFtParams:
         return math.pi / (self.zeta0 * self.h)
 
 
-@dataclass(frozen=True, eq=False)
-class DeSources:
-    """Weighted point sources of one DE run: weights Phi_j and strictly
-    increasing points y_j for j = -m_minus..m_plus-1."""
-
-    weights: np.ndarray
-    points: np.ndarray
-    params: DeFtParams
-
-    def __post_init__(self):
-        w = np.ascontiguousarray(self.weights, dtype=complex)
-        y = np.ascontiguousarray(self.points, dtype=float)
-        if len(w) != len(y) or len(w) != self.params.m:
-            raise ValueError("weights/points length must equal m_minus + m_plus")
-        if not np.all(np.isfinite(w)):
-            raise ValueError("weights must be finite")
-        if np.any(np.diff(y) <= 0):
-            raise ValueError("points must be strictly increasing")
-        w.flags.writeable = False
-        y.flags.writeable = False
-        object.__setattr__(self, "weights", w)
-        object.__setattr__(self, "points", y)
-
-
 def phi_parts(t, alpha: float, beta: float):
     """phi(t) = t / (1 - exp(-2t - alpha(1-e^{-t}) - beta(e^t-1))) together
     with phihat(t) = phi(t) - t and the derivative phi'(t).
@@ -141,12 +117,6 @@ def phi_parts(t, alpha: float, beta: float):
     return phi, phihat, dphi
 
 
-def phi(t, alpha: float, beta: float):
-    """The DE variable change phi(t); scalar in, scalar out (arrays pass through)."""
-    out = phi_parts(t, alpha, beta)[0]
-    return float(out[0]) if np.ndim(t) == 0 else out
-
-
 @dataclass(frozen=True, eq=False)
 class NodePlan:
     """The mu-free part of the DE sources of runs that share (h, m_minus,
@@ -175,8 +145,9 @@ def node_plan(runs, shift: float = 0.0) -> NodePlan:
     """DE points and mu-free weight factors of the given runs.
 
     shift moves the transform's output frequencies by zeta -> zeta + shift
-    (the gridding step centres its output that way); 0 gives the plain
-    weights of build_sources.
+    (the gridding step centres its output that way); with shift 0 the
+    weights are the plain DE weights, whose source sum at zeta is the
+    one-sided transform of mu.
     """
     runs = tuple(runs)
     first = runs[0]
@@ -211,21 +182,6 @@ def _sources_stacked(mu, plan: NodePlan) -> np.ndarray:
             f"mu returned non-finite value {mu_vals[i]} at j={j}, y={plan.y[i]!r}"
         )
     return mu_vals * plan.factor
-
-
-def build_sources(mu, params: DeFtParams) -> DeSources:
-    """Evaluate the DE weights and points of one run for a density mu on (0, inf).
-
-    weights_j = -(2 pi i / zeta0) mu(y_j) sin((pi/2h) phihat(jh)) phi'(jh)
-                * exp((i pi/2h) phihat(jh)),  y_j = (pi/(zeta0 h)) phi(jh);
-
-    mu is not evaluated where the weight vanishes for every mu.  Raises on
-    non-finite mu values, naming the offending j and y_j.
-    """
-    plan = node_plan((params,))
-    weights = np.zeros(params.m, dtype=complex)
-    weights[plan.live] = _sources_stacked(mu, plan)
-    return DeSources(weights, plan.points[0], params)
 
 
 def splice_plan(n_gamma: int, h_tilde: float):

@@ -18,7 +18,6 @@ from dataclasses import dataclass
 import numpy as np
 from scipy import sparse
 
-from .de_ft import DeSources
 from .numkit import ComplexSeries
 
 
@@ -63,36 +62,17 @@ def nufft_params(m: int, points: np.ndarray, h_tilde: float,
     return NufftParams(epsilon, b, tau, a, h_check, l_minus, -l_minus + m - 1)
 
 
-@dataclass(frozen=True, eq=False)
-class IndexWindows:
-    """Per-node source windows: j in [j_min(l), j_max(l)] feeds node l, for
-    l = l_lo..l_lo+len-1.  Empty windows satisfy j_max(l) = j_min(l) - 1."""
-
-    j_min: np.ndarray
-    j_max: np.ndarray
-    l_lo: int
-
-    def __post_init__(self):
-        jm = np.ascontiguousarray(self.j_min, dtype=np.int64)
-        jx = np.ascontiguousarray(self.j_max, dtype=np.int64)
-        if len(jm) != len(jx):
-            raise ValueError("j_min and j_max must have equal length")
-        jm.flags.writeable = False
-        jx.flags.writeable = False
-        object.__setattr__(self, "j_min", jm)
-        object.__setattr__(self, "j_max", jx)
-
-
-def build_windows(points: np.ndarray, params: NufftParams, h_tilde: float) -> IndexWindows:
-    """Window bounds by the two resumable forward scans.
+def build_windows(points: np.ndarray, params: NufftParams, h_tilde: float):
+    """Per-node source windows (j_min, j_max): j in [j_min[p], j_max[p]]
+    feeds node l = -l_minus + p.
 
     j_min(l) = max{j : ceil((c_j + b)/h_check) <= l} and
     j_max(l) = max{j : floor((c_j - b)/h_check) <= l}, where c_j = h_tilde*y_j/a.
     Both threshold sequences are nondecreasing because the points are, so each
     bound is one sorted-array rank query, evaluated for every l at once.  When
     no source qualifies, j_min falls back to the lowest index and j_max to one
-    below it (the empty-window convention).  Tied points are allowed: large
-    DE grids put several nodes at y = 0.
+    below it, so empty windows have j_max = j_min - 1.  Tied points are
+    allowed: large DE grids put several nodes at y = 0.
     """
     points = np.asarray(points, dtype=float)
     if np.any(np.diff(points) < 0):
@@ -107,7 +87,7 @@ def build_windows(points: np.ndarray, params: NufftParams, h_tilde: float) -> In
     hits_max = np.searchsorted(t_max, l_vals, side="right")
     j_min = j_lo + np.maximum(hits_min - 1, 0)
     j_max = j_lo + hits_max - 1
-    return IndexWindows(j_min, j_max, -params.l_minus)
+    return j_min, j_max
 
 
 def source_shift(h_tilde: float, n_gamma: int) -> float:
@@ -123,9 +103,10 @@ class GriddingPlan:
     weights, built once per grid.
 
     matrix is the block-diagonal gridding pattern: row r*M + p is node
-    l = l_lo(r) + p of run r, column i is the i-th live source (see
-    gridding_plan), and the entry is the Gaussian factor
-    exp(-(l h_check - c_j)^2 / (4 tau)) for each pair of build_windows.
+    l = l_lo(r) + p of run r, with l_lo(r) = -l_minus of that run; column i
+    is the i-th live source (see gridding_plan), and the entry is the
+    Gaussian factor exp(-(l h_check - c_j)^2 / (4 tau)) for each pair of
+    build_windows.
     post (runs, n_gamma + 1) holds the deconvolution sqrt(pi/tau)
     exp(tau (a k')^2), the node-offset phase exp(-2 pi i k' l_lo / M) and
     h_check / 2pi; gather = k' mod M reads the FFT bins.
@@ -137,13 +118,13 @@ class GriddingPlan:
 
 
 def gridding_plan(points: np.ndarray, params_rows, h_tilde: float, n_gamma: int,
-                  live=None) -> GriddingPlan:
+                  live: np.ndarray) -> GriddingPlan:
     """Gridding plan for runs of M sources each at the rows of points.
 
     params_rows holds one NufftParams per run; they must share
-    (tau, a, h_check, b).  live, if given, lists the flat indices into points
-    of the sources that can carry weight; the plan's columns are those
-    sources, in that order, and the pairs of every other source are dropped.
+    (tau, a, h_check, b).  live lists, in increasing order, the flat indices
+    into points of the sources that can carry weight; the plan's columns are
+    those sources, and the pairs of every other source are dropped.
     """
     points = np.atleast_2d(np.asarray(points, dtype=float))
     runs, m = points.shape
@@ -154,15 +135,15 @@ def gridding_plan(points: np.ndarray, params_rows, h_tilde: float, n_gamma: int,
     par = params_rows[0]
     if len({(p.tau, p.a, p.h_check, p.b) for p in params_rows}) != 1:
         raise ValueError("stacked runs must share tau, a, h_check and b")
-    live = np.arange(runs * m) if live is None else np.asarray(live)
+    live = np.asarray(live)
     # window l of run r is the flat source range [lo, hi); its live sources
     # are the plan columns start..stop-1 since live is sorted
     lo, hi, nodes = [], [], []
     for r, (row, p) in enumerate(zip(points, params_rows)):
-        win = build_windows(row, p, h_tilde)
-        lo.append(win.j_min + r * m + m // 2)
-        hi.append(win.j_max + 1 + r * m + m // 2)
-        nodes.append(np.arange(win.l_lo, win.l_lo + m) * par.h_check)
+        j_min, j_max = build_windows(row, p, h_tilde)
+        lo.append(j_min + r * m + m // 2)
+        hi.append(j_max + 1 + r * m + m // 2)
+        nodes.append(np.arange(-p.l_minus, -p.l_minus + m) * par.h_check)
     start = np.searchsorted(live, np.concatenate(lo))
     counts = np.maximum(np.searchsorted(live, np.concatenate(hi)) - start, 0)
     indptr = np.concatenate(([0], np.cumsum(counts))).astype(np.int32)
@@ -200,15 +181,6 @@ def _forward_stacked(weights: np.ndarray, plan: GriddingPlan) -> np.ndarray:
     grids.imag = plan.matrix @ weights.imag
     spectrum = np.fft.fft(grids.reshape(len(plan.post), -1), axis=-1)
     return plan.post * spectrum[:, plan.gather]
-
-
-def nufft_forward(sources: DeSources, params: NufftParams, h_tilde: float,
-                  n_gamma: int) -> ComplexSeries:
-    """Fast evaluation of the source sum at zeta = k*h_tilde, k = 0..n_gamma,
-    for one run.  Requires M = 2*n_gamma (a power of two)."""
-    plan = gridding_plan(sources.points, (params,), h_tilde, n_gamma)
-    shift = np.exp(-1j * source_shift(h_tilde, n_gamma) * sources.points)
-    return ComplexSeries(0, _forward_stacked(sources.weights * shift, plan)[0], h_tilde)
 
 
 def extend_conjugate(series: ComplexSeries) -> ComplexSeries:

@@ -1,5 +1,5 @@
 """Foundation layer: indexed complex series, power-of-two FFT, fractional FFT,
-and the special functions (erfc, modified Bessel K) used across the pipeline."""
+and the erfc window function of the Euler transform."""
 from __future__ import annotations
 
 from dataclasses import dataclass, field
@@ -74,31 +74,6 @@ def erfc(x):
     return sp.erfc(x)
 
 
-def erf(x):
-    """Error function, the companion of :func:`erfc`."""
-    return sp.erf(x)
-
-
-def bessel_k(v, z):
-    """Modified Bessel function of the second kind K_v(z) for real order.
-
-    Parameters
-    ----------
-    v : real order (the pipeline needs |v| <= 5).
-    z : positive argument, scalar or array.
-
-    Raises
-    ------
-    ValueError
-        If any z <= 0 (K_v has a singularity at 0 and is not real beyond).
-    """
-    z = np.asarray(z, dtype=float)
-    if np.any(z <= 0):
-        raise ValueError("bessel_k requires z > 0")
-    out = sp.kv(v, z)
-    return out if out.ndim else float(out)
-
-
 # 2pi to long-double precision for angle reduction
 _TWO_PI_LD = np.longdouble("6.283185307179586476925286766559005768")
 
@@ -124,11 +99,6 @@ def fft_array(values: np.ndarray, direction: str = "forward") -> np.ndarray:
     if direction == "inverse":
         return np.fft.ifft(values)
     raise ValueError(f"unknown direction {direction!r}")
-
-
-def fft(x: ComplexSeries, direction: str = "forward") -> ComplexSeries:
-    """DFT of a series; returns bins m = 0..n-1 (offset 0), spacing preserved."""
-    return ComplexSeries(0, fft_array(x.values, direction), x.spacing)
 
 
 @dataclass(frozen=True)

@@ -12,8 +12,9 @@ from dataclasses import dataclass, field
 from functools import cached_property
 
 import numpy as np
+from scipy.special import erf
 
-from .numkit import ComplexSeries, FrftPlan, erf, fft_array
+from .numkit import ComplexSeries, FrftPlan, fft_array
 
 
 @dataclass(frozen=True)

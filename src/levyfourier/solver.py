@@ -216,9 +216,7 @@ def _spliced_transform(model: LevyModel, grid: GridSpec,
     """Step 1: m^(k h~) for k = 0..N_gamma, stitched from the two DE runs.
 
     With the grid's plan this is mu at the DE nodes times the mu-free
-    factors, one sparse gridding product and one batched FFT over both runs;
-    results agree with the run-by-run composition of build_sources and
-    nufft_forward to rounding.
+    factors, one sparse gridding product and one batched FFT over both runs.
     """
     nodes, gridding, ranges = _step1_plan(grid, epsilon, b)
     out = _forward_stacked(_sources_stacked(model.mu, nodes), gridding)

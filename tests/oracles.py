@@ -41,9 +41,10 @@ def frft_direct(values, delta):
     return out
 
 
-def source_sum_direct(weights, points, h_tilde, n_gamma):
-    """mu_hat_k = sum_j Phi_j e^{-i k h~ y_j}, k = 0..n_gamma, direct double sum."""
-    k = np.arange(0, n_gamma + 1)
+def source_sum_direct(weights, points, h_tilde, n_gamma, k=None):
+    """mu_hat_k = sum_j Phi_j e^{-i k h~ y_j}, direct double sum, for
+    k = 0..n_gamma or only at the given k."""
+    k = np.arange(0, n_gamma + 1) if k is None else np.asarray(k)
     return np.exp(-1j * h_tilde * np.outer(k, points)) @ weights
 
 

@@ -8,12 +8,13 @@ import numpy as np
 import pytest
 
 import oracles
-from levyfourier.de_ft import build_sources, splice_plan
+from levyfourier.de_ft import _sources_stacked, node_plan, splice_plan
 from levyfourier.euler_ft import EulerParams
 from levyfourier.numkit import ComplexSeries, frft
-from levyfourier.nufft import nufft_forward, nufft_params
+from levyfourier.nufft import _forward_stacked
 from levyfourier.sinc_gauss import SincGaussConfig, indefinite_integral, kernel_table
-from levyfourier.solver import (clear_exponent_cache, g_gamma, make_grid, nig_model,
+from levyfourier.solver import (DEFAULT_B, DEFAULT_EPSILON, _spliced_transform, _step1_plan,
+                                clear_exponent_cache, g_gamma, make_grid, nig_model,
                                 solve, vg_model)
 
 
@@ -27,18 +28,22 @@ def test_criterion_01_nufft_matches_direct_sum_within_1e8_and_50ms():
     model = vg_model()
     grid, _ = case(model, 9)
     assert grid.m == 2**9
-    worst = 0.0
     best_wall = math.inf
-    for params, _ in splice_plan(grid.n_gamma, grid.h_tilde):
-        src = build_sources(model.mu, params)
-        npar = nufft_params(grid.m, src.points, grid.h_tilde)
-        for _ in range(5):
-            t0 = time.perf_counter()
-            got = nufft_forward(src, npar, grid.h_tilde, grid.n_gamma)
-            best_wall = min(best_wall, time.perf_counter() - t0)
-        direct = oracles.source_sum_direct(src.weights, src.points, grid.h_tilde,
+    for _ in range(5):
+        clear_exponent_cache()                 # time the plan build too
+        t0 = time.perf_counter()
+        nodes, gridding, _ = _step1_plan(grid, DEFAULT_EPSILON, DEFAULT_B)
+        got = _forward_stacked(_sources_stacked(model.mu, nodes), gridding)
+        best_wall = min(best_wall, time.perf_counter() - t0)
+    # reference: each run's plain (unshifted) DE weights, summed directly
+    plain = node_plan(run for run, _ in splice_plan(grid.n_gamma, grid.h_tilde))
+    weights = _sources_stacked(model.mu, plain)
+    worst = 0.0
+    for row in range(len(got)):
+        mine = plain.live // grid.m == row
+        direct = oracles.source_sum_direct(weights[mine], plain.y[mine], grid.h_tilde,
                                            grid.n_gamma)
-        worst = max(worst, float(np.max(np.abs(got.values - direct))))
+        worst = max(worst, float(np.max(np.abs(got[row] - direct))))
     assert worst <= 1e-8
     assert best_wall <= 0.050
 
@@ -63,17 +68,14 @@ def test_criterion_03_spliced_transform_matches_closed_form_at_every_k():
                                              rel=1e-12)
     assert plan[1][0].zeta0 == pytest.approx(grid.n_gamma * grid.h_tilde / 1.8,
                                              rel=1e-12)
-    out = np.full(grid.n_gamma + 1, np.nan, dtype=complex)
-    for params, krange in plan:
-        src = build_sources(model.mu, params)
-        npar = nufft_params(grid.m, src.points, grid.h_tilde)
-        got = nufft_forward(src, npar, grid.h_tilde, grid.n_gamma)
-        idx = np.asarray(krange)
-        out[idx] = got.values[idx]
-    assert not np.isnan(out).any()             # the two ranges cover 0..N_gamma
+    # the two ranges cover 0..N_gamma
+    assert plan[0][1].start == 0 and plan[0][1].stop == plan[1][1].start
+    assert plan[1][1].stop == grid.n_gamma + 1
+    out = _spliced_transform(model, grid, DEFAULT_EPSILON, DEFAULT_B)
+    assert out.offset == 0 and len(out) == grid.n_gamma + 1
     k = np.arange(grid.n_gamma + 1)
     exact = 1.0 / (1.0 + 1j * k * grid.h_tilde)
-    assert np.max(np.abs(out - exact)) <= 1e-6
+    assert np.max(np.abs(out.values - exact)) <= 1e-6
 
 
 def test_criterion_04_kernel_table_matches_quadrature_within_1e9():

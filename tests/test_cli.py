@@ -227,6 +227,39 @@ def test_main_reports_config_errors_on_stderr(tmp_path, capsys):
     assert "unknown config key" in capsys.readouterr().err
 
 
+def test_mu_expression_outside_the_whitelist_is_rejected(tmp_path, capsys):
+    escape = "().__class__.__base__.__subclasses__().__len__() + 0*y"
+    out = tmp_path / "out"
+    rc = main(["solve", "--model", "custom", "--gamma", "1", "--mu", escape,
+               "--i-range", "7", "--out", str(out)])
+    assert rc == 2
+    err = capsys.readouterr().err
+    assert err.startswith("error:") and "attribute '__len__' is not allowed" in err
+    assert not out.exists()
+    cfg = tmp_path / "escape.cfg"
+    cfg.write_text(f"schema_version=1\nmodel=custom\ngamma=1\nmu={escape}\n",
+                   encoding="utf-8")
+    assert main(["solve", "--config", str(cfg), "--i-range", "7", "--out", str(out)]) == 2
+    assert "is not allowed" in capsys.readouterr().err
+    for expr, what in (("__import__('os')", "call"), ("np.__dict__", "'__dict__'"),
+                       ("y.real", "attribute 'real'"), ("[y][0]", "Subscript"),
+                       ("'1' * y", "constant '1'"), ("np.sum(y, axis=0)", "keywords"),
+                       ("math", "name 'math'"), ("lambda: y", "Lambda"),
+                       ("y +", "does not parse")):
+        with pytest.raises(ValueError, match=what):
+            cli._build_model(RunConfig(model="custom", gamma=1, mu_expr=expr))
+
+
+def test_mu_expression_inside_the_whitelist_evaluates():
+    y = np.linspace(0.1, 3.0, 7)
+    for expr, ref in (("np.exp(-y)", np.exp(-y)),
+                      ("y**0.5*np.exp(-2*y)", y**0.5 * np.exp(-2 * y)),
+                      ("np.where(y > 1, math.pi, -1.5e0)",
+                       np.where(y > 1, math.pi, -1.5))):
+        model = cli._build_model(RunConfig(model="custom", gamma=1, mu_expr=expr))
+        assert np.array_equal(model.mu(y), ref)
+
+
 def test_console_script_runs(tmp_path):
     exe = shutil.which("levyfourier")
     if exe is None:

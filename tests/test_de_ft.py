@@ -5,8 +5,7 @@ import numpy as np
 import pytest
 
 import oracles
-from levyfourier.de_ft import (DeFtParams, DeSources, _sources_stacked, build_sources,
-                               node_plan, phi, phi_parts, splice_plan)
+from levyfourier.de_ft import DeFtParams, _sources_stacked, node_plan, phi_parts, splice_plan
 from levyfourier.euler_ft import EulerParams
 
 H_TILDE_2_11 = math.sqrt(14 * math.pi / 2**11)
@@ -15,16 +14,18 @@ H_TILDE_2_11 = math.sqrt(14 * math.pi / 2**11)
 def test_phi_removable_singularity():
     alpha, beta = 0.18, 0.25
     limit = 1.0 / (2 + alpha + beta)
-    assert phi(0.0, alpha, beta) == pytest.approx(limit, rel=1e-14)
+    at_zero, right, left = phi_parts([0.0, 1e-6, -1e-6], alpha, beta)[0]
+    assert at_zero == pytest.approx(limit, rel=1e-14)
     # cross-check the limit from both sides
-    assert abs(phi(1e-6, alpha, beta) - limit) <= 1e-5
-    assert abs(phi(-1e-6, alpha, beta) - limit) <= 1e-5
+    assert abs(right - limit) <= 1e-5
+    assert abs(left - limit) <= 1e-5
 
 
 def test_phi_asymptotes():
     for alpha in (0.05, 0.2):
-        assert abs(phi(30.0, alpha, 0.25) - 30.0) <= 1e-12
-        assert abs(phi(-30.0, alpha, 0.25)) <= 1e-10
+        hi, lo = phi_parts([30.0, -30.0], alpha, 0.25)[0]
+        assert abs(hi - 30.0) <= 1e-12
+        assert abs(lo) <= 1e-10
 
 
 def test_phi_parts_monotone_positive_on_truncation_range():
@@ -43,8 +44,7 @@ def test_phi_parts_derivative_matches_finite_difference():
     t = np.linspace(-8, 8, 401)
     eps = 1e-6
     _, _, dph = phi_parts(t, alpha, beta)
-    fd = (np.asarray([phi(ti + eps, alpha, beta) for ti in t])
-          - np.asarray([phi(ti - eps, alpha, beta) for ti in t])) / (2 * eps)
+    fd = (phi_parts(t + eps, alpha, beta)[0] - phi_parts(t - eps, alpha, beta)[0]) / (2 * eps)
     assert np.max(np.abs(dph - fd)) <= 1e-7 * np.max(np.abs(dph))
 
 
@@ -73,35 +73,20 @@ def test_de_params_validation():
         DeFtParams(10.0, 0.0, 512, 512)
 
 
-def test_build_sources_vg_geometry():
+def test_node_plan_vg_geometry():
     (run_a, _), (run_b, _) = splice_plan(1024, H_TILDE_2_11)
     for run in (run_a, run_b):
-        src = build_sources(lambda y: np.exp(-y), run)
-        assert len(src.weights) == run.m
-        assert np.all(np.diff(src.points) > 0)
-        peak = np.max(np.abs(src.weights))
+        plan = node_plan((run,))
+        assert plan.points.shape == (1, run.m)
+        assert np.all(np.diff(plan.points[0]) > 0)
+        weights = _sources_stacked(lambda y: np.exp(-y), plan)
+        assert len(plan.live) == run.m and np.array_equal(plan.y, plan.points[0])
+        peak = np.max(np.abs(weights))
         # double-exponential decay has flattened out at both truncation ends
-        assert abs(src.weights[0]) <= 1e-12 * peak
-        assert abs(src.weights[-1]) <= 1e-12 * peak
-
-
-def test_build_sources_rejects_nonfinite_mu():
-    run = DeFtParams(10.0, 0.01, 128, 128)
-    with pytest.raises(ValueError, match="at j="):
-        build_sources(lambda y: np.where(y > 1.0, np.nan, 1.0), run)
-
-
-def test_de_sources_validation():
-    run = DeFtParams(10.0, 0.01, 8, 8)
-    with pytest.raises(ValueError):
-        DeSources(np.ones(15), np.arange(15, dtype=float), run)
-    with pytest.raises(ValueError):
-        DeSources(np.full(16, np.inf), np.arange(16, dtype=float), run)
-    with pytest.raises(ValueError):
-        DeSources(np.ones(16), np.zeros(16), run)
-    src = DeSources(np.ones(16), np.arange(16, dtype=float), run)
-    with pytest.raises(ValueError):
-        src.weights[0] = 2.0
+        assert abs(weights[0]) <= 1e-12 * peak
+        assert abs(weights[-1]) <= 1e-12 * peak
+        with pytest.raises(ValueError):
+            plan.factor[0] = 2.0
 
 
 def test_direct_sum_accurate_on_assigned_window_only():
@@ -112,8 +97,9 @@ def test_direct_sum_accurate_on_assigned_window_only():
     (run_a, range_a), (run_b, range_b) = splice_plan(n_gamma, h_tilde)
     errs = {}
     for name, run in (("a", run_a), ("b", run_b)):
-        src = build_sources(lambda y: np.exp(-y), run)
-        direct = oracles.source_sum_direct(src.weights, src.points, h_tilde, n_gamma)
+        plan = node_plan((run,))
+        weights = _sources_stacked(lambda y: np.exp(-y), plan)
+        direct = oracles.source_sum_direct(weights, plan.y, h_tilde, n_gamma)
         exact = 1.0 / (1.0 + 1j * np.arange(n_gamma + 1) * h_tilde)
         errs[name] = np.abs(direct - exact)
     ka, kb = np.asarray(range_a), np.asarray(range_b)
@@ -133,9 +119,9 @@ def test_sources_stacked_matches_per_run():
     weights = _sources_stacked(mu, plan)
     assert len(plan.live) == 2 * run_a.m          # nothing underflows at M = 2^9
     for row, run in ((0, run_a), (1, run_b)):
-        src = build_sources(mu, run)
-        assert np.array_equal(plan.points[row], src.points)
-        ref = src.weights * np.exp(-1j * shift * src.points)
+        one = node_plan((run,))
+        assert np.array_equal(plan.points[row], one.points[0])
+        ref = _sources_stacked(mu, one) * np.exp(-1j * shift * one.y)
         got = weights[row * run.m:(row + 1) * run.m]
         assert np.max(np.abs(got - ref)) <= 1e-15 * np.max(np.abs(ref))
 

@@ -5,24 +5,34 @@ import numpy as np
 import pytest
 
 import oracles
-from levyfourier.de_ft import DeFtParams, DeSources, build_sources, splice_plan
+from levyfourier.de_ft import _sources_stacked, node_plan, splice_plan
 from levyfourier.euler_ft import EulerParams
 from levyfourier.nufft import (NufftParams, _forward_stacked, build_windows, extend_conjugate,
-                               gridding_plan, nufft_forward, nufft_params, source_shift)
+                               gridding_plan, nufft_params, source_shift)
 from levyfourier.numkit import ComplexSeries, fft_array
 
 
 def vg_runs(n=128):
-    """Both splice runs of the e^{-y} model on the [2, 5] window geometry."""
+    """Both splice runs of the e^{-y} model on the [2, 5] window geometry:
+    (h_tilde, n_gamma, [(weights, points, nufft params, k-range), ...]) with
+    the plain DE weights, zero at nodes that carry no weight."""
     euler = EulerParams.from_theorem(n, 2.0, 5.0, 1.0)
     n_gamma = 2 * n
-    (run_a, range_a), (run_b, range_b) = splice_plan(n_gamma, euler.h_tilde)
     out = []
-    for run, rng in ((run_a, range_a), (run_b, range_b)):
-        src = build_sources(lambda y: np.exp(-y), run)
-        par = nufft_params(2 * n_gamma, src.points, euler.h_tilde)
-        out.append((src, par, rng))
+    for run, rng in splice_plan(n_gamma, euler.h_tilde):
+        plan = node_plan((run,))
+        weights = np.zeros(run.m, dtype=complex)
+        weights[plan.live] = _sources_stacked(lambda y: np.exp(-y), plan)
+        par = nufft_params(2 * n_gamma, plan.points[0], euler.h_tilde)
+        out.append((weights, plan.points[0], par, rng))
     return euler.h_tilde, n_gamma, out
+
+
+def forward(weights, points, par, h_tilde, n_gamma):
+    """sum_j w_j e^{-i k h~ y_j}, k = 0..n_gamma, of one run by the plan path."""
+    plan = gridding_plan(points, (par,), h_tilde, n_gamma, np.arange(len(points)))
+    shift = np.exp(-1j * source_shift(h_tilde, n_gamma) * points)
+    return _forward_stacked(weights * shift, plan)[0]
 
 
 def test_params_rules():
@@ -42,42 +52,42 @@ def test_params_rules():
 
 
 def test_windows_match_brute_force():
-    h_tilde, _, runs = vg_runs()
+    h_tilde, n_gamma, runs = vg_runs()
     # the high-band run reproduces the published window-plot geometry
-    assert runs[1][0].params.zeta0 == pytest.approx(41.684, abs=2e-3)
-    for src, par, _ in runs:
-        win = build_windows(src.points, par, h_tilde)
-        j_min, j_max = oracles.windows_brute(src.points, par, h_tilde)
-        assert np.array_equal(win.j_min, j_min)
-        assert np.array_equal(win.j_max, j_max)
+    assert splice_plan(n_gamma, h_tilde)[1][0].zeta0 == pytest.approx(41.684, abs=2e-3)
+    for _, points, par, _ in runs:
+        j_min, j_max = build_windows(points, par, h_tilde)
+        ref_min, ref_max = oracles.windows_brute(points, par, h_tilde)
+        assert np.array_equal(j_min, ref_min)
+        assert np.array_equal(j_max, ref_max)
 
 
 def test_windows_monotone_and_contain_inner_sources():
     h_tilde, _, runs = vg_runs()
-    for src, par, _ in runs:
-        win = build_windows(src.points, par, h_tilde)
-        assert np.all(np.diff(win.j_min) >= 0)
-        assert np.all(np.diff(win.j_max) >= 0)
-        assert np.all(win.j_min <= win.j_max + 1)
-        c = h_tilde * src.points / par.a
+    for _, points, par, _ in runs:
+        j_min, j_max = build_windows(points, par, h_tilde)
+        assert np.all(np.diff(j_min) >= 0)
+        assert np.all(np.diff(j_max) >= 0)
+        assert np.all(j_min <= j_max + 1)
+        c = h_tilde * points / par.a
         j_lo = -(len(c) // 2)
         for pos, l in enumerate(range(-par.l_minus, par.l_plus + 1)):
             # sources strictly inside the truncation circle must be covered;
             # exact boundary ties may fall either way (factor ~e^{-b^2/4tau})
             inside = np.nonzero(np.abs(l * par.h_check - c) <= par.b - 1e-12)[0] + j_lo
             if inside.size:
-                assert win.j_min[pos] <= inside.min()
-                assert inside.max() <= win.j_max[pos]
+                assert j_min[pos] <= inside.min()
+                assert inside.max() <= j_max[pos]
 
 
 def test_windows_single_point_threshold():
     par = NufftParams(1e-10, 20.0, -math.log(1e-10) / math.pi**2, 1.0, 1.0, 25, 40)
-    win = build_windows(np.array([0.0]), par, 1.0)
+    j_min, j_max = build_windows(np.array([0.0]), par, 1.0)
     for pos, l in enumerate(range(-25, 41)):
         if l >= -20:
-            assert (win.j_min[pos], win.j_max[pos]) == (0, 0)
+            assert (j_min[pos], j_max[pos]) == (0, 0)
         else:
-            assert win.j_max[pos] == win.j_min[pos] - 1
+            assert j_max[pos] == j_min[pos] - 1
 
 
 def test_windows_reject_unsorted_points():
@@ -91,27 +101,27 @@ def test_windows_with_tied_points_match_brute_force():
     # still reproduce the defining max-expressions
     points = np.concatenate((np.zeros(5), np.linspace(0.1, 4.0, 27)))
     par = nufft_params(32, points, 0.9)
-    win = build_windows(points, par, 0.9)
-    j_min, j_max = oracles.windows_brute(points, par, 0.9)
-    assert np.array_equal(win.j_min, j_min)
-    assert np.array_equal(win.j_max, j_max)
+    j_min, j_max = build_windows(points, par, 0.9)
+    ref_min, ref_max = oracles.windows_brute(points, par, 0.9)
+    assert np.array_equal(j_min, ref_min)
+    assert np.array_equal(j_max, ref_max)
 
 
 def test_gridding_plan_rows_are_the_window_pairs():
     h_tilde, n_gamma, runs = vg_runs()
-    points = np.stack([src.points for src, _, _ in runs])
-    params = [par for _, par, _ in runs]
+    points = np.stack([pts for _, pts, _, _ in runs])
+    params = [par for _, _, par, _ in runs]
     m = 2 * n_gamma
-    plan = gridding_plan(points, params, h_tilde, n_gamma)
+    plan = gridding_plan(points, params, h_tilde, n_gamma, np.arange(2 * m))
     assert plan.matrix.shape == (2 * m, 2 * m)
-    for r, (src, par, _) in enumerate(runs):
-        win = build_windows(src.points, par, h_tilde)
-        c = h_tilde * src.points / par.a
+    for r, (_, pts, par, _) in enumerate(runs):
+        j_min, j_max = build_windows(pts, par, h_tilde)
+        c = h_tilde * pts / par.a
         for p in (0, m // 3, m // 2, m - 1):
             row = plan.matrix[[r * m + p]]
-            cols = np.arange(win.j_min[p], win.j_max[p] + 1) + m // 2
+            cols = np.arange(j_min[p], j_max[p] + 1) + m // 2
             assert np.array_equal(row.indices, cols + r * m)
-            node = (win.l_lo + p) * par.h_check
+            node = (-par.l_minus + p) * par.h_check
             assert np.array_equal(row.data, np.exp(-((node - c[cols]) ** 2) / (4 * par.tau)))
     # restricting to live sources keeps the other columns' entries unchanged
     live = np.flatnonzero(np.arange(2 * m) % 3)
@@ -120,35 +130,32 @@ def test_gridding_plan_rows_are_the_window_pairs():
 
 
 def test_forward_zero_weights():
-    run = DeFtParams(10.0, 0.05, 16, 16)
-    src = DeSources(np.zeros(32), np.linspace(0.1, 3.2, 32), run)
-    par = nufft_params(32, src.points, 0.2)
-    out = nufft_forward(src, par, 0.2, 16)
-    assert np.array_equal(out.values, np.zeros(17))
+    points = np.linspace(0.1, 3.2, 32)
+    par = nufft_params(32, points, 0.2)
+    out = forward(np.zeros(32), points, par, 0.2, 16)
+    assert np.array_equal(out, np.zeros(17))
 
 
 def test_forward_single_source_is_pure_phase():
     # M = 64 nodes so the covered span [0, L+ - b] holds every c_j; smaller M
     # cannot fit the b = 20 Gaussian window
-    run = DeFtParams(10.0, 0.05, 32, 32)
     weights = np.zeros(64)
     weights[20] = 1.0
     points = np.linspace(0.3, 4.8, 64)
-    src = DeSources(weights, points, run)
     h_tilde = 0.21
     par = nufft_params(64, points, h_tilde)
-    out = nufft_forward(src, par, h_tilde, 32)
+    out = forward(weights, points, par, h_tilde, 32)
     k = np.arange(0, 33)
     exact = np.exp(-1j * k * h_tilde * points[20])
-    assert np.max(np.abs(out.values - exact)) <= 10 * par.epsilon
+    assert np.max(np.abs(out - exact)) <= 10 * par.epsilon
 
 
 def test_forward_vg_matches_direct_sum():
     h_tilde, n_gamma, runs = vg_runs()
-    for src, par, _ in runs:
-        fast = nufft_forward(src, par, h_tilde, n_gamma)
-        direct = oracles.source_sum_direct(src.weights, src.points, h_tilde, n_gamma)
-        assert np.max(np.abs(fast.values - direct)) <= 1e-8
+    for weights, points, par, _ in runs:
+        fast = forward(weights, points, par, h_tilde, n_gamma)
+        direct = oracles.source_sum_direct(weights, points, h_tilde, n_gamma)
+        assert np.max(np.abs(fast - direct)) <= 1e-8
 
 
 def test_forward_phase_randomized_weights_stay_accurate():
@@ -156,12 +163,11 @@ def test_forward_phase_randomized_weights_stay_accurate():
     # node span are dropped by design, which only works when they are tiny
     rng = np.random.default_rng(41)
     h_tilde, n_gamma, runs = vg_runs()
-    for src, par, _ in runs:
-        w = src.weights * np.exp(1j * rng.uniform(0.0, 2 * np.pi, len(src.weights)))
-        rnd = DeSources(w, src.points, src.params)
-        fast = nufft_forward(rnd, par, h_tilde, n_gamma)
-        direct = oracles.source_sum_direct(w, src.points, h_tilde, n_gamma)
-        assert np.max(np.abs(fast.values - direct)) <= 1e-8
+    for weights, points, par, _ in runs:
+        w = weights * np.exp(1j * rng.uniform(0.0, 2 * np.pi, len(weights)))
+        fast = forward(w, points, par, h_tilde, n_gamma)
+        direct = oracles.source_sum_direct(w, points, h_tilde, n_gamma)
+        assert np.max(np.abs(fast - direct)) <= 1e-8
 
 
 def test_forward_wider_window_tradeoff():
@@ -170,34 +176,36 @@ def test_forward_wider_window_tradeoff():
     # both settings stay in the contract accuracy class, they are not bitwise
     # related
     h_tilde, n_gamma, runs = vg_runs()
-    for src, par, _ in runs:
-        wide = nufft_params(2 * n_gamma, src.points, h_tilde, b=40.0)
-        out20 = nufft_forward(src, par, h_tilde, n_gamma)
-        out40 = nufft_forward(src, wide, h_tilde, n_gamma)
-        direct = oracles.source_sum_direct(src.weights, src.points, h_tilde, n_gamma)
-        assert np.max(np.abs(out20.values - direct)) <= 1e-8
-        assert np.max(np.abs(out40.values - direct)) <= 3e-8
-        assert np.max(np.abs(out20.values - out40.values)) <= 3e-8
+    for weights, points, par, _ in runs:
+        wide = nufft_params(2 * n_gamma, points, h_tilde, b=40.0)
+        out20 = forward(weights, points, par, h_tilde, n_gamma)
+        out40 = forward(weights, points, wide, h_tilde, n_gamma)
+        direct = oracles.source_sum_direct(weights, points, h_tilde, n_gamma)
+        assert np.max(np.abs(out20 - direct)) <= 1e-8
+        assert np.max(np.abs(out40 - direct)) <= 3e-8
+        assert np.max(np.abs(out20 - out40)) <= 3e-8
 
 
 def test_forward_size_errors():
-    run = DeFtParams(10.0, 0.05, 8, 8)
-    src = DeSources(np.ones(16), np.linspace(0.3, 4.8, 16), run)
-    par = nufft_params(16, src.points, 0.2)
-    with pytest.raises(ValueError):
-        nufft_forward(src, par, 0.2, 16)
+    points = np.linspace(0.3, 4.8, 16)
+    par = nufft_params(16, points, 0.2)
+    with pytest.raises(ValueError, match="must equal 2"):
+        forward(np.ones(16), points, par, 0.2, 16)
+    points = np.linspace(0.3, 4.8, 24)
+    par = nufft_params(24, points, 0.2)
+    with pytest.raises(ValueError, match="power of two"):
+        forward(np.ones(24), points, par, 0.2, 12)
 
 
 def test_phase_compensated_spectrum_is_m_periodic():
-    run = DeFtParams(10.0, 0.05, 8, 8)
     rng = np.random.default_rng(43)
     w = rng.standard_normal(16) + 1j * rng.standard_normal(16)
-    src = DeSources(w, np.linspace(0.3, 4.8, 16), run)
+    points = np.linspace(0.3, 4.8, 16)
     h_tilde, n_gamma = 0.21, 8
-    par = nufft_params(16, src.points, h_tilde)
+    par = nufft_params(16, points, h_tilde)
     m = 16
-    plan = gridding_plan(src.points, (par,), h_tilde, n_gamma)
-    shifted = src.weights * np.exp(-1j * source_shift(h_tilde, n_gamma) * src.points)
+    plan = gridding_plan(points, (par,), h_tilde, n_gamma, np.arange(m))
+    shifted = w * np.exp(-1j * source_shift(h_tilde, n_gamma) * points)
     spec = fft_array(plan.matrix @ shifted)
     l_lo = -par.l_minus
     for k in range(n_gamma + 1):
@@ -209,13 +217,14 @@ def test_phase_compensated_spectrum_is_m_periodic():
 
 def test_stacked_forward_matches_composition():
     h_tilde, n_gamma, runs = vg_runs()
-    points = np.stack([runs[0][0].points, runs[1][0].points])
-    weights = np.concatenate([runs[0][0].weights, runs[1][0].weights])
+    points = np.stack([pts for _, pts, _, _ in runs])
+    weights = np.concatenate([w for w, _, _, _ in runs])
     shifted = weights * np.exp(-1j * source_shift(h_tilde, n_gamma) * points.ravel())
-    plan = gridding_plan(points, (runs[0][1], runs[1][1]), h_tilde, n_gamma)
+    plan = gridding_plan(points, [par for _, _, par, _ in runs], h_tilde, n_gamma,
+                         np.arange(weights.size))
     both = _forward_stacked(shifted, plan)
-    for row, (src, par, _) in enumerate(runs):
-        ref = nufft_forward(src, par, h_tilde, n_gamma).values
+    for row, (w, pts, par, _) in enumerate(runs):
+        ref = forward(w, pts, par, h_tilde, n_gamma)
         assert np.max(np.abs(both[row] - ref)) <= 1e-13 * np.max(np.abs(ref))
 
 
@@ -238,9 +247,9 @@ def test_extend_conjugate_vg_closed_form():
     # sides of the origin
     h_tilde, n_gamma, runs = vg_runs()
     spliced = np.empty(n_gamma + 1, dtype=complex)
-    for src, par, krange in runs:
-        out = nufft_forward(src, par, h_tilde, n_gamma)
-        spliced[np.asarray(krange)] = out.values[np.asarray(krange)]
+    for weights, points, par, krange in runs:
+        out = forward(weights, points, par, h_tilde, n_gamma)
+        spliced[np.asarray(krange)] = out[np.asarray(krange)]
     full = extend_conjugate(ComplexSeries(0, spliced, h_tilde))
     zeta = full.indices() * h_tilde
     exact = 1.0 / (1.0 + 1j * zeta)

@@ -3,9 +3,10 @@ import math
 
 import numpy as np
 import pytest
+import scipy.special as sp
 
 import oracles
-from levyfourier.numkit import ComplexSeries, FrftPlan, bessel_k, erf, erfc, fft, fft_array, frft
+from levyfourier.numkit import ComplexSeries, FrftPlan, erfc, fft_array, frft
 
 
 def test_complex_series_indexing():
@@ -45,21 +46,18 @@ def test_erfc_pins():
     vals = erfc(x)
     assert np.all((vals > 0) & (vals < 2))
     assert np.all(np.diff(vals) < 0)
-    assert np.allclose(erf(x) + erfc(x), 1.0, atol=1e-14)
+    assert np.allclose(sp.erf(x) + erfc(x), 1.0, atol=1e-14)
 
 
 def test_bessel_k_pins():
-    # half-integer closed form and the reflection K_{-v} = K_v
-    assert abs(bessel_k(0.5, 2.0) - math.sqrt(math.pi / 4) * math.exp(-2)) <= 1e-14
-    assert bessel_k(-0.5, 2.0) == bessel_k(0.5, 2.0)
-    assert abs(bessel_k(1, 1.0) - 0.6019072301972346) <= 1e-13
-    assert abs(bessel_k(1, 1.0) - oracles.k1_integral(1.0)) <= 1e-12
+    # the scipy K_v the models and references use: half-integer closed form,
+    # the reflection K_{-v} = K_v, and K_1 against its integral form
+    assert abs(sp.kv(0.5, 2.0) - math.sqrt(math.pi / 4) * math.exp(-2)) <= 1e-14
+    assert sp.kv(-0.5, 2.0) == sp.kv(0.5, 2.0)
+    assert abs(sp.k1(1.0) - 0.6019072301972346) <= 1e-13
+    assert abs(sp.k1(1.0) - oracles.k1_integral(1.0)) <= 1e-12
     z = np.linspace(0.2, 8.0, 40)
-    assert np.all(np.diff(bessel_k(1, z)) < 0)
-    with pytest.raises(ValueError):
-        bessel_k(1, 0.0)
-    with pytest.raises(ValueError):
-        bessel_k(1, -2.0)
+    assert np.all(np.diff(sp.k1(z)) < 0)
 
 
 def test_fft_impulse():
@@ -81,9 +79,6 @@ def test_fft_errors():
         fft_array(np.ones(12, dtype=complex))
     with pytest.raises(ValueError):
         fft_array(np.ones(8, dtype=complex), "sideways")
-    # the series front end always emits bins at offset 0, spacing preserved
-    out = fft(ComplexSeries(1, np.ones(8), 0.5))
-    assert out.offset == 0 and out.spacing == 0.5
 
 
 def test_parseval():

@@ -7,14 +7,13 @@ import pytest
 import scipy.special as sp
 
 import oracles
-from levyfourier.de_ft import build_sources, splice_plan
+from levyfourier.de_ft import _sources_stacked, node_plan, splice_plan
 from levyfourier.euler_ft import EulerParams
-from levyfourier.numkit import bessel_k
-from levyfourier.nufft import nufft_forward, nufft_params
+from levyfourier.nufft import _forward_stacked, gridding_plan, nufft_params, source_shift
 from levyfourier.solver import (DEFAULT_B, DEFAULT_EPSILON, GridSpec, LevyModel,
-                                _spliced_transform, clear_exponent_cache, custom_model,
-                                exact_nig, exact_vg, g_gamma, gamma_fn, make_grid, nig_model,
-                                solve, vg_model)
+                                _spliced_transform, _step1_plan, clear_exponent_cache,
+                                custom_model, exact_nig, exact_vg, g_gamma, gamma_fn,
+                                make_grid, nig_model, solve, vg_model)
 
 
 def euler_for(model, i):
@@ -82,12 +81,12 @@ def test_exact_vg_pins():
 
 def test_exact_vg_bessel_order_symmetry():
     x, t = 1.7, 2.3
-    alt = (x / 2) ** (t - 0.5) * bessel_k(t - 0.5, x) / (math.sqrt(math.pi) * gamma_fn(t))
+    alt = (x / 2) ** (t - 0.5) * sp.kv(t - 0.5, x) / (math.sqrt(math.pi) * gamma_fn(t))
     assert exact_vg(x, t) == pytest.approx(alt, rel=1e-12)
 
 
 def test_exact_nig_pins():
-    assert exact_nig(0.0, 1.0) == pytest.approx(math.e * bessel_k(1, 1.0) / math.pi, rel=1e-13)
+    assert exact_nig(0.0, 1.0) == pytest.approx(math.e * sp.k1(1.0) / math.pi, rel=1e-13)
     assert exact_nig(0.0, 1.0) == pytest.approx(
         math.e * oracles.k1_integral(1.0) / math.pi, rel=1e-11)
     assert exact_nig(1.3, 2.0) == exact_nig(-1.3, 2.0)
@@ -158,7 +157,7 @@ def test_solve_nig_pin():
     grid, euler = setup_case(model, 11)
     res = solve(model, grid, 1.0, euler)
     at_zero = res.p[np.argmin(np.abs(res.x))]
-    assert at_zero == pytest.approx(math.e * bessel_k(1, 1.0) / math.pi, abs=1e-7)
+    assert at_zero == pytest.approx(math.e * sp.k1(1.0) / math.pi, abs=1e-7)
     assert np.max(res.abs_err) <= 1e-6
 
 
@@ -285,13 +284,35 @@ def test_step1_plan_matches_per_run_composition(model):
         cold = _spliced_transform(model, grid, DEFAULT_EPSILON, DEFAULT_B).values
         warm = _spliced_transform(model, grid, DEFAULT_EPSILON, DEFAULT_B).values
         assert np.array_equal(cold, warm)
+        # each run on its own one-run plan, spliced
+        shift = source_shift(grid.h_tilde, grid.n_gamma)
         ref = np.empty(grid.n_gamma + 1, dtype=complex)
-        for params, krange in splice_plan(grid.n_gamma, grid.h_tilde):
-            src = build_sources(model.mu, params)
-            npar = nufft_params(grid.m, src.points, grid.h_tilde)
-            out = nufft_forward(src, npar, grid.h_tilde, grid.n_gamma).values
+        for run, krange in splice_plan(grid.n_gamma, grid.h_tilde):
+            nodes = node_plan((run,), shift)
+            npar = nufft_params(grid.m, nodes.points[0], grid.h_tilde)
+            gridding = gridding_plan(nodes.points, (npar,), grid.h_tilde, grid.n_gamma,
+                                     nodes.live)
+            out = _forward_stacked(_sources_stacked(model.mu, nodes), gridding)[0]
             ref[krange.start:krange.stop] = out[krange.start:krange.stop]
         assert np.max(np.abs(cold - ref)) <= 1e-14 * np.max(np.abs(ref)), i
+
+
+def test_step1_plan_matches_direct_sum_with_tied_nodes_at_m_2_14():
+    # run B of vg at M = 2^14 has DE nodes tied at y = 0 (zero weight, left
+    # out of the plan); both rows must still match the direct source sums
+    model = vg_model()
+    grid, _ = setup_case(model, 14)
+    nodes, gridding, _ = _step1_plan(grid, DEFAULT_EPSILON, DEFAULT_B)
+    got = _forward_stacked(_sources_stacked(model.mu, nodes), gridding)
+    plain = node_plan(run for run, _ in splice_plan(grid.n_gamma, grid.h_tilde))
+    assert np.any(np.diff(plain.points[1]) == 0)
+    weights = _sources_stacked(model.mu, plain)
+    k = np.linspace(0, grid.n_gamma, 65).astype(int)
+    for row in range(2):
+        mine = plain.live // grid.m == row
+        direct = oracles.source_sum_direct(weights[mine], plain.y[mine], grid.h_tilde,
+                                           grid.n_gamma, k)
+        assert np.max(np.abs(got[row, k] - direct)) <= 1e-8, row
 
 
 def test_singular_cgmy_density_matches_exact_exponent_inversion():
