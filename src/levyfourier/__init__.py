@@ -3,8 +3,8 @@ processes.
 
 Pipeline: (1) a double-exponential quadrature turns mu(y) = y^gamma nu(y),
 nu the Levy density, into weighted point sources whose semi-infinite Fourier
-transform is evaluated on a uniform frequency grid by a Gaussian-gridding
-nonuniform FFT; (2) a sinc-Gauss
+transform is evaluated on a uniform frequency grid by a nonuniform FFT with
+exponential-of-semicircle gridding; (2) a sinc-Gauss
 sampling formula integrates the transform indefinitely (once or twice) via FFT
 convolution, yielding the characteristic exponent; (3) a continuous Euler
 transform inverts e^{t G} back to the density with a fractional FFT.
@@ -16,7 +16,7 @@ from .numkit import ComplexSeries, FrftPlan, erfc, fft_array, frft
 from .nufft import (NufftParams, build_windows, extend_conjugate, gridding_plan,
                     nufft_params)
 from .sinc_gauss import (KernelTable, SincGaussConfig, indefinite_integral,
-                         kernel_table, negative_extension, sg_interpolate)
+                         kernel_table, negative_extension)
 from .solver import (GridSpec, LevyModel, SolveResult, clear_exponent_cache,
                      custom_model, exact_nig, exact_vg, g_gamma, gamma_fn,
                      make_grid, nig_model, solve, vg_model)
@@ -29,7 +29,7 @@ __all__ = [
     "NufftParams", "build_windows", "extend_conjugate", "gridding_plan",
     "nufft_params",
     "KernelTable", "SincGaussConfig", "indefinite_integral", "kernel_table",
-    "negative_extension", "sg_interpolate",
+    "negative_extension",
     "EulerParams", "inverse_ft", "weight",
     "GridSpec", "LevyModel", "SolveResult", "clear_exponent_cache",
     "custom_model", "exact_nig", "exact_vg", "g_gamma", "gamma_fn", "make_grid",

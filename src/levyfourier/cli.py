@@ -21,17 +21,20 @@ from scipy.integrate import quad
 from .de_ft import _sources_stacked, node_plan, splice_plan
 from .euler_ft import EulerParams
 from .numkit import ComplexSeries, frft
-from .nufft import _forward_stacked
+from .nufft import DEFAULT_WIDTH, _forward_stacked
 from .sinc_gauss import kernel_table
-from .solver import (DEFAULT_B, DEFAULT_EPSILON, _spliced_transform, _step1_plan,
-                     clear_exponent_cache, custom_model, g_gamma, make_grid,
-                     nig_model, solve, vg_model)
+from .solver import (_spliced_transform, _step1_plan, clear_exponent_cache, custom_model,
+                     g_gamma, kernel_echo, make_grid, nig_model, params_echo, solve,
+                     vg_model)
 
 CONFIG_SCHEMA_VERSION = "1"
 _CONFIG_KEYS = ("schema_version", "model", "gamma", "mu", "t", "i_range",
-                "xl", "xu", "d", "b", "eps", "out", "reps")
-# the names a --mu expression may use besides y, as np.NAME or math.NAME
+                "xl", "xu", "d", "width", "out", "reps")
+# the names a --mu expression may use besides y, as np.NAME or math.NAME;
+# np.NAME must be a ufunc or one of _MU_NUMPY_EXTRA, which keeps numpy's
+# file and memory functions (np.save, np.load, np.fromfile, ...) out
 _MU_MODULES = {"np": np, "math": math}
+_MU_NUMPY_EXTRA = frozenset({"pi", "e", "inf", "where"})
 _MU_SYNTAX = (ast.Expression, ast.BinOp, ast.UnaryOp, ast.Compare,
               ast.operator, ast.unaryop, ast.cmpop, ast.Load)
 
@@ -48,8 +51,7 @@ class RunConfig:
     x_l: float = 2.0
     x_u: float = 5.0
     d: float = 1.0
-    b: float = DEFAULT_B
-    epsilon: float = DEFAULT_EPSILON
+    width: int = DEFAULT_WIDTH
     out: str = "out"
     reps: int = 5
 
@@ -129,8 +131,7 @@ def resolve_config(args) -> RunConfig:
         x_l=pick(args.xl, "xl", float, 2.0),
         x_u=pick(args.xu, "xu", float, 5.0),
         d=pick(args.d, "d", float, 1.0),
-        b=pick(args.b, "b", float, DEFAULT_B),
-        epsilon=pick(args.eps, "eps", float, DEFAULT_EPSILON),
+        width=pick(args.width, "width", int, DEFAULT_WIDTH),
         out=pick(args.out, "out", str, "out"),
         reps=pick(args.reps, "reps", int, 5),
     )
@@ -152,8 +153,9 @@ def _build_model(config: RunConfig):
 def _compile_mu(expr: str):
     """Compile a --mu expression after checking every node of its syntax
     tree: numeric constants, the name y, arithmetic, unary and comparison
-    operators, and calls or attributes np.NAME / math.NAME with NAME not
-    starting with '_'.  Anything else raises ValueError naming the node."""
+    operators, and calls or attributes math.NAME and np.NAME, with NAME not
+    starting with '_' and, for np, a ufunc, pi, e, inf or where.  Anything
+    else raises ValueError naming the node."""
     try:
         tree = ast.parse(expr, "<mu>", mode="eval")
     except SyntaxError as exc:
@@ -162,7 +164,9 @@ def _compile_mu(expr: str):
     for node in ast.walk(tree):  # parents come before their children
         if isinstance(node, ast.Attribute):
             ok = (isinstance(node.value, ast.Name) and node.value.id in _MU_MODULES
-                  and not node.attr.startswith("_"))
+                  and not node.attr.startswith("_")
+                  and (node.value.id != "np" or node.attr in _MU_NUMPY_EXTRA
+                       or isinstance(getattr(np, node.attr, None), np.ufunc)))
             module_refs.add(node.value)
             what = f"attribute {node.attr!r}"
         elif isinstance(node, ast.Name):
@@ -219,7 +223,7 @@ def cmd_solve(config: RunConfig) -> int:
     for i in config.exponent_i:
         grid, euler = _grid_pair(model, config, i)
         for t in config.t_values:
-            res = solve(model, grid, t, euler, epsilon=config.epsilon, b=config.b)
+            res = solve(model, grid, t, euler, width=config.width)
             fname = f"solve_{model.name}_i{i}_t{t:g}.csv"
             with open(outdir / fname, "w", encoding="utf-8", newline="") as fh:
                 if res.p_exact is not None:
@@ -261,7 +265,7 @@ def cmd_converge(config: RunConfig) -> int:
         grid, euler = _grid_pair(model, config, i)
         m_list.append(grid.m)
         for t in config.t_values:
-            res = solve(model, grid, t, euler, epsilon=config.epsilon, b=config.b)
+            res = solve(model, grid, t, euler, width=config.width)
             in_window = np.abs(res.x) >= config.x_l
             full_err[t].append(float(np.max(res.abs_err)))
             window_err[t].append(float(np.max(res.abs_err[in_window])))
@@ -298,9 +302,8 @@ def cmd_converge(config: RunConfig) -> int:
 
 
 def solve_params(model, config: RunConfig, i: int) -> dict:
-    from .solver import params_echo
     grid, euler = _grid_pair(model, config, i)
-    return params_echo(model, grid, euler, epsilon=config.epsilon, b=config.b)
+    return params_echo(model, grid, euler, **kernel_echo(config.width))
 
 
 def cmd_bench(config: RunConfig) -> int:
@@ -318,7 +321,7 @@ def cmd_bench(config: RunConfig) -> int:
         samples = {"step1": [], "step2": [], "step3": [], "total": []}
         for _ in range(config.reps):
             clear_exponent_cache()
-            res = solve(model, grid, t, euler, epsilon=config.epsilon, b=config.b)
+            res = solve(model, grid, t, euler, width=config.width)
             for key in samples:
                 samples[key].append(res.timings[key])
         med = {key: statistics.median(vals) for key, vals in samples.items()}
@@ -335,7 +338,7 @@ def cmd_bench(config: RunConfig) -> int:
           f"max/min = {max(norm) / min(norm):.2f})")
     _write_manifest(outdir, f"bench_{model.name}_manifest.json",
                     {"command": "bench", "config": _config_echo(config),
-                     "t": t, "reps": config.reps,
+                     **kernel_echo(config.width), "t": t, "reps": config.reps,
                      "normalized_spread": max(norm) / min(norm)})
     return 0
 
@@ -354,7 +357,7 @@ def _check_nufft():
     model = vg_model()
     euler = EulerParams.from_theorem(128, 2.0, 5.0, 1.0)
     grid = make_grid(model, euler)
-    nodes, gridding, _ = _step1_plan(grid, DEFAULT_EPSILON, DEFAULT_B)
+    nodes, gridding, _ = _step1_plan(grid, DEFAULT_WIDTH)
     got = _forward_stacked(_sources_stacked(model.mu, nodes), gridding)
     # the plain (unshifted) weights of both runs, summed directly
     plain = node_plan(run for run, _ in splice_plan(grid.n_gamma, grid.h_tilde))
@@ -385,7 +388,7 @@ def _check_de_ft():
     model = vg_model()
     euler = EulerParams.from_theorem(128, 2.0, 5.0, 1.0)
     grid = make_grid(model, euler)
-    mhat = _spliced_transform(model, grid, DEFAULT_EPSILON, DEFAULT_B)
+    mhat = _spliced_transform(model, grid, DEFAULT_WIDTH)
     k = np.arange(grid.n_gamma + 1)
     exact = 1.0 / (1.0 + 1j * k * grid.h_tilde)
     return float(np.max(np.abs(mhat.values - exact))), 1e-6
@@ -444,8 +447,9 @@ def build_parser() -> argparse.ArgumentParser:
     common.add_argument("--xl", type=float, help="window lower edge x_l")
     common.add_argument("--xu", type=float, help="window upper edge x_u")
     common.add_argument("--d", type=float, help="window decay tuning constant")
-    common.add_argument("--b", type=float, help="gridding window half-width")
-    common.add_argument("--eps", type=float, help="gridding accuracy target")
+    common.add_argument("--width", type=int,
+                        help=f"Step-1 gridding kernel width in grid nodes "
+                             f"(default {DEFAULT_WIDTH})")
     common.add_argument("--out", help="output directory")
     common.add_argument("--reps", type=int, help="bench repetitions (median taken)")
     sub.add_parser("solve", parents=[common],

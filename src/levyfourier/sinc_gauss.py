@@ -104,27 +104,6 @@ def kernel_table(r: float, n_prime: int, m_table: int | None = None) -> KernelTa
     return KernelTable(g, r)
 
 
-def sg_interpolate(samples: ComplexSeries, cfg: SincGaussConfig, zeta: float) -> complex:
-    """Sinc-Gauss interpolant at zeta from samples f(k h~).
-
-    Uses the window k = floor(zeta/h~) - N' + 1 .. floor(zeta/h~) + N'; raises
-    when the samples do not cover it, naming the missing index range.
-    """
-    center = math.floor(zeta / cfg.h_tilde)
-    lo, hi = center - cfg.n_prime + 1, center + cfg.n_prime
-    if lo < samples.offset or hi > samples.last_index:
-        miss_lo = f"{lo}..{samples.offset - 1}" if lo < samples.offset else ""
-        miss_hi = f"{samples.last_index + 1}..{hi}" if hi > samples.last_index else ""
-        missing = ", ".join(s for s in (miss_lo, miss_hi) if s)
-        raise ValueError(f"samples cover {samples.offset}..{samples.last_index}; "
-                         f"window needs {lo}..{hi} (missing {missing})")
-    k = np.arange(lo, hi + 1)
-    s = zeta / cfg.h_tilde - k
-    window = np.sinc(s) * np.exp(-(s * s) / (2 * cfg.r**2))
-    return complex(np.sum(samples.values[lo - samples.offset : hi - samples.offset + 1]
-                          * window))
-
-
 def indefinite_integral(samples: ComplexSeries, cfg: SincGaussConfig,
                         table: KernelTable) -> ComplexSeries:
     """Integrals integral_0^{l h~} f for l = 1..N' from 3N' equispaced samples.

@@ -2,9 +2,10 @@
 
 Everything here is written from the defining formulas with plain loops or
 adaptive quadrature, sharing no code path with the package: direct O(n^2)
-transform sums, brute-force gridding windows, per-interval quadrature of the
-kernel integral, and nested quadrature of the integral forms behind the
-closed-form characteristic exponents.
+transform sums, brute-force gridding windows, adaptive quadrature of the
+gridding kernel's transform, the sinc-Gauss interpolant summed term by term,
+per-interval quadrature of the kernel integral, and nested quadrature of the
+integral forms behind the closed-form characteristic exponents.
 """
 import math
 
@@ -53,8 +54,10 @@ def windows_brute(points, params, h_tilde):
 
     j_min(l) = max{j : ceil((c_j + b)/c_check) <= l}  (fallback: lowest index)
     j_max(l) = max{j : floor((c_j - b)/c_check) <= l} (fallback: lowest - 1)
-    with c_j = h~ y_j / a and the source index frame centered at -m//2.
+    with c_j = h~ y_j / a, b = w/2 the kernel's half-width and the source
+    index frame centered at -m//2.
     """
+    b = params.width / 2
     c = h_tilde * np.asarray(points, dtype=float) / params.a
     j_lo = -(len(c) // 2)
     j_idx = np.arange(j_lo, j_lo + len(c))
@@ -63,12 +66,48 @@ def windows_brute(points, params, h_tilde):
     j_max = np.empty(len(l_vals), dtype=np.int64)
     for pos, l in enumerate(l_vals):
         lo_hits = [j for j, cj in zip(j_idx, c)
-                   if math.ceil((cj + params.b) / params.h_check) <= l]
+                   if math.ceil((cj + b) / params.h_check) <= l]
         hi_hits = [j for j, cj in zip(j_idx, c)
-                   if math.floor((cj - params.b) / params.h_check) <= l]
+                   if math.floor((cj - b) / params.h_check) <= l]
         j_min[pos] = max(lo_hits) if lo_hits else j_lo
         j_max[pos] = max(hi_hits) if hi_hits else j_lo - 1
     return j_min, j_max
+
+
+def es_transform_quad(w, beta, xi):
+    """Fourier transform at xi of the exponential-of-semicircle kernel
+    exp(beta (sqrt(1 - (2z/w)^2) - 1)) on |z| <= w/2 (zero outside), by
+    adaptive quadrature of the even integrand over [0, w/2]."""
+
+    def f(z):
+        return math.exp(beta * (math.sqrt(max(1.0 - (2 * z / w) ** 2, 0.0)) - 1.0)) \
+            * math.cos(xi * z)
+
+    val, _ = integrate.quad(f, 0.0, w / 2, epsabs=0.0, epsrel=1e-13, limit=400)
+    return 2.0 * val
+
+
+def sg_interpolate(samples, cfg, zeta):
+    """Sinc-Gauss interpolant sum_k f(k h~) sinc(zeta/h~ - k)
+    exp(-(zeta/h~ - k)^2 / (2 r^2)) at zeta, from samples f(k h~) (a
+    ComplexSeries) and a SincGaussConfig (h~, N', r).
+
+    Uses the window k = floor(zeta/h~) - N' + 1 .. floor(zeta/h~) + N'; raises
+    when the samples do not cover it, naming the missing index range.
+    """
+    center = math.floor(zeta / cfg.h_tilde)
+    lo, hi = center - cfg.n_prime + 1, center + cfg.n_prime
+    if lo < samples.offset or hi > samples.last_index:
+        miss_lo = f"{lo}..{samples.offset - 1}" if lo < samples.offset else ""
+        miss_hi = f"{samples.last_index + 1}..{hi}" if hi > samples.last_index else ""
+        missing = ", ".join(s for s in (miss_lo, miss_hi) if s)
+        raise ValueError(f"samples cover {samples.offset}..{samples.last_index}; "
+                         f"window needs {lo}..{hi} (missing {missing})")
+    k = np.arange(lo, hi + 1)
+    s = zeta / cfg.h_tilde - k
+    window = np.sinc(s) * np.exp(-(s * s) / (2 * cfg.r**2))
+    return complex(np.sum(samples.values[lo - samples.offset : hi - samples.offset + 1]
+                          * window))
 
 
 def kernel_quad(r, n_prime):

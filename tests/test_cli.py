@@ -119,12 +119,14 @@ def test_solve_writes_csv_and_manifest(tmp_path, capsys):
     (entry,) = man["runs"]
     need = {"model", "gamma", "n", "n_gamma", "m", "x_l", "x_u", "d", "h_tilde",
             "h_hat", "zeta0_rule", "zeta0_low", "zeta0_high", "h_de_rule", "h_de",
-            "de_beta", "r_rule", "m_table_rule", "t", "epsilon", "b",
+            "de_beta", "r_rule", "m_table_rule", "t", "kernel", "width", "beta",
             "use_exact_exponent", "i", "file"}
     assert need <= set(entry)
     assert entry["i"] == 7 and entry["file"] == "solve_vg_i7_t1.csv"
     assert entry["n"] == 32 and entry["m"] == 128
-    assert entry["t"] == 1.0 and entry["b"] == 20.0 and entry["epsilon"] == 1e-10
+    assert entry["t"] == 1.0 and entry["kernel"] == "es" and entry["width"] == 15
+    assert entry["beta"] == pytest.approx(2.30 * 15, rel=1e-15)
+    assert "epsilon" not in entry and "b" not in entry
 
 
 def test_solve_custom_model_has_no_exact_columns(tmp_path):
@@ -248,6 +250,21 @@ def test_mu_expression_outside_the_whitelist_is_rejected(tmp_path, capsys):
                        ("y +", "does not parse")):
         with pytest.raises(ValueError, match=what):
             cli._build_model(RunConfig(model="custom", gamma=1, mu_expr=expr))
+
+
+def test_mu_expression_cannot_reach_numpy_file_io(tmp_path, monkeypatch, capsys):
+    # np.str_ builds a file name without a string constant; numpy names are
+    # limited to ufuncs, pi, e, inf and where, so none of these compiles
+    monkeypatch.chdir(tmp_path)
+    for expr in ("np.exp(-y) + 0*np.size(np.save(np.str_(7), y))",
+                 "np.exp(-y) + 0*np.size(np.load(np.str_(7)))",
+                 "np.exp(-y) + 0*np.size(np.loadtxt(np.str_(7)))",
+                 "np.exp(-y) + 0*np.size(np.fromfile(np.str_(7)))"):
+        rc = main(["solve", "--model", "custom", "--gamma", "1", "--mu", expr,
+                   "--i-range", "7", "--out", "out"])
+        assert rc == 2, expr
+        assert "is not allowed" in capsys.readouterr().err
+        assert list(tmp_path.iterdir()) == [], expr
 
 
 def test_mu_expression_inside_the_whitelist_evaluates():

@@ -1,4 +1,5 @@
-"""Gaussian-gridding NUFFT: parameter rules, index windows, forward accuracy."""
+"""ES-gridding NUFFT: parameter rules, index windows, kernel transform,
+forward accuracy."""
 import math
 
 import numpy as np
@@ -38,17 +39,21 @@ def forward(weights, points, par, h_tilde, n_gamma):
 def test_params_rules():
     points = np.array([0.5, 1.0, 7.0])
     par = nufft_params(512, points, 0.1)
-    assert par.tau == pytest.approx(-math.log(1e-10) / math.pi**2, rel=1e-14)
+    assert par.width == 15 and par.half_width == 7.5
+    assert par.beta == pytest.approx(2.30 * 15, rel=1e-15)
     assert par.a == pytest.approx(2 * math.pi / 512, rel=1e-14)
     assert par.h_check == 1.0
+    # the lowest node lies a full half-width below the leftmost source
+    c_min = 0.1 * 0.5 / par.a
+    assert -par.l_minus <= c_min - par.half_width < -par.l_minus + 1
     assert par.l_plus == -par.l_minus + 512 - 1
     assert par.l_plus - (-par.l_minus) + 1 == 512
-    with pytest.raises(ValueError):
-        nufft_params(512, points, 0.1, epsilon=1e-10, b=10.0)
-    with pytest.raises(ValueError):
-        nufft_params(512, points, 0.1, epsilon=0.0)
-    with pytest.raises(ValueError):
-        NufftParams(1e-10, 20.0, 1.0, 0.1, 1.0, 10, 501)
+    with pytest.raises(ValueError, match="admissible minimum 2"):
+        nufft_params(512, points, 0.1, width=1)
+    with pytest.raises(ValueError, match="integer"):
+        nufft_params(512, points, 0.1, width=14.5)
+    with pytest.raises(ValueError, match="admissible minimum"):
+        NufftParams(0, 0.1, 1.0, 10, 501)
 
 
 def test_windows_match_brute_force():
@@ -72,16 +77,16 @@ def test_windows_monotone_and_contain_inner_sources():
         c = h_tilde * points / par.a
         j_lo = -(len(c) // 2)
         for pos, l in enumerate(range(-par.l_minus, par.l_plus + 1)):
-            # sources strictly inside the truncation circle must be covered;
-            # exact boundary ties may fall either way (factor ~e^{-b^2/4tau})
-            inside = np.nonzero(np.abs(l * par.h_check - c) <= par.b - 1e-12)[0] + j_lo
+            # sources strictly inside the kernel support must be covered;
+            # exact boundary ties may fall either way (kernel e^{-beta} there)
+            inside = np.nonzero(np.abs(l * par.h_check - c) <= par.half_width - 1e-12)[0] + j_lo
             if inside.size:
                 assert j_min[pos] <= inside.min()
                 assert inside.max() <= j_max[pos]
 
 
 def test_windows_single_point_threshold():
-    par = NufftParams(1e-10, 20.0, -math.log(1e-10) / math.pi**2, 1.0, 1.0, 25, 40)
+    par = NufftParams(40, 1.0, 1.0, 25, 40)
     j_min, j_max = build_windows(np.array([0.0]), par, 1.0)
     for pos, l in enumerate(range(-25, 41)):
         if l >= -20:
@@ -91,7 +96,7 @@ def test_windows_single_point_threshold():
 
 
 def test_windows_reject_unsorted_points():
-    par = NufftParams(1e-10, 20.0, -math.log(1e-10) / math.pi**2, 1.0, 1.0, 25, 40)
+    par = NufftParams(40, 1.0, 1.0, 25, 40)
     with pytest.raises(ValueError):
         build_windows(np.array([1.0, 0.5]), par, 1.0)
 
@@ -120,13 +125,34 @@ def test_gridding_plan_rows_are_the_window_pairs():
         for p in (0, m // 3, m // 2, m - 1):
             row = plan.matrix[[r * m + p]]
             cols = np.arange(j_min[p], j_max[p] + 1) + m // 2
-            assert np.array_equal(row.indices, cols + r * m)
             node = (-par.l_minus + p) * par.h_check
-            assert np.array_equal(row.data, np.exp(-((node - c[cols]) ** 2) / (4 * par.tau)))
+            # window pairs outside the kernel support are exactly 0, not stored
+            u = (node - c[cols]) / par.half_width
+            cols = cols[np.abs(u) <= 1]
+            assert np.array_equal(row.indices, cols + r * m)
+            u = (node - c[cols]) / par.half_width
+            assert np.array_equal(row.data, np.exp(par.beta * (np.sqrt(1 - u**2) - 1)))
+        assert np.all(plan.matrix.data > 0)
     # restricting to live sources keeps the other columns' entries unchanged
     live = np.flatnonzero(np.arange(2 * m) % 3)
     sub = gridding_plan(points, params, h_tilde, n_gamma, live)
     assert (sub.matrix != plan.matrix[:, live]).nnz == 0
+
+
+def test_deconvolution_is_the_kernel_transform():
+    # |post| = h_check / phi_hat(a k'); phi_hat against adaptive quadrature of
+    # the kernel's defining integral at nine frequencies over |a k'| <= pi/2
+    h_tilde, n_gamma, runs = vg_runs()
+    points = np.stack([pts for _, pts, _, _ in runs])
+    params = [par for _, _, par, _ in runs]
+    plan = gridding_plan(points, params, h_tilde, n_gamma, np.arange(points.size))
+    par = params[0]
+    kp = np.arange(0, n_gamma + 1) - n_gamma // 2
+    for k in np.linspace(0, n_gamma, 9).astype(int):
+        assert abs(par.a * kp[k]) <= math.pi / 2
+        ref = oracles.es_transform_quad(par.width, par.beta, par.a * kp[k])
+        got = par.h_check / np.abs(plan.post[:, k])
+        assert np.max(np.abs(got - ref)) <= 1e-13 * ref, k
 
 
 def test_forward_zero_weights():
@@ -137,8 +163,8 @@ def test_forward_zero_weights():
 
 
 def test_forward_single_source_is_pure_phase():
-    # M = 64 nodes so the covered span [0, L+ - b] holds every c_j; smaller M
-    # cannot fit the b = 20 Gaussian window
+    # M = 64 nodes so the grid holds every c_j with the kernel's half-width
+    # on both sides
     weights = np.zeros(64)
     weights[20] = 1.0
     points = np.linspace(0.3, 4.8, 64)
@@ -147,7 +173,7 @@ def test_forward_single_source_is_pure_phase():
     out = forward(weights, points, par, h_tilde, 32)
     k = np.arange(0, 33)
     exact = np.exp(-1j * k * h_tilde * points[20])
-    assert np.max(np.abs(out - exact)) <= 10 * par.epsilon
+    assert np.max(np.abs(out - exact)) <= 1e-9
 
 
 def test_forward_vg_matches_direct_sum():
@@ -171,19 +197,18 @@ def test_forward_phase_randomized_weights_stay_accurate():
 
 
 def test_forward_wider_window_tradeoff():
-    # the node count is pinned at M, so raising b shifts the lattice left and
-    # shrinks right-tail coverage; the extra dropped mass here is ~e^{-18}.
-    # both settings stay in the contract accuracy class, they are not bitwise
-    # related
+    # the node count is pinned at M, so widening the kernel shifts the lattice
+    # left and shrinks right-tail coverage.  both settings stay in the
+    # contract accuracy class, they are not bitwise related
     h_tilde, n_gamma, runs = vg_runs()
     for weights, points, par, _ in runs:
-        wide = nufft_params(2 * n_gamma, points, h_tilde, b=40.0)
-        out20 = forward(weights, points, par, h_tilde, n_gamma)
-        out40 = forward(weights, points, wide, h_tilde, n_gamma)
+        wide = nufft_params(2 * n_gamma, points, h_tilde, width=30)
+        out15 = forward(weights, points, par, h_tilde, n_gamma)
+        out30 = forward(weights, points, wide, h_tilde, n_gamma)
         direct = oracles.source_sum_direct(weights, points, h_tilde, n_gamma)
-        assert np.max(np.abs(out20 - direct)) <= 1e-8
-        assert np.max(np.abs(out40 - direct)) <= 3e-8
-        assert np.max(np.abs(out20 - out40)) <= 3e-8
+        assert np.max(np.abs(out15 - direct)) <= 1e-8
+        assert np.max(np.abs(out30 - direct)) <= 3e-8
+        assert np.max(np.abs(out15 - out30)) <= 3e-8
 
 
 def test_forward_size_errors():

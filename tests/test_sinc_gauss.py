@@ -1,5 +1,5 @@
-"""Sinc-Gauss interpolation, the kernel-integral table, and FFT-accelerated
-indefinite integration."""
+"""Sinc-Gauss interpolation (the oracle interpolant), the kernel-integral
+table, and FFT-accelerated indefinite integration."""
 import math
 
 import numpy as np
@@ -9,7 +9,7 @@ from scipy.special import sici
 import oracles
 from levyfourier.numkit import ComplexSeries
 from levyfourier.sinc_gauss import (KernelTable, SincGaussConfig, indefinite_integral,
-                                    kernel_table, negative_extension, sg_interpolate)
+                                    kernel_table, negative_extension)
 
 
 def h_rule(n_prime):
@@ -94,20 +94,20 @@ def test_sg_interpolate_reproduces_nodes():
     # np.sinc leaves ~4e-17 at nonzero integers, so nodes reproduce to
     # machine scale rather than bitwise
     for k in (-4, 0, 3):
-        assert abs(sg_interpolate(samples, cfg, k * 0.25) - samples.at(k)) <= 1e-13
+        assert abs(oracles.sg_interpolate(samples, cfg, k * 0.25) - samples.at(k)) <= 1e-13
 
 
 def test_sg_interpolate_zero():
     cfg = SincGaussConfig(8, 0.25)
     samples = ComplexSeries(-12, np.zeros(40), 0.25)
-    assert sg_interpolate(samples, cfg, 0.1) == 0.0
+    assert oracles.sg_interpolate(samples, cfg, 0.1) == 0.0
 
 
 def test_sg_interpolate_runge_accuracy():
     cfg = SincGaussConfig(64, 0.125)
     k = np.arange(-80, 81)
     samples = ComplexSeries(-80, 1.0 / (1.0 + (k * 0.125) ** 2), 0.125)
-    got = sg_interpolate(samples, cfg, 0.06)
+    got = oracles.sg_interpolate(samples, cfg, 0.06)
     assert abs(got - 1.0 / (1.0 + 0.06**2)) <= 1e-6
 
 
@@ -115,7 +115,7 @@ def test_sg_interpolate_coverage_error():
     cfg = SincGaussConfig(8, 0.25)
     samples = ComplexSeries(0, np.ones(4), 0.25)
     with pytest.raises(ValueError, match="missing"):
-        sg_interpolate(samples, cfg, 0.1)
+        oracles.sg_interpolate(samples, cfg, 0.1)
 
 
 def arctan_setup(n_prime):

@@ -10,7 +10,7 @@ import oracles
 from levyfourier.de_ft import _sources_stacked, node_plan, splice_plan
 from levyfourier.euler_ft import EulerParams
 from levyfourier.nufft import _forward_stacked, gridding_plan, nufft_params, source_shift
-from levyfourier.solver import (DEFAULT_B, DEFAULT_EPSILON, GridSpec, LevyModel,
+from levyfourier.solver import (DEFAULT_WIDTH, GridSpec, LevyModel,
                                 _spliced_transform, _step1_plan, clear_exponent_cache,
                                 custom_model, exact_nig, exact_vg, g_gamma, gamma_fn,
                                 make_grid, nig_model, solve, vg_model)
@@ -220,10 +220,11 @@ def test_solve_timings_and_echo():
     echo = res.params_echo
     needed = {"model", "gamma", "n", "n_gamma", "m", "x_l", "x_u", "d", "h_tilde",
               "h_hat", "zeta0_rule", "zeta0_low", "zeta0_high", "h_de_rule", "h_de",
-              "de_beta", "r_rule", "m_table_rule", "t", "epsilon", "b",
+              "de_beta", "r_rule", "m_table_rule", "t", "kernel", "width", "beta",
               "use_exact_exponent"}
     assert needed <= set(echo)
-    assert echo["t"] == 1.5 and echo["b"] == 20.0 and echo["epsilon"] == 1e-10
+    assert echo["t"] == 1.5 and echo["kernel"] == "es" and echo["width"] == 15
+    assert echo["beta"] == pytest.approx(2.30 * 15, rel=1e-15)
 
 
 def test_solve_validation():
@@ -281,8 +282,8 @@ def test_step1_plan_matches_per_run_composition(model):
     for i in range(8, 13):
         grid, _ = setup_case(model, i)
         clear_exponent_cache()
-        cold = _spliced_transform(model, grid, DEFAULT_EPSILON, DEFAULT_B).values
-        warm = _spliced_transform(model, grid, DEFAULT_EPSILON, DEFAULT_B).values
+        cold = _spliced_transform(model, grid, DEFAULT_WIDTH).values
+        warm = _spliced_transform(model, grid, DEFAULT_WIDTH).values
         assert np.array_equal(cold, warm)
         # each run on its own one-run plan, spliced
         shift = source_shift(grid.h_tilde, grid.n_gamma)
@@ -302,7 +303,7 @@ def test_step1_plan_matches_direct_sum_with_tied_nodes_at_m_2_14():
     # out of the plan); both rows must still match the direct source sums
     model = vg_model()
     grid, _ = setup_case(model, 14)
-    nodes, gridding, _ = _step1_plan(grid, DEFAULT_EPSILON, DEFAULT_B)
+    nodes, gridding, _ = _step1_plan(grid, DEFAULT_WIDTH)
     got = _forward_stacked(_sources_stacked(model.mu, nodes), gridding)
     plain = node_plan(run for run, _ in splice_plan(grid.n_gamma, grid.h_tilde))
     assert np.any(np.diff(plain.points[1]) == 0)
@@ -313,6 +314,25 @@ def test_step1_plan_matches_direct_sum_with_tied_nodes_at_m_2_14():
         direct = oracles.source_sum_direct(weights[mine], plain.y[mine], grid.h_tilde,
                                            grid.n_gamma, k)
         assert np.max(np.abs(got[row, k] - direct)) <= 1e-8, row
+
+
+@pytest.mark.parametrize("model", [vg_model(), nig_model()], ids=["vg", "nig"])
+@pytest.mark.parametrize("i", [12, 14])
+def test_step1_rows_match_direct_sum_to_gridding_precision(model, i):
+    # each run of the production plan against its direct source sum, relative
+    # to the largest sum: the default width gives at most 1.8e-14 here, and a
+    # kernel one or two nodes narrower misses (width 13: 1.4e-13)
+    grid, _ = setup_case(model, i)
+    nodes, gridding, _ = _step1_plan(grid, DEFAULT_WIDTH)
+    got = _forward_stacked(_sources_stacked(model.mu, nodes), gridding)
+    plain = node_plan(run for run, _ in splice_plan(grid.n_gamma, grid.h_tilde))
+    weights = _sources_stacked(model.mu, plain)
+    k = np.linspace(0, grid.n_gamma, 129).astype(int)
+    for row in range(2):
+        mine = plain.live // grid.m == row
+        direct = oracles.source_sum_direct(weights[mine], plain.y[mine], grid.h_tilde,
+                                           grid.n_gamma, k)
+        assert np.max(np.abs(got[row, k] - direct)) <= 5e-14 * np.max(np.abs(direct)), row
 
 
 def test_singular_cgmy_density_matches_exact_exponent_inversion():
