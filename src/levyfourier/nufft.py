@@ -9,8 +9,9 @@ division by the kernel's Fourier transform phi_hat undoes the spreading.
 The grid is twice the output band, so |a k'| <= pi/2; beta = 2.30 w is the
 paper's shape for that upsampling, and the default w = 15 is the narrowest
 width that keeps Step 1 within 2e-14 of the largest transform value against
-direct sums (w = 13 gives 1.4e-13).  Output indices are shifted by floor(N_gamma/2) before the FFT so the
-deconvolution 1/phi_hat(a k') stays moderate.
+direct sums (w = 13 gives up to 4.5e-13).  Output indices are shifted by
+floor(N_gamma/2) before the FFT so the deconvolution 1/phi_hat(a k') stays
+moderate.
 
 Everything except the weights depends only on the grid: gridding_plan builds
 the kernel pattern as one sparse matrix over all runs, with the
@@ -124,14 +125,14 @@ def _es_quadrature(width: int):
     analytic integrand, integrated by Gauss-Legendre quadrature over
     theta in [-pi/2, pi/2]; the nodes of an even rule pair up as +-theta, so
     the theta > 0 half carries the cosine transform.  The node count starts at
-    16 and doubles until phi_hat at 65 frequencies over [0, pi/2] moves by at
+    32 and doubles until phi_hat at 65 frequencies over [0, pi/2] moves by at
     most 1e-14 phi_hat(0), and the finer rule is kept (128 nodes at w = 15,
     where the last doubling moved it by 8e-16 phi_hat(0)).
     """
     beta = BETA_PER_WIDTH * width
     omega = np.linspace(0.0, math.pi / 2, 65)
     prev = None
-    for n in (16, 32, 64, 128, 256, 512):
+    for n in (32, 64, 128, 256, 512):
         x = legendre.leggauss(n)[0][n // 2:]
         # leggauss takes its weights from the derivative at the nodes before
         # their Newton step (1e-12 relative at n = 64); use the refined nodes

@@ -3,7 +3,7 @@
 Everything here is written from the defining formulas with plain loops or
 adaptive quadrature, sharing no code path with the package: direct O(n^2)
 transform sums, brute-force gridding windows, adaptive quadrature of the
-gridding kernel's transform, the sinc-Gauss interpolant summed term by term,
+gridding kernel's transform, the sinc-Gauss interpolant from its defining sum,
 per-interval quadrature of the kernel integral, and nested quadrature of the
 integral forms behind the closed-form characteristic exponents.
 """

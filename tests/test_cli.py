@@ -71,6 +71,9 @@ def test_parse_config_file_rejects_bad_input(tmp_path):
     bad.write_text("schema_version=1\ncolor=red\n", encoding="utf-8")
     with pytest.raises(ValueError, match="unknown config key 'color'"):
         parse_config_file(bad)
+    bad.write_text("schema_version=1\neps=1e-10\n", encoding="utf-8")
+    with pytest.raises(ValueError, match="unknown config key 'eps'"):
+        parse_config_file(bad)
     bad.write_text("model=vg\n", encoding="utf-8")
     with pytest.raises(ValueError, match="schema_version"):
         parse_config_file(bad)
@@ -78,13 +81,14 @@ def test_parse_config_file_rejects_bad_input(tmp_path):
 
 def test_resolve_config_precedence(tmp_path):
     cfg = tmp_path / "run.cfg"
-    cfg.write_text("schema_version=1\nxl=1.5\nt=2,3\nreps=9\n", encoding="utf-8")
+    cfg.write_text("schema_version=1\nxl=1.5\nt=2,3\nreps=9\nwidth=17\n", encoding="utf-8")
     args = build_parser().parse_args(["solve", "--config", str(cfg), "--xu", "7"])
     config = resolve_config(args)
     assert config.x_l == 1.5          # file beats default
     assert config.x_u == 7.0          # flag beats file
     assert config.t_values == (2.0, 3.0)
     assert config.reps == 9
+    assert config.width == 17
     assert config.d == 1.0            # untouched default
     assert config.model == "vg"
 
