@@ -21,15 +21,15 @@ from scipy.integrate import quad
 from .de_ft import _sources_stacked, node_plan, splice_plan
 from .euler_ft import EulerParams
 from .numkit import ComplexSeries, frft
-from .nufft import DEFAULT_WIDTH, _forward_stacked
+from .nufft import _forward_stacked
 from .sinc_gauss import kernel_table
-from .solver import (_spliced_transform, _step1_plan, clear_exponent_cache, custom_model,
-                     g_gamma, kernel_echo, make_grid, nig_model, params_echo, solve,
+from .solver import (KERNEL_ECHO, _spliced_transform, _step1_plan, clear_exponent_cache,
+                     custom_model, g_gamma, make_grid, nig_model, params_echo, solve,
                      vg_model)
 
 CONFIG_SCHEMA_VERSION = "1"
 _CONFIG_KEYS = ("schema_version", "model", "gamma", "mu", "t", "i_range",
-                "xl", "xu", "d", "width", "out", "reps")
+                "xl", "xu", "d", "out", "reps")
 # the names a --mu expression may use besides y, as np.NAME or math.NAME;
 # np.NAME must be a ufunc or one of _MU_NUMPY_EXTRA, which keeps numpy's
 # file and memory functions (np.save, np.load, np.fromfile, ...) out
@@ -51,7 +51,6 @@ class RunConfig:
     x_l: float = 2.0
     x_u: float = 5.0
     d: float = 1.0
-    width: int = DEFAULT_WIDTH
     out: str = "out"
     reps: int = 5
 
@@ -131,7 +130,6 @@ def resolve_config(args) -> RunConfig:
         x_l=pick(args.xl, "xl", float, 2.0),
         x_u=pick(args.xu, "xu", float, 5.0),
         d=pick(args.d, "d", float, 1.0),
-        width=pick(args.width, "width", int, DEFAULT_WIDTH),
         out=pick(args.out, "out", str, "out"),
         reps=pick(args.reps, "reps", int, 5),
     )
@@ -223,7 +221,7 @@ def cmd_solve(config: RunConfig) -> int:
     for i in config.exponent_i:
         grid, euler = _grid_pair(model, config, i)
         for t in config.t_values:
-            res = solve(model, grid, t, euler, width=config.width)
+            res = solve(model, grid, t, euler)
             fname = f"solve_{model.name}_i{i}_t{t:g}.csv"
             with open(outdir / fname, "w", encoding="utf-8", newline="") as fh:
                 if res.p_exact is not None:
@@ -265,7 +263,7 @@ def cmd_converge(config: RunConfig) -> int:
         grid, euler = _grid_pair(model, config, i)
         m_list.append(grid.m)
         for t in config.t_values:
-            res = solve(model, grid, t, euler, width=config.width)
+            res = solve(model, grid, t, euler)
             in_window = np.abs(res.x) >= config.x_l
             full_err[t].append(float(np.max(res.abs_err)))
             window_err[t].append(float(np.max(res.abs_err[in_window])))
@@ -303,7 +301,7 @@ def cmd_converge(config: RunConfig) -> int:
 
 def solve_params(model, config: RunConfig, i: int) -> dict:
     grid, euler = _grid_pair(model, config, i)
-    return params_echo(model, grid, euler, **kernel_echo(config.width))
+    return params_echo(model, grid, euler)
 
 
 def cmd_bench(config: RunConfig) -> int:
@@ -321,7 +319,7 @@ def cmd_bench(config: RunConfig) -> int:
         samples = {"step1": [], "step2": [], "step3": [], "total": []}
         for _ in range(config.reps):
             clear_exponent_cache()
-            res = solve(model, grid, t, euler, width=config.width)
+            res = solve(model, grid, t, euler)
             for key in samples:
                 samples[key].append(res.timings[key])
         med = {key: statistics.median(vals) for key, vals in samples.items()}
@@ -338,7 +336,7 @@ def cmd_bench(config: RunConfig) -> int:
           f"max/min = {max(norm) / min(norm):.2f})")
     _write_manifest(outdir, f"bench_{model.name}_manifest.json",
                     {"command": "bench", "config": _config_echo(config),
-                     **kernel_echo(config.width), "t": t, "reps": config.reps,
+                     **KERNEL_ECHO, "t": t, "reps": config.reps,
                      "normalized_spread": max(norm) / min(norm)})
     return 0
 
@@ -357,7 +355,7 @@ def _check_nufft():
     model = vg_model()
     euler = EulerParams.from_theorem(128, 2.0, 5.0, 1.0)
     grid = make_grid(model, euler)
-    nodes, gridding, _ = _step1_plan(grid, DEFAULT_WIDTH)
+    nodes, gridding, _ = _step1_plan(grid)
     got = _forward_stacked(_sources_stacked(model.mu, nodes), gridding)
     # the plain (unshifted) weights of both runs, summed directly
     plain = node_plan(run for run, _ in splice_plan(grid.n_gamma, grid.h_tilde))
@@ -388,7 +386,7 @@ def _check_de_ft():
     model = vg_model()
     euler = EulerParams.from_theorem(128, 2.0, 5.0, 1.0)
     grid = make_grid(model, euler)
-    mhat = _spliced_transform(model, grid, DEFAULT_WIDTH)
+    mhat = _spliced_transform(model, grid)
     k = np.arange(grid.n_gamma + 1)
     exact = 1.0 / (1.0 + 1j * k * grid.h_tilde)
     return float(np.max(np.abs(mhat.values - exact))), 1e-6
@@ -447,9 +445,6 @@ def build_parser() -> argparse.ArgumentParser:
     common.add_argument("--xl", type=float, help="window lower edge x_l")
     common.add_argument("--xu", type=float, help="window upper edge x_u")
     common.add_argument("--d", type=float, help="window decay tuning constant")
-    common.add_argument("--width", type=int,
-                        help=f"Step-1 gridding kernel width in grid nodes "
-                             f"(default {DEFAULT_WIDTH})")
     common.add_argument("--out", help="output directory")
     common.add_argument("--reps", type=int, help="bench repetitions (median taken)")
     sub.add_parser("solve", parents=[common],

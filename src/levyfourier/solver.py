@@ -22,6 +22,9 @@ from .sinc_gauss import (SincGaussConfig, indefinite_integral, kernel_table,
 
 # Step-1 plans kept at once; one M = 2^14 plan holds about 6 MB
 PLAN_CACHE_SIZE = 4
+# the Step-1 gridding kernel (see nufft), echoed with every solve
+KERNEL_ECHO = {"kernel": "es", "width": DEFAULT_WIDTH,
+               "beta": BETA_PER_WIDTH * DEFAULT_WIDTH}
 
 
 @dataclass(frozen=True)
@@ -197,24 +200,24 @@ def _integrate_block(series: ComplexSeries, n_prime: int) -> ComplexSeries:
 
 
 @lru_cache(maxsize=PLAN_CACHE_SIZE)
-def _step1_plan(grid: GridSpec, width: int):
+def _step1_plan(grid: GridSpec):
     """Everything of Step 1 that does not depend on mu: the DE nodes and
     mu-free weight factors of both splice runs, their gridding plan, and the
     k-ranges each run covers."""
     (run_a, range_a), (run_b, range_b) = splice_plan(grid.n_gamma, grid.h_tilde)
     nodes = node_plan((run_a, run_b), source_shift(grid.h_tilde, grid.n_gamma))
-    npar = [nufft_params(grid.m, row, grid.h_tilde, width) for row in nodes.points]
+    npar = [nufft_params(grid.m, row, grid.h_tilde) for row in nodes.points]
     gridding = gridding_plan(nodes.points, npar, grid.h_tilde, grid.n_gamma, nodes.live)
     return nodes, gridding, (range_a, range_b)
 
 
-def _spliced_transform(model: LevyModel, grid: GridSpec, width: int) -> ComplexSeries:
+def _spliced_transform(model: LevyModel, grid: GridSpec) -> ComplexSeries:
     """Step 1: m^(k h~) for k = 0..N_gamma, stitched from the two DE runs.
 
     With the grid's plan this is mu at the DE nodes times the mu-free
     factors, one sparse gridding product and one batched FFT over both runs.
     """
-    nodes, gridding, ranges = _step1_plan(grid, width)
+    nodes, gridding, ranges = _step1_plan(grid)
     out = _forward_stacked(_sources_stacked(model.mu, nodes), gridding)
     vals = np.empty(grid.n_gamma + 1, dtype=complex)
     for row, rng in enumerate(ranges):
@@ -223,7 +226,7 @@ def _spliced_transform(model: LevyModel, grid: GridSpec, width: int) -> ComplexS
 
 
 @lru_cache(maxsize=64)
-def _exponent_cached(model: LevyModel, grid: GridSpec, width: int):
+def _exponent_cached(model: LevyModel, grid: GridSpec):
     """(exponent series over l = -N+1..N, step-1 seconds, step-2 seconds,
     whether Step 1 found its plan cached)."""
     if grid.gamma != model.gamma:
@@ -232,7 +235,7 @@ def _exponent_cached(model: LevyModel, grid: GridSpec, width: int):
     plan_hits = _step1_plan.cache_info().hits
     t0 = time.perf_counter()
     try:
-        mhat = extend_conjugate(_spliced_transform(model, grid, width))
+        mhat = extend_conjugate(_spliced_transform(model, grid))
     except ValueError as exc:
         raise ValueError(f"[step 1] {exc}") from exc
     t1 = time.perf_counter()
@@ -252,16 +255,15 @@ def _exponent_cached(model: LevyModel, grid: GridSpec, width: int):
     return series, t1 - t0, t2 - t1, plan_cached
 
 
-def g_gamma(model: LevyModel, grid: GridSpec, width: int = DEFAULT_WIDTH) -> ComplexSeries:
+def g_gamma(model: LevyModel, grid: GridSpec) -> ComplexSeries:
     """Characteristic exponent G_gamma(l h~), l = -N+1..N (real, even, G(0) = 0).
 
     gamma = 1 runs Steps 1-2 once with N' = N and returns 2 Im of the
     indefinite integral; gamma = 2 runs Step 2 twice (N' = 2N, then N' = N on
     the conjugate-odd extension) and returns -2 Re of the double integral.
-    width is the Step-1 gridding kernel width (see nufft).  Results are cached
-    per (model, grid, width) and reused across times.
+    Results are cached per (model, grid) and reused across times.
     """
-    return _exponent_cached(model, grid, width)[0]
+    return _exponent_cached(model, grid)[0]
 
 
 def clear_exponent_cache():
@@ -271,12 +273,11 @@ def clear_exponent_cache():
 
 
 def solve(model: LevyModel, grid: GridSpec, t: float, euler: EulerParams,
-          use_exact_exponent: bool = False, width: int = DEFAULT_WIDTH) -> SolveResult:
+          use_exact_exponent: bool = False) -> SolveResult:
     """Density p(n h^, t) for n = -N+1..N.
 
     use_exact_exponent feeds model.exact_exponent straight to Step 3, skipping
-    Steps 1-2 (oracle runs isolating the inversion stage); width is the
-    Step-1 gridding kernel width, echoed with the kernel name and beta.
+    Steps 1-2 (oracle runs isolating the inversion stage).
 
     timings holds seconds per step and in total, exponent_cached (the
     exponent came from the cache) and plan_cached (Step 1 found the grid's
@@ -301,7 +302,7 @@ def solve(model: LevyModel, grid: GridSpec, t: float, euler: EulerParams,
         s1 = s2 = 0.0
     else:
         hits_before = _exponent_cached.cache_info().hits
-        gser, s1, s2, plan_cached = _exponent_cached(model, grid, width)
+        gser, s1, s2, plan_cached = _exponent_cached(model, grid)
         cached = _exponent_cached.cache_info().hits > hits_before
     t3 = time.perf_counter()
     try:
@@ -322,14 +323,8 @@ def solve(model: LevyModel, grid: GridSpec, t: float, euler: EulerParams,
     timings = {"step1": s1, "step2": s2, "step3": s3, "total": total,
                "exponent_cached": cached, "plan_cached": plan_cached}
     return SolveResult(x, p, p_exact, abs_err, timings,
-                       params_echo(model, grid, euler, t=t, **kernel_echo(width),
+                       params_echo(model, grid, euler, t=t,
                                    use_exact_exponent=use_exact_exponent))
-
-
-def kernel_echo(width: int) -> dict:
-    """The resolved Step-1 gridding kernel: exponential of semicircle, its
-    width and its shape parameter beta."""
-    return {"kernel": "es", "width": width, "beta": BETA_PER_WIDTH * width}
 
 
 def params_echo(model: LevyModel, grid: GridSpec, euler: EulerParams, **extra) -> dict:
@@ -366,5 +361,6 @@ def _echo_base(model: LevyModel, grid: GridSpec, euler: EulerParams) -> tuple:
         "de_alpha_high": run_b.alpha,
         "r_rule": "sqrt(n_prime/pi)",
         "m_table_rule": "max(4*n_prime, 1024)",
+        **KERNEL_ECHO,
     }
     return tuple(echo.items())

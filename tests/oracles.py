@@ -50,27 +50,24 @@ def source_sum_direct(weights, points, h_tilde, n_gamma, k=None):
 
 
 def windows_brute(points, params, h_tilde):
-    """Gridding windows straight from the defining max-expressions.
+    """Gridding windows straight from the kernel support, source by source.
 
-    j_min(l) = max{j : ceil((c_j + b)/c_check) <= l}  (fallback: lowest index)
-    j_max(l) = max{j : floor((c_j - b)/c_check) <= l} (fallback: lowest - 1)
+    j_min(l) = j_lo + #{j : c_j < l h_check - b}
+    j_max(l) = j_lo + #{j : c_j <= l h_check + b} - 1
     with c_j = h~ y_j / a, b = w/2 the kernel's half-width and the source
-    index frame centered at -m//2.
+    index frame starting at j_lo = -m//2; for sorted points these are the
+    first and last source within b of node l.
     """
     b = params.width / 2
     c = h_tilde * np.asarray(points, dtype=float) / params.a
     j_lo = -(len(c) // 2)
-    j_idx = np.arange(j_lo, j_lo + len(c))
     l_vals = np.arange(-params.l_minus, params.l_plus + 1)
     j_min = np.empty(len(l_vals), dtype=np.int64)
     j_max = np.empty(len(l_vals), dtype=np.int64)
     for pos, l in enumerate(l_vals):
-        lo_hits = [j for j, cj in zip(j_idx, c)
-                   if math.ceil((cj + b) / params.h_check) <= l]
-        hi_hits = [j for j, cj in zip(j_idx, c)
-                   if math.floor((cj - b) / params.h_check) <= l]
-        j_min[pos] = max(lo_hits) if lo_hits else j_lo
-        j_max[pos] = max(hi_hits) if hi_hits else j_lo - 1
+        node = l * params.h_check
+        j_min[pos] = j_lo + sum(1 for cj in c if cj < node - b)
+        j_max[pos] = j_lo + sum(1 for cj in c if cj <= node + b) - 1
     return j_min, j_max
 
 

@@ -13,9 +13,8 @@ from levyfourier.euler_ft import EulerParams
 from levyfourier.numkit import ComplexSeries, frft
 from levyfourier.nufft import _forward_stacked
 from levyfourier.sinc_gauss import SincGaussConfig, indefinite_integral, kernel_table
-from levyfourier.solver import (DEFAULT_WIDTH, _spliced_transform, _step1_plan,
-                                clear_exponent_cache, g_gamma, make_grid, nig_model,
-                                solve, vg_model)
+from levyfourier.solver import (_spliced_transform, _step1_plan, clear_exponent_cache,
+                                g_gamma, make_grid, nig_model, solve, vg_model)
 
 
 def case(model, i):
@@ -32,7 +31,7 @@ def test_criterion_01_nufft_matches_direct_sum_within_1e8_and_50ms():
     for _ in range(5):
         clear_exponent_cache()                 # time the plan build too
         t0 = time.perf_counter()
-        nodes, gridding, _ = _step1_plan(grid, DEFAULT_WIDTH)
+        nodes, gridding, _ = _step1_plan(grid)
         got = _forward_stacked(_sources_stacked(model.mu, nodes), gridding)
         best_wall = min(best_wall, time.perf_counter() - t0)
     # reference: each run's plain (unshifted) DE weights, summed directly
@@ -71,7 +70,7 @@ def test_criterion_03_spliced_transform_matches_closed_form_at_every_k():
     # the two ranges cover 0..N_gamma
     assert plan[0][1].start == 0 and plan[0][1].stop == plan[1][1].start
     assert plan[1][1].stop == grid.n_gamma + 1
-    out = _spliced_transform(model, grid, DEFAULT_WIDTH)
+    out = _spliced_transform(model, grid)
     assert out.offset == 0 and len(out) == grid.n_gamma + 1
     k = np.arange(grid.n_gamma + 1)
     exact = 1.0 / (1.0 + 1j * k * grid.h_tilde)

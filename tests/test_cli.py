@@ -81,14 +81,13 @@ def test_parse_config_file_rejects_bad_input(tmp_path):
 
 def test_resolve_config_precedence(tmp_path):
     cfg = tmp_path / "run.cfg"
-    cfg.write_text("schema_version=1\nxl=1.5\nt=2,3\nreps=9\nwidth=17\n", encoding="utf-8")
+    cfg.write_text("schema_version=1\nxl=1.5\nt=2,3\nreps=9\n", encoding="utf-8")
     args = build_parser().parse_args(["solve", "--config", str(cfg), "--xu", "7"])
     config = resolve_config(args)
     assert config.x_l == 1.5          # file beats default
     assert config.x_u == 7.0          # flag beats file
     assert config.t_values == (2.0, 3.0)
     assert config.reps == 9
-    assert config.width == 17
     assert config.d == 1.0            # untouched default
     assert config.model == "vg"
 

@@ -10,7 +10,7 @@ import oracles
 from levyfourier.de_ft import _sources_stacked, node_plan, splice_plan
 from levyfourier.euler_ft import EulerParams
 from levyfourier.nufft import _forward_stacked, gridding_plan, nufft_params, source_shift
-from levyfourier.solver import (DEFAULT_WIDTH, GridSpec, LevyModel,
+from levyfourier.solver import (GridSpec, LevyModel,
                                 _spliced_transform, _step1_plan, clear_exponent_cache,
                                 custom_model, exact_nig, exact_vg, g_gamma, gamma_fn,
                                 make_grid, nig_model, solve, vg_model)
@@ -282,8 +282,8 @@ def test_step1_plan_matches_per_run_composition(model):
     for i in range(8, 13):
         grid, _ = setup_case(model, i)
         clear_exponent_cache()
-        cold = _spliced_transform(model, grid, DEFAULT_WIDTH).values
-        warm = _spliced_transform(model, grid, DEFAULT_WIDTH).values
+        cold = _spliced_transform(model, grid).values
+        warm = _spliced_transform(model, grid).values
         assert np.array_equal(cold, warm)
         # each run on its own one-run plan, spliced
         shift = source_shift(grid.h_tilde, grid.n_gamma)
@@ -303,7 +303,7 @@ def test_step1_plan_matches_direct_sum_with_tied_nodes_at_m_2_14():
     # out of the plan); both rows must still match the direct source sums
     model = vg_model()
     grid, _ = setup_case(model, 14)
-    nodes, gridding, _ = _step1_plan(grid, DEFAULT_WIDTH)
+    nodes, gridding, _ = _step1_plan(grid)
     got = _forward_stacked(_sources_stacked(model.mu, nodes), gridding)
     plain = node_plan(run for run, _ in splice_plan(grid.n_gamma, grid.h_tilde))
     assert np.any(np.diff(plain.points[1]) == 0)
@@ -320,10 +320,11 @@ def test_step1_plan_matches_direct_sum_with_tied_nodes_at_m_2_14():
 @pytest.mark.parametrize("i", [12, 14])
 def test_step1_rows_match_direct_sum_to_gridding_precision(model, i):
     # each run of the production plan against its direct source sum, relative
-    # to the largest sum: the default width gives at most 1.8e-14 here, and a
-    # kernel one or two nodes narrower misses (width 13: 1.4e-13)
+    # to the largest sum: width 15 gives at most 1.8e-14 here, and a kernel
+    # one or two nodes narrower misses (width 14: up to 5.6e-14, width 13: up
+    # to 4.5e-13)
     grid, _ = setup_case(model, i)
-    nodes, gridding, _ = _step1_plan(grid, DEFAULT_WIDTH)
+    nodes, gridding, _ = _step1_plan(grid)
     got = _forward_stacked(_sources_stacked(model.mu, nodes), gridding)
     plain = node_plan(run for run, _ in splice_plan(grid.n_gamma, grid.h_tilde))
     weights = _sources_stacked(model.mu, plain)
