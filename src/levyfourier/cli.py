@@ -19,7 +19,7 @@ import numpy as np
 from scipy.integrate import quad
 
 from .de_ft import _sources_stacked, node_plan, splice_plan
-from .euler_ft import EulerParams
+from .euler_ft import EulerParams, inverse_ft, weight
 from .numkit import ComplexSeries, frft
 from .nufft import _forward_stacked
 from .sinc_gauss import kernel_table
@@ -216,12 +216,13 @@ def cmd_solve(config: RunConfig) -> int:
     """One CSV per (model, i, t) with x, p_num and, when available, exact values."""
     model = _build_model(config)
     outdir = Path(config.out)
-    outdir.mkdir(parents=True, exist_ok=True)
     runs = []
     for i in config.exponent_i:
         grid, euler = _grid_pair(model, config, i)
         for t in config.t_values:
             res = solve(model, grid, t, euler)
+            if not runs:   # a solve that fails leaves no directory behind
+                outdir.mkdir(parents=True, exist_ok=True)
             fname = f"solve_{model.name}_i{i}_t{t:g}.csv"
             with open(outdir / fname, "w", encoding="utf-8", newline="") as fh:
                 if res.p_exact is not None:
@@ -253,8 +254,6 @@ def cmd_converge(config: RunConfig) -> int:
     model = _build_model(config)
     if model.exact_density is None:
         raise ValueError("converge needs a model with an exact density (vg or nig)")
-    outdir = Path(config.out)
-    outdir.mkdir(parents=True, exist_ok=True)
     m_list = []
     full_err = {t: [] for t in config.t_values}
     window_err = {t: [] for t in config.t_values}
@@ -270,6 +269,8 @@ def cmd_converge(config: RunConfig) -> int:
         entry = solve_params(model, config, i)
         entry["i"] = i
         runs.append(entry)
+    outdir = Path(config.out)
+    outdir.mkdir(parents=True, exist_ok=True)
     fname = f"converge_{model.name}.csv"
     with open(outdir / fname, "w", encoding="utf-8", newline="") as fh:
         header = ["M"]
@@ -311,8 +312,6 @@ def cmd_bench(config: RunConfig) -> int:
     if config.reps < 5:
         warnings.warn(f"reps = {config.reps} < 5; timing medians may be noisy",
                       stacklevel=2)
-    outdir = Path(config.out)
-    outdir.mkdir(parents=True, exist_ok=True)
     rows = []
     for i in config.exponent_i:
         grid, euler = _grid_pair(model, config, i)
@@ -324,6 +323,8 @@ def cmd_bench(config: RunConfig) -> int:
                 samples[key].append(res.timings[key])
         med = {key: statistics.median(vals) for key, vals in samples.items()}
         rows.append((grid.m, med, med["total"] / (grid.m * math.log2(grid.m))))
+    outdir = Path(config.out)
+    outdir.mkdir(parents=True, exist_ok=True)
     fname = f"bench_{model.name}.csv"
     with open(outdir / fname, "w", encoding="utf-8", newline="") as fh:
         fh.write("M,step1_s,step2_s,step3_s,total_s,total_per_mlog2m\n")
@@ -348,6 +349,18 @@ def _check_frft():
     got = frft(ComplexSeries(-n + 1, vals), 0.3)
     idx = np.arange(-n + 1, n + 1)
     direct = np.array([np.sum(vals * np.exp(1j * 0.3 * idx * k)) for k in idx])
+    return float(np.max(np.abs(got.values - direct))), 1e-10
+
+
+def _check_euler_even():
+    euler = EulerParams.from_theorem(64, 2.0, 5.0, 1.0)
+    h_hat = euler.x_u / euler.n
+    ell = np.arange(-euler.n + 1, euler.n + 1)
+    g = -np.log1p((ell * euler.h_tilde) ** 2)
+    got = inverse_ft(ComplexSeries(-euler.n + 1, g, euler.h_tilde), 1.0, euler, h_hat)
+    coeff = weight(np.abs(ell) * euler.h_tilde, euler) * np.exp(g)
+    direct = np.array([np.sum(coeff * np.exp(1j * euler.h_tilde * h_hat * ell * k))
+                       for k in ell]) * (euler.h_tilde / (2 * np.pi))
     return float(np.max(np.abs(got.values - direct))), 1e-10
 
 
@@ -404,6 +417,7 @@ def cmd_selftest() -> int:
     """Small-size oracle checks; nonzero exit if any fails."""
     checks = [
         ("frft-vs-direct-sum", _check_frft),
+        ("euler-even-vs-direct-sum", _check_euler_even),
         ("nufft-vs-direct-sum", _check_nufft),
         ("kernel-table-vs-quadrature", _check_kernel_table),
         ("de-ft-vs-closed-form", _check_de_ft),

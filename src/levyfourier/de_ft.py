@@ -179,7 +179,7 @@ def _sources_stacked(mu, plan: NodePlan) -> np.ndarray:
         i = bad[0]
         j = plan.live[i] % plan.points.shape[1] - plan.m_minus
         raise ValueError(
-            f"mu returned non-finite value {mu_vals[i]} at j={j}, y={plan.y[i]!r}"
+            f"mu returned non-finite value {mu_vals[i]} at j={j}, y={float(plan.y[i])}"
         )
     return mu_vals * plan.factor
 

@@ -5,16 +5,19 @@ The integrand e^{t G(w)} e^{ixw} decays slowly in w; multiplying by the
 complementary-error-function weight w_{p,q}(|w|) turns the truncated trapezoid
 sum into one with error O(e^{-c sqrt(N)}) uniformly over the target window.
 The sum over l = -N+1..N at all outputs x = n h^ is a fractional FFT with
-delta = h~ h^."""
+delta = h~ h^.  The exponent of a symmetric process is real and even, so the
+sum runs as a real-even transform over l = 0..N and the outputs at n < 0 are
+the conjugates of those at -n."""
 from __future__ import annotations
 
 import math
 import warnings
 from dataclasses import dataclass
+from functools import lru_cache
 
 import numpy as np
 
-from .numkit import ComplexSeries, erfc, frft
+from .numkit import ComplexSeries, erfc, frft_even
 
 
 @dataclass(frozen=True)
@@ -72,13 +75,24 @@ def weight(xi, params: EulerParams) -> np.ndarray:
     return 0.5 * erfc(np.asarray(xi, dtype=float) / params.p - params.q)
 
 
+@lru_cache(maxsize=64)
+def _half_weights(params: EulerParams) -> np.ndarray:
+    """(h~ / 2pi) w(l h~) for l = 0..N: the factors of exp(t G(l h~)) in the
+    Step-3 sum, the same at every t."""
+    ell = np.arange(params.n + 1)
+    out = (params.h_tilde / (2 * np.pi)) * weight(ell * params.h_tilde, params)
+    out.flags.writeable = False
+    return out
+
+
 def inverse_ft(exponent: ComplexSeries, t: float, params: EulerParams,
                h_hat: float) -> ComplexSeries:
     """Density values p(n h^, t), n = -N+1..N, from exponent samples G(l h~).
 
-    exponent must cover l = -N+1..N at spacing params.h_tilde, and h^ N = x_u
-    so the grid reaches the right edge of the guaranteed window.  Outputs with
-    |n h^| < x_l carry no accuracy guarantee.
+    exponent must cover l = -N+1..N at spacing params.h_tilde and be real and
+    even (G(-l) = G(l) exactly), and h^ N = x_u so the grid reaches the right
+    edge of the guaranteed window.  Outputs with |n h^| < x_l carry no
+    accuracy guarantee.
     """
     n = params.n
     if len(exponent) != 2 * n or exponent.offset != -n + 1:
@@ -90,18 +104,26 @@ def inverse_ft(exponent: ComplexSeries, t: float, params: EulerParams,
         raise ValueError(f"h_hat * N = {h_hat * n} must equal x_u = {params.x_u}")
     if not (math.isfinite(t) and t >= 0):
         raise ValueError("t must be a finite non-negative number")
-    ell = np.arange(-n + 1, n + 1)
+    g = exponent.values
+    complex_at = np.flatnonzero(g.imag)
+    if complex_at.size:
+        raise ValueError(f"exponent not real at l = {complex_at[0] - n + 1}")
+    g = g.real
     with np.errstate(over="ignore"):   # overflow is rejected explicitly below
-        amp = np.exp(t * exponent.values)
+        amp = np.exp(t * g[n - 1:])    # l = 0..N
     if not np.all(np.isfinite(amp)):
-        bad = int(ell[~np.isfinite(amp)][0])
-        raise ValueError(f"exp(t G) not finite at l = {bad}")
-    peak = np.max(np.abs(amp))
+        # the first such l of -N+1..N, counting l = 1..N-1 also at -l
+        bad = min(-l if 0 < l < n else l for l in np.flatnonzero(~np.isfinite(amp)))
+        raise ValueError(f"exp(t G) not finite at l = {int(bad)}")
+    odd_at = np.flatnonzero(g[n - 2::-1] != g[n:2 * n - 1])
+    if odd_at.size:
+        raise ValueError(f"exponent not even: G(-l) != G(l) at l = {odd_at[0] + 1}")
+    peak = amp.max()
     if peak > 1 + 1e-6:
         warnings.warn(f"|exp(t G)| reaches {peak}; exponent has positive real "
                       "part, result is unreliable", RuntimeWarning, stacklevel=2)
-    coeff = weight(np.abs(ell) * params.h_tilde, params) * amp
-    series = ComplexSeries(-n + 1, coeff, params.h_tilde)
-    spectrum = frft(series, params.h_tilde * h_hat)
-    vals = (params.h_tilde / (2 * np.pi)) * spectrum.values
+    half = frft_even(_half_weights(params) * amp, params.h_tilde * h_hat)
+    vals = np.empty(2 * n, dtype=complex)
+    vals[n - 1:] = half
+    vals[:n - 1] = np.conj(half[n - 1:0:-1])
     return ComplexSeries(-n + 1, vals, h_hat)

@@ -1,5 +1,6 @@
-"""Foundation layer: indexed complex series, power-of-two FFT, fractional FFT,
-and the erfc window function of the Euler transform."""
+"""Foundation layer: indexed complex series, power-of-two FFT, fractional FFT
+(general and real-even), and the erfc window function of the Euler
+transform."""
 from __future__ import annotations
 
 from dataclasses import dataclass, field
@@ -163,3 +164,46 @@ def frft(c: ComplexSeries, delta: float) -> ComplexSeries:
 @lru_cache(maxsize=64)
 def _plan_cached(length: int, delta: float) -> FrftPlan:
     return FrftPlan(length, delta)
+
+
+def frft_even(c, delta: float) -> np.ndarray:
+    """Real-even fractional FFT: S_n = sum_{l=-N+1}^{N} c_{|l|} e^{i delta l n}
+    for n = 0..N, from real c_l, l = 0..N (N a power of two).
+
+    Pairing l with -l leaves a one-sided chirp sum over l = 0..N-1, which is
+    one circular convolution of length 2N, plus the unpaired l = N term
+    c_N e^{i delta N n}, added directly.  S_{-n} = conj(S_n) gives the other
+    half.
+    """
+    c = np.asarray(c)
+    if np.iscomplexobj(c) or c.ndim != 1:
+        raise ValueError("frft_even needs a real 1-d sequence c_0..c_N")
+    n = len(c) - 1
+    if not _is_pow2(n):
+        raise ValueError(f"frft_even needs N + 1 values with N a power of two, got {len(c)}")
+    chirp_in, chirp, kernel_hat, edge = _even_plan_cached(n, float(delta))
+    conv = np.fft.ifft(np.fft.fft(c[:n] * chirp_in, 2 * n) * kernel_hat)[:n + 1]
+    out = c[n] * edge
+    out.real += (chirp * conv).real
+    return out
+
+
+@lru_cache(maxsize=64)
+def _even_plan_cached(n: int, delta: float):
+    """frft_even's tables for (N, delta): the input chirp over l = 0..N-1,
+    doubled for l >= 1 (c_l stands for l and -l), the output chirp over
+    n = 0..N, the transform of the length-2N chirp kernel, and e^{i delta N n}."""
+    if not np.isfinite(delta):
+        raise ValueError("delta must be finite")
+    k = np.arange(n + 1)
+    chirp = _quad_phase(delta, k)
+    chirp_in = 2 * chirp[:n]
+    chirp_in[0] = chirp[0]
+    # kernel e^{-i delta m^2/2} at m = -N+1..N, wrapped onto 0..2N-1
+    kernel = np.conj(np.concatenate((chirp, chirp[n - 1:0:-1])))
+    # e^{i delta N n} = e^{i delta N^2/2} e^{i delta n^2/2} e^{-i delta (N-n)^2/2}
+    edge = chirp[n] * chirp * np.conj(chirp[::-1])
+    tables = (chirp_in, chirp, np.fft.fft(kernel), edge)
+    for arr in tables:
+        arr.flags.writeable = False
+    return tables

@@ -5,8 +5,8 @@ from __future__ import annotations
 
 import math
 import time
-from dataclasses import dataclass
-from functools import lru_cache
+from dataclasses import dataclass, field
+from functools import cached_property, lru_cache
 from typing import Callable, Optional
 
 import numpy as np
@@ -100,14 +100,28 @@ def make_grid(model: LevyModel, euler: EulerParams) -> GridSpec:
 
 @dataclass(frozen=True, eq=False)
 class SolveResult:
-    """One density run: outputs, optional exact references, and bookkeeping."""
+    """One density run: outputs, optional exact references, and bookkeeping.
+
+    p_exact and abs_err are None without an exact_density(x, t); otherwise
+    it is evaluated at (x, params_echo["t"]) on first read of either and kept.
+    """
 
     x: np.ndarray
     p: np.ndarray
-    p_exact: Optional[np.ndarray]
-    abs_err: Optional[np.ndarray]
     timings: dict
     params_echo: dict
+    exact_density: Optional[Callable] = field(default=None, repr=False)
+
+    @cached_property
+    def p_exact(self) -> Optional[np.ndarray]:
+        if self.exact_density is None:
+            return None
+        return np.asarray(self.exact_density(self.x, self.params_echo["t"]), dtype=float)
+
+    @cached_property
+    def abs_err(self) -> Optional[np.ndarray]:
+        p_exact = self.p_exact
+        return None if p_exact is None else np.abs(self.p - p_exact)
 
 
 def gamma_fn(t):
@@ -283,6 +297,7 @@ def solve(model: LevyModel, grid: GridSpec, t: float, euler: EulerParams,
     exponent came from the cache) and plan_cached (Step 1 found the grid's
     plan built).  step1, step2 and plan_cached describe the solve that
     computed the exponent, which is this one unless exponent_cached.
+    model.exact_density, if any, runs only when p_exact or abs_err is read.
     """
     if not (np.ndim(t) == 0 and math.isfinite(t) and t > 0):
         raise ValueError(f"t must be a positive finite scalar, got {t!r}")
@@ -314,17 +329,12 @@ def solve(model: LevyModel, grid: GridSpec, t: float, euler: EulerParams,
     p = dens.values.real.copy()
     if not np.all(np.isfinite(p)):
         raise ValueError("density output contains non-finite values")
-    x = dens.grid()
-    if model.exact_density is not None:
-        p_exact = np.asarray(model.exact_density(x, t), dtype=float)
-        abs_err = np.abs(p - p_exact)
-    else:
-        p_exact = abs_err = None
     timings = {"step1": s1, "step2": s2, "step3": s3, "total": total,
                "exponent_cached": cached, "plan_cached": plan_cached}
-    return SolveResult(x, p, p_exact, abs_err, timings,
+    return SolveResult(dens.grid(), p, timings,
                        params_echo(model, grid, euler, t=t,
-                                   use_exact_exponent=use_exact_exponent))
+                                   use_exact_exponent=use_exact_exponent),
+                       model.exact_density)
 
 
 def params_echo(model: LevyModel, grid: GridSpec, euler: EulerParams, **extra) -> dict:

@@ -24,8 +24,9 @@ def dft_direct(values):
 _TWO_PI_LD = np.longdouble("6.283185307179586476925286766559005768")
 
 
-def frft_direct(values, delta):
-    """S_n = sum_{l=-N+1}^{N} c_l e^{i delta l n} for n = -N+1..N, by loops.
+def frft_direct(values, delta, outputs=None):
+    """S_n = sum_{l=-N+1}^{N} c_l e^{i delta l n} for n = -N+1..N, or for the
+    given n only, by loops.
 
     The angle delta*l*n reaches ~1e5 rad at the sizes tested here; forming it
     in float64 loses eps*|angle| ~ 1e-11 rad per term, which would swamp the
@@ -34,9 +35,10 @@ def frft_direct(values, delta):
     n2 = len(values)
     n = n2 // 2
     idx = np.arange(-n + 1, n + 1)
+    outputs = idx if outputs is None else np.asarray(outputs)
     l_ld = idx.astype(np.longdouble)
-    out = np.empty(n2, dtype=complex)
-    for pos, m in enumerate(idx):
+    out = np.empty(len(outputs), dtype=complex)
+    for pos, m in enumerate(outputs):
         theta = np.mod(np.longdouble(delta) * np.longdouble(m) * l_ld, _TWO_PI_LD)
         out[pos] = np.sum(values * np.exp(1j * theta.astype(np.float64)))
     return out

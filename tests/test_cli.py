@@ -204,7 +204,7 @@ def test_selftest_passes(capsys):
     assert main(["selftest"]) == 0
     out = capsys.readouterr().out
     assert "selftest passed" in out
-    for name in ("frft-vs-direct-sum", "nufft-vs-direct-sum",
+    for name in ("frft-vs-direct-sum", "euler-even-vs-direct-sum", "nufft-vs-direct-sum",
                  "kernel-table-vs-quadrature", "de-ft-vs-closed-form",
                  "exponent-vg-closed-form", "exponent-nig-closed-form"):
         assert name in out
@@ -230,6 +230,21 @@ def test_main_reports_config_errors_on_stderr(tmp_path, capsys):
     rc = main(["solve", "--config", str(cfg), "--out", str(tmp_path)])
     assert rc == 2
     assert "unknown config key" in capsys.readouterr().err
+
+
+def test_failed_solve_creates_no_output_directory(tmp_path, capsys):
+    out = tmp_path / "out"
+    rc = main(["solve", "--model", "custom", "--gamma", "1", "--mu", "np.exp(-y)*np.inf",
+               "--i-range", "7", "--out", str(out)])
+    assert rc == 2
+    assert "error: [step 1] mu returned non-finite value inf" in capsys.readouterr().err
+    assert not out.exists()
+    for command in ("solve", "converge", "bench"):   # x_l / x_u above 1/2
+        rc = main([command, "--xl", "3", "--xu", "5", "--i-range", "7..9",
+                   "--out", str(out)])
+        assert rc == 2
+        assert "x_l / x_u <= 1/2" in capsys.readouterr().err
+        assert not out.exists()
 
 
 def test_mu_expression_outside_the_whitelist_is_rejected(tmp_path, capsys):

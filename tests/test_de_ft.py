@@ -151,8 +151,9 @@ def test_sources_stacked_rejects_nonfinite_mu_at_live_nodes():
     y_bad = plan.y[plan.live >= run_a.m][3]      # a node of run b
     mu = lambda y: np.where(y == y_bad, np.nan, 1.0)
     j = plan.live[np.flatnonzero(plan.y == y_bad)[0]] - run_a.m - run_a.m_minus
-    with pytest.raises(ValueError, match=f"non-finite value nan at j={j}, y="):
+    with pytest.raises(ValueError, match=f"non-finite value nan at j={j}, y=") as info:
         _sources_stacked(mu, plan)
+    assert float(str(info.value).partition(", y=")[2]) == y_bad   # a plain number
 
 
 def test_splice_plan_rules():

@@ -4,8 +4,10 @@ import math
 import numpy as np
 import pytest
 
+import oracles
 from levyfourier.euler_ft import EulerParams, inverse_ft, weight
 from levyfourier.numkit import ComplexSeries
+from levyfourier.solver import g_gamma, make_grid, nig_model, vg_model
 
 
 def test_from_theorem_couplings():
@@ -144,3 +146,38 @@ def test_inverse_ft_warns_on_positive_exponent():
     with pytest.warns(RuntimeWarning, match="positive real part"):
         out = inverse_ft(grown, 1.0, ep, h_hat)
     assert np.all(np.isfinite(out.values))
+
+
+@pytest.mark.parametrize("model", [vg_model(), nig_model()], ids=lambda m: m.name)
+def test_inverse_ft_matches_direct_complex_sum_on_solver_exponents(model):
+    # the full 2N-term sum, at up to 257 outputs (n = -N+1, 0, N among them)
+    rng = np.random.default_rng(59)
+    for i in range(8, 15):
+        ep = EulerParams.from_theorem(2 ** (i - model.i_offset), 2.0, 5.0, 1.0)
+        grid = make_grid(model, ep)
+        g = g_gamma(model, grid)
+        n = ep.n
+        ell = np.arange(-n + 1, n + 1)
+        outs = np.unique(np.concatenate(([-n + 1, 0, n], rng.integers(-n + 1, n, 254))))
+        for t in (0.5, 1.0, 2.5, 4.0):
+            got = inverse_ft(g, t, ep, grid.h_hat).values[outs + n - 1]
+            coeff = weight(np.abs(ell) * ep.h_tilde, ep) * np.exp(t * g.values)
+            direct = (ep.h_tilde / (2 * np.pi)) * oracles.frft_direct(
+                coeff, ep.h_tilde * grid.h_hat, outs)
+            err = np.max(np.abs(got - direct))
+            assert err <= 1e-14 * np.max(np.abs(direct)), (model.name, i, t, err)
+
+
+def test_inverse_ft_rejects_complex_or_uneven_exponent():
+    ep = EulerParams.from_theorem(32, 2.0, 5.0, 1.0)
+    h_hat = ep.x_u / ep.n
+    g = -np.log1p((np.arange(-31, 33) * ep.h_tilde) ** 2)
+    inverse_ft(ComplexSeries(-31, g, ep.h_tilde), 1.0, ep, h_hat)   # even: accepted
+    tilted = g + 0j
+    tilted[31 + 5] += 1e-3j
+    with pytest.raises(ValueError, match="not real at l = 5"):
+        inverse_ft(ComplexSeries(-31, tilted, ep.h_tilde), 1.0, ep, h_hat)
+    skewed = g.copy()
+    skewed[31 - 7] *= 1 + 1e-15                     # G(-7) off by one ulp
+    with pytest.raises(ValueError, match="not even.* at l = 7"):
+        inverse_ft(ComplexSeries(-31, skewed, ep.h_tilde), 1.0, ep, h_hat)

@@ -6,7 +6,7 @@ import pytest
 import scipy.special as sp
 
 import oracles
-from levyfourier.numkit import ComplexSeries, FrftPlan, erfc, fft_array, frft
+from levyfourier.numkit import ComplexSeries, FrftPlan, erfc, fft_array, frft, frft_even
 
 
 def test_complex_series_indexing():
@@ -136,3 +136,25 @@ def test_frft_plan_length_errors():
         FrftPlan(12, 0.3)
     with pytest.raises(ValueError):
         FrftPlan(0, 0.3)
+
+
+@pytest.mark.parametrize("n", [2 ** k for k in range(1, 13)])
+def test_frft_even_matches_direct(n):
+    # the direct sum at up to 129 outputs, always n = 0 and n = N, keeps N = 4096 cheap
+    rng = np.random.default_rng(41 + n)
+    c = rng.standard_normal(n + 1)
+    full = c[np.abs(np.arange(-n + 1, n + 1))]
+    outs = np.unique(np.concatenate(([0, n], rng.integers(1, n, 127))))
+    got = frft_even(c, 0.3)
+    assert got.shape == (n + 1,)
+    direct = oracles.frft_direct(full, 0.3, outs)
+    assert np.max(np.abs(got[outs] - direct)) <= 1e-13 * np.sum(np.abs(full))
+
+
+def test_frft_even_input_errors():
+    with pytest.raises(ValueError, match="real"):
+        frft_even(np.ones(9, dtype=complex), 0.3)
+    with pytest.raises(ValueError, match="power of two"):
+        frft_even(np.ones(8), 0.3)
+    with pytest.raises(ValueError, match="finite"):
+        frft_even(np.ones(9), float("inf"))

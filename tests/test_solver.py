@@ -152,6 +152,30 @@ def test_solve_vg_pin():
     assert np.max(res.abs_err[np.abs(res.x) >= 2.0]) <= 1e-9
 
 
+def test_solve_evaluates_the_reference_only_when_read():
+    calls = []
+
+    def counted(x, t):
+        calls.append(t)
+        return exact_vg(x, t)
+
+    model = custom_model("vg-counted", 1, vg_model().mu, exact_density=counted,
+                         exact_exponent=vg_model().exact_exponent)
+    grid, euler = setup_case(model, 9)
+    first, second = (solve(model, grid, 1.5, euler, use_exact_exponent=True)
+                     for _ in range(2))
+    assert calls == []
+    p_exact, abs_err = first.p_exact, second.abs_err       # one read each
+    eager = np.asarray(exact_vg(first.x, 1.5), dtype=float)
+    assert np.array_equal(p_exact, eager)
+    assert np.array_equal(first.abs_err, np.abs(first.p - eager))
+    assert np.array_equal(abs_err, np.abs(second.p - eager))
+    assert np.array_equal(second.p_exact, eager)
+    assert calls == [1.5, 1.5]                             # once per result
+    bare = solve(custom_model("bare", 1, vg_model().mu), grid, 1.5, euler)
+    assert bare.p_exact is None and bare.abs_err is None
+
+
 def test_solve_nig_pin():
     model = nig_model()
     grid, euler = setup_case(model, 11)
