@@ -12,7 +12,7 @@ transform inverts e^{t G} back to the density with a fractional FFT.
 
 from .de_ft import DeFtParams, node_plan, phi_parts, splice_plan
 from .euler_ft import EulerParams, inverse_ft, weight
-from .numkit import ComplexSeries, FrftPlan, erfc, fft_array, frft, frft_even
+from .numkit import ComplexSeries, frft_even
 from .nufft import (NufftParams, build_windows, extend_conjugate, gridding_plan,
                     nufft_params)
 from .sinc_gauss import (KernelTable, SincGaussConfig, indefinite_integral,
@@ -24,7 +24,7 @@ from .solver import (GridSpec, LevyModel, SolveResult, clear_exponent_cache,
 __version__ = "0.1.0"
 
 __all__ = [
-    "ComplexSeries", "FrftPlan", "erfc", "fft_array", "frft", "frft_even",
+    "ComplexSeries", "frft_even",
     "DeFtParams", "node_plan", "phi_parts", "splice_plan",
     "NufftParams", "build_windows", "extend_conjugate", "gridding_plan",
     "nufft_params",

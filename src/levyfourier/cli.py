@@ -20,7 +20,7 @@ from scipy.integrate import quad
 
 from .de_ft import _sources_stacked, node_plan, splice_plan
 from .euler_ft import EulerParams, inverse_ft, weight
-from .numkit import ComplexSeries, frft
+from .numkit import ComplexSeries, frft_even
 from .nufft import _forward_stacked
 from .sinc_gauss import kernel_table
 from .solver import (KERNEL_ECHO, _spliced_transform, _step1_plan, clear_exponent_cache,
@@ -62,6 +62,9 @@ class RunConfig:
                 raise ValueError("custom model needs --gamma 1 or 2")
             if not self.mu_expr:
                 raise ValueError("custom model needs --mu EXPR (a function of y)")
+        elif self.gamma is not None or self.mu_expr is not None:
+            raise ValueError(f"--gamma and --mu apply only to --model custom, "
+                             f"not to the built-in model {self.model!r}")
         if not self.t_values:
             raise ValueError("need at least one time value")
         if not all(math.isfinite(t) and t > 0 for t in self.t_values):
@@ -266,7 +269,7 @@ def cmd_converge(config: RunConfig) -> int:
             in_window = np.abs(res.x) >= config.x_l
             full_err[t].append(float(np.max(res.abs_err)))
             window_err[t].append(float(np.max(res.abs_err[in_window])))
-        entry = solve_params(model, config, i)
+        entry = params_echo(model, grid, euler)
         entry["i"] = i
         runs.append(entry)
     outdir = Path(config.out)
@@ -298,11 +301,6 @@ def cmd_converge(config: RunConfig) -> int:
                     {"command": "converge", "config": _config_echo(config),
                      "slopes": slopes, "runs": runs})
     return 0
-
-
-def solve_params(model, config: RunConfig, i: int) -> dict:
-    grid, euler = _grid_pair(model, config, i)
-    return params_echo(model, grid, euler)
 
 
 def cmd_bench(config: RunConfig) -> int:
@@ -345,11 +343,12 @@ def cmd_bench(config: RunConfig) -> int:
 def _check_frft():
     rng = np.random.default_rng(7)
     n = 32
-    vals = rng.standard_normal(2 * n) + 1j * rng.standard_normal(2 * n)
-    got = frft(ComplexSeries(-n + 1, vals), 0.3)
+    c = rng.standard_normal(n + 1)
+    got = frft_even(c, 0.3)
     idx = np.arange(-n + 1, n + 1)
-    direct = np.array([np.sum(vals * np.exp(1j * 0.3 * idx * k)) for k in idx])
-    return float(np.max(np.abs(got.values - direct))), 1e-10
+    direct = np.array([np.sum(c[np.abs(idx)] * np.exp(1j * 0.3 * idx * k))
+                       for k in range(n + 1)])
+    return float(np.max(np.abs(got - direct))), 1e-10
 
 
 def _check_euler_even():
@@ -361,7 +360,7 @@ def _check_euler_even():
     coeff = weight(np.abs(ell) * euler.h_tilde, euler) * np.exp(g)
     direct = np.array([np.sum(coeff * np.exp(1j * euler.h_tilde * h_hat * ell * k))
                        for k in ell]) * (euler.h_tilde / (2 * np.pi))
-    return float(np.max(np.abs(got.values - direct))), 1e-10
+    return float(np.max(np.abs(got - direct.real))), 1e-10
 
 
 def _check_nufft():

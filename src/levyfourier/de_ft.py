@@ -171,16 +171,23 @@ def node_plan(runs, shift: float = 0.0) -> NodePlan:
 def _sources_stacked(mu, plan: NodePlan) -> np.ndarray:
     """Weights mu(y_j) * factor_j at the plan's live nodes, from one call of mu.
 
-    Raises on non-finite mu values, naming the offending j and y_j.
+    Raises on complex or non-finite mu values, naming the first offending j
+    and y_j.
     """
-    mu_vals = np.asarray(mu(plan.y), dtype=float)
+    def node(i):
+        j = plan.live[i] % plan.points.shape[1] - plan.m_minus
+        return f"j={j}, y={float(plan.y[i])}"
+
+    mu_vals = np.asarray(mu(plan.y))
+    if np.iscomplexobj(mu_vals):
+        bad = np.flatnonzero(mu_vals.imag)
+        where = (f": {mu_vals[bad[0]]} at {node(bad[0])}" if bad.size
+                 else " (it returned a complex array)")
+        raise ValueError(f"mu must return real values{where}")
+    mu_vals = mu_vals.astype(float, copy=False)
     bad = np.flatnonzero(~np.isfinite(mu_vals))
     if bad.size:
-        i = bad[0]
-        j = plan.live[i] % plan.points.shape[1] - plan.m_minus
-        raise ValueError(
-            f"mu returned non-finite value {mu_vals[i]} at j={j}, y={float(plan.y[i])}"
-        )
+        raise ValueError(f"mu returned non-finite value {mu_vals[bad[0]]} at {node(bad[0])}")
     return mu_vals * plan.factor
 
 

@@ -6,8 +6,8 @@ complementary-error-function weight w_{p,q}(|w|) turns the truncated trapezoid
 sum into one with error O(e^{-c sqrt(N)}) uniformly over the target window.
 The sum over l = -N+1..N at all outputs x = n h^ is a fractional FFT with
 delta = h~ h^.  The exponent of a symmetric process is real and even, so the
-sum runs as a real-even transform over l = 0..N and the outputs at n < 0 are
-the conjugates of those at -n."""
+sum runs as a real-even transform over l = 0..N, the density is its real
+part, and p(-x) = p(x) gives the outputs at n < 0."""
 from __future__ import annotations
 
 import math
@@ -16,8 +16,9 @@ from dataclasses import dataclass
 from functools import lru_cache
 
 import numpy as np
+from scipy.special import erfc
 
-from .numkit import ComplexSeries, erfc, frft_even
+from .numkit import ComplexSeries, frft_even
 
 
 @dataclass(frozen=True)
@@ -86,8 +87,9 @@ def _half_weights(params: EulerParams) -> np.ndarray:
 
 
 def inverse_ft(exponent: ComplexSeries, t: float, params: EulerParams,
-               h_hat: float) -> ComplexSeries:
-    """Density values p(n h^, t), n = -N+1..N, from exponent samples G(l h~).
+               h_hat: float) -> np.ndarray:
+    """Density values p(n h^, t), n = -N+1..N, as a real array, from exponent
+    samples G(l h~).
 
     exponent must cover l = -N+1..N at spacing params.h_tilde and be real and
     even (G(-l) = G(l) exactly), and h^ N = x_u so the grid reaches the right
@@ -122,8 +124,5 @@ def inverse_ft(exponent: ComplexSeries, t: float, params: EulerParams,
     if peak > 1 + 1e-6:
         warnings.warn(f"|exp(t G)| reaches {peak}; exponent has positive real "
                       "part, result is unreliable", RuntimeWarning, stacklevel=2)
-    half = frft_even(_half_weights(params) * amp, params.h_tilde * h_hat)
-    vals = np.empty(2 * n, dtype=complex)
-    vals[n - 1:] = half
-    vals[:n - 1] = np.conj(half[n - 1:0:-1])
-    return ComplexSeries(-n + 1, vals, h_hat)
+    half = frft_even(_half_weights(params) * amp, params.h_tilde * h_hat).real
+    return np.concatenate((half[n - 1:0:-1], half))

@@ -14,7 +14,7 @@ from functools import cached_property
 import numpy as np
 from scipy.special import erf
 
-from .numkit import ComplexSeries, FrftPlan, fft_array
+from .numkit import ComplexSeries
 
 
 @dataclass(frozen=True)
@@ -67,7 +67,7 @@ class KernelTable:
         ker = np.zeros(4 * n, dtype=complex)
         k_idx = np.arange(-n + 1, n + 1)
         ker[k_idx % (4 * n)] = self.signed(k_idx)
-        spectrum = fft_array(ker)
+        spectrum = np.fft.fft(ker)
         spectrum.flags.writeable = False
         return spectrum
 
@@ -79,12 +79,14 @@ def kernel_table(r: float, n_prime: int, m_table: int | None = None) -> KernelTa
     transform of sinc*Gauss; the midpoint rule with step h' = 2pi/m_table on
     the inversion integral gives the first differences
 
-      G_r(k+1) - G_r(k) ~ (h'/2pi) sum_{l'=-M+1}^{M} F_SG(l'h') sinc(l'h'/2pi)
-                           e^{i l'h'/2} e^{i k l' h'},
+      G_r(k+1) - G_r(k) ~ (h'/2pi) sum_{l=-M+1}^{M} c_|l| cos(l h' (k + 1/2)),
+      c_l = F_SG(l h') sinc(l h'/2pi),
 
-    evaluated for all k at once by a fractional FFT with delta = h', then
-    prefix-summed from G_r(0) = 0.  m_table defaults to max(4*n_prime, 2^10)
-    and must satisfy floor(m_table/2) >= n_prime.
+    with M = m_table.  Since h'(k + 1/2) = 2pi (2k+1) / 2M, this is a length-2M
+    DFT of the real even sequence c, read at its odd bins: one inverse real
+    FFT gives all k at once, prefix-summed from G_r(0) = 0 in extended
+    precision.  m_table defaults to max(4*n_prime, 2^10) and must satisfy
+    floor(m_table/2) >= n_prime.
     """
     if m_table is None:
         m_table = max(4 * n_prime, 1024)
@@ -92,15 +94,13 @@ def kernel_table(r: float, n_prime: int, m_table: int | None = None) -> KernelTa
         raise ValueError(f"m_table = {m_table} must be a power of two")
     if m_table // 2 < n_prime:
         raise ValueError(f"m_table = {m_table} too small for n_prime = {n_prime}")
-    hp = 2 * np.pi / m_table
-    w = np.arange(-m_table + 1, m_table + 1) * hp
+    w = np.arange(m_table + 1) * (2 * np.pi / m_table)
     f_sg = 0.5 * (erf(r * (w + np.pi) / np.sqrt(2)) - erf(r * (w - np.pi) / np.sqrt(2)))
-    coeff = f_sg * np.sinc(w / (2 * np.pi)) * np.exp(1j * w / 2)
-    plan = FrftPlan(2 * m_table, hp)
-    spectrum = plan.apply(coeff)            # index n = -m_table+1..m_table
-    base = m_table - 1                      # position of n = 0
-    diffs = (hp / (2 * np.pi)) * spectrum[base : base + n_prime].real
-    g = np.concatenate(([0.0], np.cumsum(diffs)))
+    c = f_sg * np.sinc(w / (2 * np.pi))
+    # the sum is 2M irfft(c) at bin 2k+1, and h'/2pi = 1/M
+    diffs = 2 * np.fft.irfft(c, 2 * m_table)[1:2 * n_prime:2]
+    # a float64 prefix sum of N' terms near 1/2 drifts by several ulps
+    g = np.concatenate(([0.0], np.cumsum(diffs, dtype=np.longdouble)))
     return KernelTable(g, r)
 
 
@@ -137,7 +137,7 @@ def indefinite_integral(samples: ComplexSeries, cfg: SincGaussConfig,
 
     u = np.zeros(big, dtype=complex)
     u[np.arange(-n, 2 * n) % big] = f
-    conv = fft_array(fft_array(u) * table.circulant_spectrum, "inverse")
+    conv = np.fft.ifft(np.fft.fft(u) * table.circulant_spectrum)
     k_idx = np.arange(-n + 1, n + 1)
     ell = np.arange(1, n + 1)
     s1 = h * conv[ell]

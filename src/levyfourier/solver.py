@@ -321,17 +321,17 @@ def solve(model: LevyModel, grid: GridSpec, t: float, euler: EulerParams,
         cached = _exponent_cached.cache_info().hits > hits_before
     t3 = time.perf_counter()
     try:
-        dens = inverse_ft(gser, t, euler, grid.h_hat)
+        p = inverse_ft(gser, t, euler, grid.h_hat)
     except ValueError as exc:
         raise ValueError(f"[step 3] {exc}") from exc
     s3 = time.perf_counter() - t3
     total = time.perf_counter() - total0
-    p = dens.values.real.copy()
     if not np.all(np.isfinite(p)):
         raise ValueError("density output contains non-finite values")
     timings = {"step1": s1, "step2": s2, "step3": s3, "total": total,
                "exponent_cached": cached, "plan_cached": plan_cached}
-    return SolveResult(dens.grid(), p, timings,
+    x = np.arange(-grid.n + 1, grid.n + 1) * grid.h_hat
+    return SolveResult(x, p, timings,
                        params_echo(model, grid, euler, t=t,
                                    use_exact_exponent=use_exact_exponent),
                        model.exact_density)

@@ -4,8 +4,9 @@ Everything here is written from the defining formulas with plain loops or
 adaptive quadrature, sharing no code path with the package: direct O(n^2)
 transform sums, brute-force gridding windows, adaptive quadrature of the
 gridding kernel's transform, the sinc-Gauss interpolant from its defining sum,
-per-interval quadrature of the kernel integral, and nested quadrature of the
-integral forms behind the closed-form characteristic exponents.
+per-interval quadrature of the kernel integral and its midpoint rule as a
+direct cosine sum, and nested quadrature of the integral forms behind the
+closed-form characteristic exponents.
 """
 import math
 
@@ -121,6 +122,32 @@ def kernel_quad(r, n_prime):
         piece, _ = integrate.quad(f, k, k + 1, epsabs=1e-13, epsrel=1e-13, limit=200)
         g[k + 1] = g[k] + piece
     return g
+
+
+def kernel_midpoint_direct(r, n_prime, m_table):
+    """G_r(k), k = 0..n_prime, from the midpoint rule of step h' = 2pi/m_table
+    on the inversion integral, as the direct cosine sum
+
+      G_r(k+1) - G_r(k) = (h'/2pi) sum_{l=-M+1}^{M} F_SG(l h') sinc(l h'/2pi)
+                          cos(l h' (k + 1/2)),   M = m_table,
+
+    F_SG(w) = (erf(r(w+pi)/sqrt 2) - erf(r(w-pi)/sqrt 2)) / 2, accumulated
+    from G_r(0) = 0.  The angle l h'(k + 1/2) = pi l (2k+1) / M is reduced
+    mod 2pi in integers; the cosines and sums run in extended precision, since
+    float64 pi alone biases every difference by ~5e-17 and the prefix sum by
+    ~n_prime times that."""
+    m = m_table
+    ell = np.arange(-m + 1, m + 1)
+    hp = 2 * math.pi / m
+    f_sg = np.array([0.5 * (math.erf(r * (l * hp + math.pi) / math.sqrt(2))
+                            - math.erf(r * (l * hp - math.pi) / math.sqrt(2)))
+                     for l in ell])
+    coeff = (f_sg * np.sinc(ell * hp / (2 * math.pi))).astype(np.longdouble)
+    g = np.zeros(n_prime + 1, dtype=np.longdouble)
+    for k in range(n_prime):
+        turns = ((ell * (2 * k + 1)) % (2 * m)).astype(np.longdouble)
+        g[k + 1] = g[k] + np.sum(coeff * np.cos(_TWO_PI_LD / 2 * turns / m)) / m
+    return g.astype(np.float64)
 
 
 def indefinite_direct(f, g, h_tilde):

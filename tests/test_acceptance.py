@@ -10,7 +10,7 @@ import pytest
 import oracles
 from levyfourier.de_ft import _sources_stacked, node_plan, splice_plan
 from levyfourier.euler_ft import EulerParams
-from levyfourier.numkit import ComplexSeries, frft
+from levyfourier.numkit import ComplexSeries, frft_even
 from levyfourier.nufft import _forward_stacked
 from levyfourier.sinc_gauss import SincGaussConfig, indefinite_integral, kernel_table
 from levyfourier.solver import (_spliced_transform, _step1_plan, clear_exponent_cache,
@@ -48,13 +48,14 @@ def test_criterion_01_nufft_matches_direct_sum_within_1e8_and_50ms():
 
 
 def test_criterion_02_frft_matches_direct_sum_within_1e10():
-    n = 2**9                                   # series length 2N = 2^10
+    n = 2**9                                   # sum over 2N = 2^10 terms
     rng = np.random.default_rng(12)
-    series = ComplexSeries(-n + 1, np.exp(1j * rng.uniform(0.0, 2 * np.pi, 2 * n)))
+    c = rng.standard_normal(n + 1)             # real c_0..c_N
+    full = c[np.abs(np.arange(-n + 1, n + 1))]  # the even extension c_|l|
     for delta in (0.05, 0.3, 2.0 * np.pi / (2 * n)):
-        got = frft(series, delta)
-        direct = oracles.frft_direct(series.values, delta)
-        assert np.max(np.abs(got.values - direct)) <= 1e-10
+        got = frft_even(c, delta)
+        direct = oracles.frft_direct(full, delta, np.arange(n + 1))
+        assert np.max(np.abs(got - direct)) <= 1e-10
 
 
 def test_criterion_03_spliced_transform_matches_closed_form_at_every_k():

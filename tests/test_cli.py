@@ -33,6 +33,10 @@ def test_runconfig_validation():
         RunConfig(model="custom", mu_expr="np.exp(-y)")
     with pytest.raises(ValueError, match="needs --mu"):
         RunConfig(model="custom", gamma=1)
+    with pytest.raises(ValueError, match="only to --model custom.*'vg'"):
+        RunConfig(gamma=2)
+    with pytest.raises(ValueError, match="only to --model custom.*'nig'"):
+        RunConfig(model="nig", mu_expr="np.exp(-y)")
     with pytest.raises(ValueError, match="at least one time"):
         RunConfig(t_values=())
     with pytest.raises(ValueError, match="positive and finite"):
@@ -238,6 +242,17 @@ def test_failed_solve_creates_no_output_directory(tmp_path, capsys):
                "--i-range", "7", "--out", str(out)])
     assert rc == 2
     assert "error: [step 1] mu returned non-finite value inf" in capsys.readouterr().err
+    assert not out.exists()
+    rc = main(["solve", "--model", "custom", "--gamma", "1", "--mu", "1j*np.exp(-y)",
+               "--i-range", "7", "--out", str(out)])
+    assert rc == 2
+    assert "error: [step 1] mu must return real values: 1j at j=" in capsys.readouterr().err
+    assert not out.exists()
+    # --gamma / --mu would otherwise be dropped silently for a built-in model
+    rc = main(["solve", "--gamma", "2", "--mu", "np.exp(-3*y)", "--i-range", "7",
+               "--out", str(out)])
+    assert rc == 2
+    assert "--gamma and --mu apply only to --model custom" in capsys.readouterr().err
     assert not out.exists()
     for command in ("solve", "converge", "bench"):   # x_l / x_u above 1/2
         rc = main([command, "--xl", "3", "--xu", "5", "--i-range", "7..9",

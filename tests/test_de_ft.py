@@ -1,5 +1,6 @@
 """Double-exponential Fourier-transform sources and the two-run splice plan."""
 import math
+import warnings
 
 import numpy as np
 import pytest
@@ -154,6 +155,25 @@ def test_sources_stacked_rejects_nonfinite_mu_at_live_nodes():
     with pytest.raises(ValueError, match=f"non-finite value nan at j={j}, y=") as info:
         _sources_stacked(mu, plan)
     assert float(str(info.value).partition(", y=")[2]) == y_bad   # a plain number
+
+
+def test_sources_stacked_rejects_complex_mu():
+    (run_a, _), (run_b, _) = splice_plan(256, 0.05)
+    plan = node_plan((run_a, run_b))
+    y_bad = plan.y[plan.live >= run_a.m][5]      # a node of run b
+    j = plan.live[np.flatnonzero(plan.y == y_bad)[0]] - run_a.m - run_a.m_minus
+    mu = lambda y: np.exp(-y) + np.where(y == y_bad, 2j, 0j)
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")           # no ComplexWarning, no truncation
+        with pytest.raises(ValueError, match=rf"real values: \(1\+2j\) at j={j}, y=") as info:
+            _sources_stacked(mu, plan)
+        assert float(str(info.value).partition(", y=")[2]) == y_bad
+        j0 = plan.live[0] - run_a.m_minus
+        with pytest.raises(ValueError, match=f"real values: .* at j={j0}, y="):
+            _sources_stacked(lambda y: 1j * np.exp(-y), plan)
+        # a complex array is refused even where every imaginary part is zero
+        with pytest.raises(ValueError, match="real values .*complex array"):
+            _sources_stacked(lambda y: np.exp(-y) + 0j, plan)
 
 
 def test_splice_plan_rules():

@@ -57,6 +57,15 @@ def test_kernel_table_matches_quadrature():
         assert np.max(np.abs(tab.g - ref)) <= 1e-9
 
 
+def test_kernel_table_matches_its_midpoint_sum():
+    # the real-FFT evaluation against the same midpoint rule summed directly
+    for n_prime, m_table in ((32, None), (64, None), (512, None), (64, 128)):
+        r = math.sqrt(n_prime / math.pi)
+        tab = kernel_table(r, n_prime, m_table=m_table)
+        ref = oracles.kernel_midpoint_direct(r, n_prime, m_table or max(4 * n_prime, 1024))
+        assert np.max(np.abs(tab.g - ref)) <= 1e-15, (n_prime, m_table)
+
+
 def test_kernel_table_huge_r_gives_sine_integral():
     # r -> inf turns G_r(1) into int_0^1 sinc = Si(pi)/pi.  The near-box
     # frequency window converges at second order in the table mesh, so the
