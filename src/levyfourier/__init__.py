@@ -12,27 +12,23 @@ transform inverts e^{t G} back to the density with a fractional FFT.
 
 from .de_ft import DeFtParams, node_plan, phi_parts, splice_plan
 from .euler_ft import EulerParams, inverse_ft, weight
-from .numkit import ComplexSeries, frft_even
-from .nufft import (NufftParams, build_windows, extend_conjugate, gridding_plan,
-                    nufft_params)
-from .sinc_gauss import (KernelTable, SincGaussConfig, indefinite_integral,
-                         kernel_table, negative_extension)
+from .numkit import frft_even
+from .nufft import NufftParams, build_windows, gridding_plan, nufft_params
+from .sinc_gauss import KernelTable, indefinite_integral, kernel_table
 from .solver import (GridSpec, LevyModel, SolveResult, clear_exponent_cache,
-                     custom_model, exact_nig, exact_vg, g_gamma, gamma_fn,
-                     make_grid, nig_model, solve, vg_model)
+                     custom_model, exact_nig, exact_vg, g_gamma, make_grid, nig_model,
+                     solve, vg_model)
 
 __version__ = "0.1.0"
 
 __all__ = [
-    "ComplexSeries", "frft_even",
+    "frft_even",
     "DeFtParams", "node_plan", "phi_parts", "splice_plan",
-    "NufftParams", "build_windows", "extend_conjugate", "gridding_plan",
-    "nufft_params",
-    "KernelTable", "SincGaussConfig", "indefinite_integral", "kernel_table",
-    "negative_extension",
+    "NufftParams", "build_windows", "gridding_plan", "nufft_params",
+    "KernelTable", "indefinite_integral", "kernel_table",
     "EulerParams", "inverse_ft", "weight",
     "GridSpec", "LevyModel", "SolveResult", "clear_exponent_cache",
-    "custom_model", "exact_nig", "exact_vg", "g_gamma", "gamma_fn", "make_grid",
+    "custom_model", "exact_nig", "exact_vg", "g_gamma", "make_grid",
     "nig_model", "solve", "vg_model",
     "__version__",
 ]

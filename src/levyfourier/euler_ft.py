@@ -5,9 +5,9 @@ The integrand e^{t G(w)} e^{ixw} decays slowly in w; multiplying by the
 complementary-error-function weight w_{p,q}(|w|) turns the truncated trapezoid
 sum into one with error O(e^{-c sqrt(N)}) uniformly over the target window.
 The sum over l = -N+1..N at all outputs x = n h^ is a fractional FFT with
-delta = h~ h^.  The exponent of a symmetric process is real and even, so the
-sum runs as a real-even transform over l = 0..N, the density is its real
-part, and p(-x) = p(x) gives the outputs at n < 0."""
+delta = h~ h^.  The exponent of a symmetric process is real and even, so it
+is passed at l = 0..N only, the sum runs as a real-even transform over those
+l, the density is its real part, and p(-x) = p(x) gives the outputs at n < 0."""
 from __future__ import annotations
 
 import math
@@ -18,7 +18,7 @@ from functools import lru_cache
 import numpy as np
 from scipy.special import erfc
 
-from .numkit import ComplexSeries, frft_even
+from .numkit import frft_even
 
 
 @dataclass(frozen=True)
@@ -86,40 +86,33 @@ def _half_weights(params: EulerParams) -> np.ndarray:
     return out
 
 
-def inverse_ft(exponent: ComplexSeries, t: float, params: EulerParams,
-               h_hat: float) -> np.ndarray:
-    """Density values p(n h^, t), n = -N+1..N, as a real array, from exponent
-    samples G(l h~).
+def inverse_ft(g, t: float, params: EulerParams, h_hat: float) -> np.ndarray:
+    """Density values p(n h^, t), n = -N+1..N, as a real array, from the real
+    exponent samples G(l h~), l = 0..N, with G(-l) = G(l) standing for the
+    rest.
 
-    exponent must cover l = -N+1..N at spacing params.h_tilde and be real and
-    even (G(-l) = G(l) exactly), and h^ N = x_u so the grid reaches the right
-    edge of the guaranteed window.  Outputs with |n h^| < x_l carry no
-    accuracy guarantee.
+    h^ N = x_u must hold, so the grid reaches the right edge of the
+    guaranteed window.  Outputs with |n h^| < x_l carry no accuracy
+    guarantee.
     """
     n = params.n
-    if len(exponent) != 2 * n or exponent.offset != -n + 1:
-        raise ValueError(f"exponent must cover l = {-n + 1}..{n}; got "
-                         f"{len(exponent)} values at offset {exponent.offset}")
-    if not math.isclose(exponent.spacing, params.h_tilde, rel_tol=1e-12):
-        raise ValueError(f"exponent spacing {exponent.spacing} != h~ = {params.h_tilde}")
+    g = np.asarray(g)
+    if g.shape != (n + 1,):
+        raise ValueError(f"exponent must cover l = 0..{n}; got shape {g.shape}")
     if not math.isclose(h_hat * n, params.x_u, rel_tol=1e-12):
         raise ValueError(f"h_hat * N = {h_hat * n} must equal x_u = {params.x_u}")
     if not (math.isfinite(t) and t >= 0):
         raise ValueError("t must be a finite non-negative number")
-    g = exponent.values
-    complex_at = np.flatnonzero(g.imag)
-    if complex_at.size:
-        raise ValueError(f"exponent not real at l = {complex_at[0] - n + 1}")
-    g = g.real
+    if np.iscomplexobj(g):
+        complex_at = np.flatnonzero(g.imag)
+        if complex_at.size:
+            raise ValueError(f"exponent not real at l = {complex_at[0]}")
+        g = g.real
     with np.errstate(over="ignore"):   # overflow is rejected explicitly below
-        amp = np.exp(t * g[n - 1:])    # l = 0..N
-    if not np.all(np.isfinite(amp)):
-        # the first such l of -N+1..N, counting l = 1..N-1 also at -l
-        bad = min(-l if 0 < l < n else l for l in np.flatnonzero(~np.isfinite(amp)))
-        raise ValueError(f"exp(t G) not finite at l = {int(bad)}")
-    odd_at = np.flatnonzero(g[n - 2::-1] != g[n:2 * n - 1])
-    if odd_at.size:
-        raise ValueError(f"exponent not even: G(-l) != G(l) at l = {odd_at[0] + 1}")
+        amp = np.exp(t * g)
+    bad = np.flatnonzero(~np.isfinite(amp))
+    if bad.size:
+        raise ValueError(f"exp(t G) not finite at l = {bad[0]}")
     peak = amp.max()
     if peak > 1 + 1e-6:
         warnings.warn(f"|exp(t G)| reaches {peak}; exponent has positive real "

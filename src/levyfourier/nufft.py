@@ -27,9 +27,6 @@ from functools import lru_cache
 import numpy as np
 from scipy import sparse
 
-from .numkit import ComplexSeries
-
-
 # ES shape parameter per unit width, chosen for an upsampling factor of 2
 BETA_PER_WIDTH = 2.30
 DEFAULT_WIDTH = 15
@@ -41,12 +38,11 @@ ES_QUADRATURE_NODES = 128
 @dataclass(frozen=True)
 class NufftParams:
     """Gridding constants: ES kernel width w (in grid nodes) with shape
-    beta = 2.30 w and half-width w/2, grid scale a = 2pi/M, node spacing
-    h_check, and the outer node range l = -l_minus..l_plus (exactly M nodes)."""
+    beta = 2.30 w and half-width w/2, grid scale a = 2pi/M, and the outer
+    node range l = -l_minus..l_plus (exactly M nodes at the integers l)."""
 
     width: int
     a: float
-    h_check: float
     l_minus: int
     l_plus: int
 
@@ -63,16 +59,15 @@ def nufft_params(m: int, points: np.ndarray, h_tilde: float,
                  width: int = DEFAULT_WIDTH) -> NufftParams:
     """Resolve the gridding constants for M sources at the given points.
 
-    l_minus = ceil(w/2) - floor(min_j c_j / h_check) with c_j = h_tilde*y_j/a,
+    l_minus = ceil(w/2) - floor(min_j c_j) with c_j = h_tilde*y_j/a,
     so the kernel of the leftmost source lies on the grid, and
     l_plus = -l_minus + M - 1, so the outer grid has exactly M nodes.
     Every plan uses DEFAULT_WIDTH; other widths are for comparisons.
     """
     a = 2 * math.pi / m
-    h_check = 1.0
     c_min = h_tilde * float(np.min(points)) / a
-    l_minus = math.ceil(width / 2) - math.floor(c_min / h_check)
-    return NufftParams(width, a, h_check, l_minus, -l_minus + m - 1)
+    l_minus = math.ceil(width / 2) - math.floor(c_min)
+    return NufftParams(width, a, l_minus, -l_minus + m - 1)
 
 
 def build_windows(points: np.ndarray, params: NufftParams, h_tilde: float):
@@ -80,7 +75,7 @@ def build_windows(points: np.ndarray, params: NufftParams, h_tilde: float):
     feeds node l = -l_minus + p.
 
     The window of node l holds exactly the sources inside the kernel's
-    support, l h_check - w/2 <= c_j <= l h_check + w/2 with c_j = h_tilde*y_j/a,
+    support, l - w/2 <= c_j <= l + w/2 with c_j = h_tilde*y_j/a,
     so each bound is one rank query into the sorted c, evaluated for every l
     at once; empty windows have j_max = j_min - 1.  Tied points are allowed:
     large DE grids put several nodes at y = 0.
@@ -89,7 +84,7 @@ def build_windows(points: np.ndarray, params: NufftParams, h_tilde: float):
     if np.any(np.diff(points) < 0):
         raise ValueError("points must be nondecreasing")
     c = h_tilde * points / params.a
-    nodes = np.arange(-params.l_minus, params.l_plus + 1) * params.h_check
+    nodes = np.arange(-params.l_minus, params.l_plus + 1)
     j_lo = -(len(points) // 2)
     j_min = j_lo + np.searchsorted(c, nodes - params.half_width, side="left")
     j_max = j_lo + np.searchsorted(c, nodes + params.half_width, side="right") - 1
@@ -172,10 +167,10 @@ class GriddingPlan:
     matrix is the block-diagonal gridding pattern: row r*M + p is node
     l = l_lo(r) + p of run r, with l_lo(r) = -l_minus of that run; column i
     is the i-th live source (see gridding_plan), and the entry is the ES
-    kernel phi(l h_check - c_j) for each pair of build_windows, which are the
-    pairs inside the kernel's support |l h_check - c_j| <= w/2 (the kernel is
-    exactly 0 outside it).
-    post (runs, n_gamma + 1) holds the deconvolution h_check / phi_hat(a k')
+    kernel phi(l - c_j) for each pair of build_windows, which are the pairs
+    inside the kernel's support |l - c_j| <= w/2 (the kernel is exactly 0
+    outside it).
+    post (runs, n_gamma + 1) holds the deconvolution 1 / phi_hat(a k')
     and the node-offset phase exp(-2 pi i k' l_lo / M); gather = k' mod M
     reads the FFT bins.
     """
@@ -189,8 +184,7 @@ def gridding_plan(points: np.ndarray, params_rows, h_tilde: float, n_gamma: int,
                   live: np.ndarray) -> GriddingPlan:
     """Gridding plan for runs of M sources each at the rows of points.
 
-    params_rows holds one NufftParams per run; they must share
-    (width, a, h_check).  live lists, in increasing order, the flat indices
+    params_rows holds one NufftParams per run; they must share (width, a).  live lists, in increasing order, the flat indices
     into points of the sources that can carry weight; the plan's columns are
     those sources, and the pairs of every other source are dropped.
     """
@@ -201,8 +195,8 @@ def gridding_plan(points: np.ndarray, params_rows, h_tilde: float, n_gamma: int,
     if m & (m - 1):
         raise ValueError(f"M = {m} must be a power of two")
     par = params_rows[0]
-    if len({(p.width, p.a, p.h_check) for p in params_rows}) != 1:
-        raise ValueError("stacked runs must share width, a and h_check")
+    if len({(p.width, p.a) for p in params_rows}) != 1:
+        raise ValueError("stacked runs must share width and a")
     live = np.asarray(live)
     # window l of run r is the flat source range [lo, hi); its live sources
     # are the plan columns start..stop-1 since live is sorted
@@ -211,7 +205,7 @@ def gridding_plan(points: np.ndarray, params_rows, h_tilde: float, n_gamma: int,
         j_min, j_max = build_windows(row, p, h_tilde)
         lo.append(j_min + r * m + m // 2)
         hi.append(j_max + 1 + r * m + m // 2)
-        nodes.append(np.arange(-p.l_minus, -p.l_minus + m) * par.h_check)
+        nodes.append(np.arange(-p.l_minus, -p.l_minus + m))
     start = np.searchsorted(live, np.concatenate(lo))
     counts = np.maximum(np.searchsorted(live, np.concatenate(hi)) - start, 0)
     indptr = np.concatenate(([0], np.cumsum(counts)))
@@ -219,7 +213,7 @@ def gridding_plan(points: np.ndarray, params_rows, h_tilde: float, n_gamma: int,
             - np.repeat((indptr[:-1] - start).astype(np.int32), counts))
     c = h_tilde * points.ravel()[live] / par.a
     # (2z/w)^2 <= 1 for every window pair: the window bounds l -+ w/2 are
-    # exact (integer l, h_check = 1) and rounding is monotone
+    # exact (integer l) and rounding is monotone
     u2 = ((np.repeat(np.concatenate(nodes), counts) - c[cols]) / par.half_width) ** 2
     kernel = np.exp(par.beta * (np.sqrt(1 - u2) - 1))
     matrix = sparse.csr_array((kernel, cols, indptr.astype(np.int32)),
@@ -228,7 +222,7 @@ def gridding_plan(points: np.ndarray, params_rows, h_tilde: float, n_gamma: int,
     kp = np.arange(0, n_gamma + 1) - n_gamma // 2
     phi_hat = _es_transform(par.width, par.a, np.max(np.abs(kp)) + 1)
     l_lo = np.array([[-p.l_minus] for p in params_rows])
-    post = (par.h_check / phi_hat[np.abs(kp)]) * np.exp(-2j * np.pi * kp * l_lo / m)
+    post = (1 / phi_hat[np.abs(kp)]) * np.exp(-2j * np.pi * kp * l_lo / m)
     gather = kp % m
     for arr in (matrix.data, matrix.indices, matrix.indptr, post, gather):
         arr.flags.writeable = False
@@ -253,14 +247,3 @@ def _forward_stacked(weights: np.ndarray, plan: GriddingPlan) -> np.ndarray:
     spectrum = np.fft.fft(grids.reshape(len(plan.post), -1), axis=-1)
     return plan.post * spectrum[:, plan.gather]
 
-
-def extend_conjugate(series: ComplexSeries) -> ComplexSeries:
-    """Mirror a k >= 0 series to k = -N_gamma+1..N_gamma via out_{-k} = conj(out_k).
-
-    The k = 0 entry is passed through unchanged.
-    """
-    if series.offset != 0:
-        raise ValueError(f"input must start at k = 0, got offset {series.offset}")
-    v = series.values
-    full = np.concatenate((np.conj(v[-2:0:-1]), v))
-    return ComplexSeries(len(v) - len(full), full, series.spacing)

@@ -1,65 +1,9 @@
-"""Foundation layer: indexed complex series and the real-even fractional FFT
-of Step 3."""
+"""Foundation layer: the real-even fractional FFT of Step 3."""
 from __future__ import annotations
 
-from dataclasses import dataclass
 from functools import lru_cache
 
 import numpy as np
-
-
-@dataclass(frozen=True, eq=False)
-class ComplexSeries:
-    """Complex values on an equispaced logical grid.
-
-    Element i carries logical index ``offset + i``; the indices refer to a
-    grid of step ``spacing``.  This is the currency passed between pipeline
-    stages.  Values are stored read-only.
-    """
-
-    offset: int
-    values: np.ndarray
-    spacing: float = 1.0
-
-    def __post_init__(self):
-        vals = np.ascontiguousarray(self.values, dtype=complex)
-        if vals.ndim != 1 or vals.size == 0:
-            raise ValueError("values must be a non-empty 1-d sequence")
-        if not (np.isfinite(self.spacing) and self.spacing > 0):
-            raise ValueError(f"spacing must be finite and positive, got {self.spacing}")
-        vals.flags.writeable = False
-        object.__setattr__(self, "values", vals)
-        object.__setattr__(self, "offset", int(self.offset))
-
-    def __len__(self) -> int:
-        return len(self.values)
-
-    @property
-    def last_index(self) -> int:
-        return self.offset + len(self.values) - 1
-
-    def indices(self) -> np.ndarray:
-        return np.arange(self.offset, self.offset + len(self.values))
-
-    def grid(self) -> np.ndarray:
-        """Physical coordinates index * spacing."""
-        return self.indices() * self.spacing
-
-    def at(self, k: int) -> complex:
-        """Value at logical index k."""
-        if not self.offset <= k <= self.last_index:
-            raise IndexError(f"index {k} outside [{self.offset}, {self.last_index}]")
-        return self.values[k - self.offset]
-
-    def section(self, lo: int, hi: int) -> "ComplexSeries":
-        """Sub-series on logical indices lo..hi inclusive."""
-        if lo < self.offset or hi > self.last_index or lo > hi:
-            raise IndexError(
-                f"section [{lo}, {hi}] outside available [{self.offset}, {self.last_index}]"
-            )
-        return ComplexSeries(lo, self.values[lo - self.offset : hi - self.offset + 1],
-                             self.spacing)
-
 
 # 2pi to long-double precision for angle reduction
 _TWO_PI_LD = np.longdouble("6.283185307179586476925286766559005768")

@@ -8,33 +8,11 @@ an FFT convolution evaluates all N' indefinite integrals in O(N' log N')."""
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from functools import cached_property
 
 import numpy as np
 from scipy.special import erf
-
-from .numkit import ComplexSeries
-
-
-@dataclass(frozen=True)
-class SincGaussConfig:
-    """Formula half-bandwidth N', grid spacing h~, and Gaussian width r
-    (default r = sqrt(N'/pi))."""
-
-    n_prime: int
-    h_tilde: float
-    r: float = field(default=None)
-
-    def __post_init__(self):
-        if self.n_prime < 2:
-            raise ValueError("n_prime must be at least 2")
-        if not (self.h_tilde > 0 and math.isfinite(self.h_tilde)):
-            raise ValueError("h_tilde must be finite and positive")
-        if self.r is None:
-            object.__setattr__(self, "r", math.sqrt(self.n_prime / math.pi))
-        elif not self.r > 0:
-            raise ValueError("r must be positive")
 
 
 @dataclass(frozen=True, eq=False)
@@ -104,11 +82,11 @@ def kernel_table(r: float, n_prime: int, m_table: int | None = None) -> KernelTa
     return KernelTable(g, r)
 
 
-def indefinite_integral(samples: ComplexSeries, cfg: SincGaussConfig,
-                        table: KernelTable) -> ComplexSeries:
-    """Integrals integral_0^{l h~} f for l = 1..N' from 3N' equispaced samples.
+def indefinite_integral(f, h: float, table: KernelTable) -> np.ndarray:
+    """Integrals integral_0^{l h~} f for l = 1..N' from 3N' equispaced samples
+    at spacing h = h~, with N' = table.n_prime.
 
-    samples must hold f(l h~) exactly for l = -N'..2N'-1.  Per sample index k,
+    f must hold f(l h~) exactly for l = -N'..2N'-1.  Per sample index k,
 
       out_l = sum_{k=-N'+1}^{N'} h~ f((l-k)h~) G_r(k)
             - sum_{k=-N'+1}^{N'} h~ f(k h~) G_r(-k) + H_{l,N'},
@@ -120,20 +98,14 @@ def indefinite_integral(samples: ComplexSeries, cfg: SincGaussConfig,
     circle and are discarded.
     H is accumulated with running prefix sums in O(N').
     """
-    n = cfg.n_prime
-    if len(samples) != 3 * n or samples.offset != -n:
-        raise ValueError(
-            f"need exactly 3N' = {3 * n} samples at l = {-n}..{2 * n - 1}; "
-            f"got {len(samples)} at offset {samples.offset}"
-        )
-    if table.n_prime != n or table.r != cfg.r:
-        raise ValueError(
-            f"kernel table (N'={table.n_prime}, r={table.r}) does not match "
-            f"config (N'={n}, r={cfg.r})"
-        )
-    h = cfg.h_tilde
+    n = table.n_prime
+    f = np.asarray(f)
+    if f.shape != (3 * n,):
+        raise ValueError(f"need exactly 3N' = {3 * n} samples at l = {-n}..{2 * n - 1}; "
+                         f"got shape {f.shape}")
+    if not (math.isfinite(h) and h > 0):
+        raise ValueError(f"h must be finite and positive, got {h}")
     big = 4 * n
-    f = samples.values
 
     u = np.zeros(big, dtype=complex)
     u[np.arange(-n, 2 * n) % big] = f
@@ -149,26 +121,5 @@ def indefinite_integral(samples: ComplexSeries, cfg: SincGaussConfig,
     tail_lo = np.concatenate(([0.0 + 0j], np.cumsum(f[np.arange(-n + 1, 0) + n])))
     h_corr = table.g[n] * h * (tail_hi[ell - 1] + tail_lo[ell - 1])
 
-    return ComplexSeries(1, s1 - s2 + h_corr, h)
+    return s1 - s2 + h_corr
 
-
-def negative_extension(values: ComplexSeries, kind: str) -> ComplexSeries:
-    """Extend a series given at l = 1..N' to l = -N'+1..N' by symmetry.
-
-    kind "conjugate-odd" applies f(-l) = -conj(f(l)) (the symmetry of
-    integral_0^eta of a transform with f(-zeta) = conj(f(zeta))); kind "even"
-    applies f(-l) = f(l).  Both set the l = 0 value to 0: each kind arises
-    here for indefinite integrals from the origin, which vanish there.
-    """
-    n = len(values)
-    if values.offset != 1:
-        raise ValueError(f"input must cover l = 1..N' (offset 1), got {values.offset}")
-    v = values.values
-    if kind == "conjugate-odd":
-        head = -np.conj(v[n - 2 :: -1])
-    elif kind == "even":
-        head = v[n - 2 :: -1]
-    else:
-        raise ValueError(f"unknown extension kind {kind!r}")
-    full = np.concatenate((head, [0.0 + 0j], v))
-    return ComplexSeries(-n + 1, full, values.spacing)

@@ -14,11 +14,9 @@ import scipy.special as sp
 
 from .de_ft import _sources_stacked, node_plan, splice_plan
 from .euler_ft import EulerParams, inverse_ft
-from .numkit import ComplexSeries
-from .nufft import (BETA_PER_WIDTH, DEFAULT_WIDTH, _forward_stacked, extend_conjugate,
-                    gridding_plan, nufft_params, source_shift)
-from .sinc_gauss import (SincGaussConfig, indefinite_integral, kernel_table,
-                         negative_extension)
+from .nufft import (BETA_PER_WIDTH, DEFAULT_WIDTH, _forward_stacked, gridding_plan,
+                    nufft_params, source_shift)
+from .sinc_gauss import indefinite_integral, kernel_table
 
 # Step-1 plans kept at once; one M = 2^14 plan holds about 6 MB
 PLAN_CACHE_SIZE = 4
@@ -124,15 +122,6 @@ class SolveResult:
         return None if p_exact is None else np.abs(self.p - p_exact)
 
 
-def gamma_fn(t):
-    """Euler Gamma function for t > 0."""
-    t = np.asarray(t, dtype=float)
-    if not np.all(t > 0):
-        raise ValueError("t must be positive")
-    out = sp.gamma(t)
-    return float(out) if out.ndim == 0 else out
-
-
 def exact_vg(x, t: float):
     """Closed-form variance-gamma density (|x|/2)^(t-1/2) K_{1/2-t}(|x|) / (sqrt(pi) Gamma(t)).
 
@@ -207,10 +196,17 @@ def _table_cached(n_prime: int):
     return kernel_table(math.sqrt(n_prime / math.pi), n_prime)
 
 
-def _integrate_block(series: ComplexSeries, n_prime: int) -> ComplexSeries:
-    cfg = SincGaussConfig(n_prime, series.spacing)
-    window = series.section(-n_prime, 2 * n_prime - 1)
-    return indefinite_integral(window, cfg, _table_cached(n_prime))
+def _window(half: np.ndarray, n_prime: int, odd: bool = False) -> np.ndarray:
+    """The 3N' samples f(l h~), l = -N'..2N'-1, of a Step-2 pass, from f at
+    l = 0..2N'-1 or beyond: f(-l) = conj f(l) for the transform of mu, or
+    -conj f(l) (odd) for its indefinite integral from 0."""
+    head = np.conj(half[n_prime:0:-1])
+    return np.concatenate((-head if odd else head, half[:2 * n_prime]))
+
+
+def _integrate(half: np.ndarray, n_prime: int, h: float, odd: bool = False) -> np.ndarray:
+    """Step 2: integral_0^{l h~} f for l = 1..N' from f at l >= 0."""
+    return indefinite_integral(_window(half, n_prime, odd), h, _table_cached(n_prime))
 
 
 @lru_cache(maxsize=PLAN_CACHE_SIZE)
@@ -225,8 +221,9 @@ def _step1_plan(grid: GridSpec):
     return nodes, gridding, (range_a, range_b)
 
 
-def _spliced_transform(model: LevyModel, grid: GridSpec) -> ComplexSeries:
-    """Step 1: m^(k h~) for k = 0..N_gamma, stitched from the two DE runs.
+def _spliced_transform(model: LevyModel, grid: GridSpec) -> np.ndarray:
+    """Step 1: m^(k h~) for k = 0..N_gamma, stitched from the two DE runs;
+    m^(-k h~) is its conjugate.
 
     With the grid's plan this is mu at the DE nodes times the mu-free
     factors, one sparse gridding product and one batched FFT over both runs.
@@ -236,12 +233,12 @@ def _spliced_transform(model: LevyModel, grid: GridSpec) -> ComplexSeries:
     vals = np.empty(grid.n_gamma + 1, dtype=complex)
     for row, rng in enumerate(ranges):
         vals[rng.start:rng.stop] = out[row, rng.start:rng.stop]
-    return ComplexSeries(0, vals, grid.h_tilde)
+    return vals
 
 
 @lru_cache(maxsize=64)
 def _exponent_cached(model: LevyModel, grid: GridSpec):
-    """(exponent series over l = -N+1..N, step-1 seconds, step-2 seconds,
+    """(exponent G(l h~) for l = 0..N, step-1 seconds, step-2 seconds,
     whether Step 1 found its plan cached)."""
     if grid.gamma != model.gamma:
         raise ValueError(f"grid built for gamma = {grid.gamma}, "
@@ -249,32 +246,34 @@ def _exponent_cached(model: LevyModel, grid: GridSpec):
     plan_hits = _step1_plan.cache_info().hits
     t0 = time.perf_counter()
     try:
-        mhat = extend_conjugate(_spliced_transform(model, grid))
+        mhat = _spliced_transform(model, grid)
     except ValueError as exc:
         raise ValueError(f"[step 1] {exc}") from exc
     t1 = time.perf_counter()
     plan_cached = _step1_plan.cache_info().hits > plan_hits
+    h = grid.h_tilde
     try:
         if model.gamma == 1:
-            inner = _integrate_block(mhat, grid.n)
-            g = 2.0 * inner.values.imag
+            g = 2.0 * _integrate(mhat, grid.n, h).imag
         else:
-            first = negative_extension(_integrate_block(mhat, 2 * grid.n),
-                                       "conjugate-odd")
-            g = -2.0 * _integrate_block(first, grid.n).values.real
-        series = negative_extension(ComplexSeries(1, g, grid.h_tilde), "even")
+            first = np.concatenate(([0j], _integrate(mhat, 2 * grid.n, h)))
+            g = -2.0 * _integrate(first, grid.n, h, odd=True).real
     except ValueError as exc:
         raise ValueError(f"[step 2] {exc}") from exc
+    g = np.concatenate(([0.0], g))
+    g.flags.writeable = False
     t2 = time.perf_counter()
-    return series, t1 - t0, t2 - t1, plan_cached
+    return g, t1 - t0, t2 - t1, plan_cached
 
 
-def g_gamma(model: LevyModel, grid: GridSpec) -> ComplexSeries:
-    """Characteristic exponent G_gamma(l h~), l = -N+1..N (real, even, G(0) = 0).
+def g_gamma(model: LevyModel, grid: GridSpec) -> np.ndarray:
+    """Characteristic exponent G_gamma(l h~), l = 0..N, as a read-only float64
+    array with G(0) = 0; G is even, so G(-l) = G(l) gives the rest.
 
     gamma = 1 runs Steps 1-2 once with N' = N and returns 2 Im of the
     indefinite integral; gamma = 2 runs Step 2 twice (N' = 2N, then N' = N on
-    the conjugate-odd extension) and returns -2 Re of the double integral.
+    the first integral extended by f(-l) = -conj f(l)) and returns -2 Re of
+    the double integral.
     Results are cached per (model, grid) and reused across times.
     """
     return _exponent_cached(model, grid)[0]
@@ -309,19 +308,15 @@ def solve(model: LevyModel, grid: GridSpec, t: float, euler: EulerParams,
     total0 = time.perf_counter()
     cached = plan_cached = False
     if use_exact_exponent:
-        if model.exact_exponent is None:
-            raise ValueError(f"model {model.name!r} has no exact_exponent")
-        omega = np.arange(-grid.n + 1, grid.n + 1) * grid.h_tilde
-        gser = ComplexSeries(-grid.n + 1, np.asarray(model.exact_exponent(omega),
-                                                     dtype=complex), grid.h_tilde)
+        g = _exact_exponent(model, grid)
         s1 = s2 = 0.0
     else:
         hits_before = _exponent_cached.cache_info().hits
-        gser, s1, s2, plan_cached = _exponent_cached(model, grid)
+        g, s1, s2, plan_cached = _exponent_cached(model, grid)
         cached = _exponent_cached.cache_info().hits > hits_before
     t3 = time.perf_counter()
     try:
-        p = inverse_ft(gser, t, euler, grid.h_hat)
+        p = inverse_ft(g, t, euler, grid.h_hat)
     except ValueError as exc:
         raise ValueError(f"[step 3] {exc}") from exc
     s3 = time.perf_counter() - t3
@@ -337,17 +332,38 @@ def solve(model: LevyModel, grid: GridSpec, t: float, euler: EulerParams,
                        model.exact_density)
 
 
+def _exact_exponent(model: LevyModel, grid: GridSpec) -> np.ndarray:
+    """model.exact_exponent at l = -N+1..N, checked real and even, as G(l h~)
+    for l = 0..N."""
+    if model.exact_exponent is None:
+        raise ValueError(f"model {model.name!r} has no exact_exponent")
+    n = grid.n
+    g = np.asarray(model.exact_exponent(np.arange(-n + 1, n + 1) * grid.h_tilde))
+    if g.shape != (2 * n,):
+        raise ValueError(f"exact_exponent must return {2 * n} values at "
+                         f"l = {-n + 1}..{n}, got shape {g.shape}")
+    if np.iscomplexobj(g):
+        complex_at = np.flatnonzero(g.imag)
+        if complex_at.size:
+            raise ValueError(f"[step 3] exponent not real at l = {complex_at[0] - n + 1}")
+        g = g.real
+    odd_at = np.flatnonzero(g[n - 2::-1] != g[n:2 * n - 1])
+    if odd_at.size:
+        raise ValueError(f"[step 3] exponent not even: G(-l) != G(l) at l = {odd_at[0] + 1}")
+    return g[n - 1:]
+
+
 def params_echo(model: LevyModel, grid: GridSpec, euler: EulerParams, **extra) -> dict:
     """Every tunable that affects the numbers, resolved."""
-    echo = dict(_echo_base(model, grid, euler))
-    echo.update(extra)
-    return echo
+    return {**_echo_base(model, grid, euler), **extra}
 
 
 @lru_cache(maxsize=64)
-def _echo_base(model: LevyModel, grid: GridSpec, euler: EulerParams) -> tuple:
+def _echo_base(model: LevyModel, grid: GridSpec, euler: EulerParams) -> dict:
+    """The part of params_echo fixed by (model, grid, euler); kept, never
+    handed out, so no caller can change it."""
     (run_a, range_a), (run_b, _) = splice_plan(grid.n_gamma, grid.h_tilde)
-    echo = {
+    return {
         "model": model.name,
         "gamma": model.gamma,
         "n": grid.n,
@@ -373,4 +389,3 @@ def _echo_base(model: LevyModel, grid: GridSpec, euler: EulerParams) -> tuple:
         "m_table_rule": "max(4*n_prime, 1024)",
         **KERNEL_ECHO,
     }
-    return tuple(echo.items())

@@ -55,8 +55,8 @@ def source_sum_direct(weights, points, h_tilde, n_gamma, k=None):
 def windows_brute(points, params, h_tilde):
     """Gridding windows straight from the kernel support, source by source.
 
-    j_min(l) = j_lo + #{j : c_j < l h_check - b}
-    j_max(l) = j_lo + #{j : c_j <= l h_check + b} - 1
+    j_min(l) = j_lo + #{j : c_j < l - b}
+    j_max(l) = j_lo + #{j : c_j <= l + b} - 1
     with c_j = h~ y_j / a, b = w/2 the kernel's half-width and the source
     index frame starting at j_lo = -m//2; for sorted points these are the
     first and last source within b of node l.
@@ -68,9 +68,8 @@ def windows_brute(points, params, h_tilde):
     j_min = np.empty(len(l_vals), dtype=np.int64)
     j_max = np.empty(len(l_vals), dtype=np.int64)
     for pos, l in enumerate(l_vals):
-        node = l * params.h_check
-        j_min[pos] = j_lo + sum(1 for cj in c if cj < node - b)
-        j_max[pos] = j_lo + sum(1 for cj in c if cj <= node + b) - 1
+        j_min[pos] = j_lo + sum(1 for cj in c if cj < l - b)
+        j_max[pos] = j_lo + sum(1 for cj in c if cj <= l + b) - 1
     return j_min, j_max
 
 
@@ -87,27 +86,27 @@ def es_transform_quad(w, beta, xi):
     return 2.0 * val
 
 
-def sg_interpolate(samples, cfg, zeta):
-    """Sinc-Gauss interpolant sum_k f(k h~) sinc(zeta/h~ - k)
-    exp(-(zeta/h~ - k)^2 / (2 r^2)) at zeta, from samples f(k h~) (a
-    ComplexSeries) and a SincGaussConfig (h~, N', r).
+def sg_interpolate(f, offset, h, n_prime, r, zeta):
+    """Sinc-Gauss interpolant sum_k f(k h) sinc(zeta/h - k)
+    exp(-(zeta/h - k)^2 / (2 r^2)) at zeta, from samples f(k h) held at
+    k = offset..offset + len(f) - 1.
 
-    Uses the window k = floor(zeta/h~) - N' + 1 .. floor(zeta/h~) + N'; raises
+    Uses the window k = floor(zeta/h) - N' + 1 .. floor(zeta/h) + N'; raises
     when the samples do not cover it, naming the missing index range.
     """
-    center = math.floor(zeta / cfg.h_tilde)
-    lo, hi = center - cfg.n_prime + 1, center + cfg.n_prime
-    if lo < samples.offset or hi > samples.last_index:
-        miss_lo = f"{lo}..{samples.offset - 1}" if lo < samples.offset else ""
-        miss_hi = f"{samples.last_index + 1}..{hi}" if hi > samples.last_index else ""
+    last = offset + len(f) - 1
+    center = math.floor(zeta / h)
+    lo, hi = center - n_prime + 1, center + n_prime
+    if lo < offset or hi > last:
+        miss_lo = f"{lo}..{offset - 1}" if lo < offset else ""
+        miss_hi = f"{last + 1}..{hi}" if hi > last else ""
         missing = ", ".join(s for s in (miss_lo, miss_hi) if s)
-        raise ValueError(f"samples cover {samples.offset}..{samples.last_index}; "
+        raise ValueError(f"samples cover {offset}..{last}; "
                          f"window needs {lo}..{hi} (missing {missing})")
     k = np.arange(lo, hi + 1)
-    s = zeta / cfg.h_tilde - k
-    window = np.sinc(s) * np.exp(-(s * s) / (2 * cfg.r**2))
-    return complex(np.sum(samples.values[lo - samples.offset : hi - samples.offset + 1]
-                          * window))
+    s = zeta / h - k
+    window = np.sinc(s) * np.exp(-(s * s) / (2 * r**2))
+    return complex(np.sum(np.asarray(f)[lo - offset : hi - offset + 1] * window))
 
 
 def kernel_quad(r, n_prime):

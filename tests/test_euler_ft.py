@@ -6,7 +6,6 @@ import pytest
 
 import oracles
 from levyfourier.euler_ft import EulerParams, inverse_ft, weight
-from levyfourier.numkit import ComplexSeries
 from levyfourier.solver import g_gamma, make_grid, nig_model, vg_model
 
 
@@ -48,8 +47,8 @@ def test_weight_pins():
 
 
 def grid_series(ep, fn):
-    ell = np.arange(-ep.n + 1, ep.n + 1)
-    return ComplexSeries(-ep.n + 1, fn(ell * ep.h_tilde), ep.h_tilde)
+    """fn(l h~) at l = 0..N, the half-line input of inverse_ft."""
+    return fn(np.arange(ep.n + 1) * ep.h_tilde)
 
 
 def test_inverse_ft_zero_exponent_matches_direct_sum():
@@ -68,10 +67,8 @@ def test_inverse_ft_t_zero_degenerates_to_flat_integrand():
     rng = np.random.default_rng(3)
     ep = EulerParams.from_theorem(32, 2.0, 5.0, 1.0)
     h_hat = ep.x_u / ep.n
-    half = rng.standard_normal(32)
-    g_even = np.concatenate((half[:0:-1], half, [0.0]))
-    assert len(g_even) == 2 * ep.n
-    frozen = inverse_ft(ComplexSeries(-ep.n + 1, g_even, ep.h_tilde), 0.0, ep, h_hat)
+    half = np.concatenate((rng.standard_normal(32), [0.0]))
+    frozen = inverse_ft(half, 0.0, ep, h_hat)
     flat = inverse_ft(grid_series(ep, lambda w: np.zeros_like(w)), 7.0, ep, h_hat)
     assert np.array_equal(frozen, flat)
 
@@ -91,9 +88,8 @@ def test_inverse_ft_real_even_exponent_gives_real_output():
     rng = np.random.default_rng(13)
     ep = EulerParams.from_theorem(128, 2.0, 5.0, 1.0)
     h_hat = ep.x_u / ep.n
-    half = -np.abs(rng.standard_normal(128))
-    g_even = np.concatenate((half[:0:-1], half, [0.0]))
-    out = inverse_ft(ComplexSeries(-ep.n + 1, g_even, ep.h_tilde), 1.0, ep, h_hat)
+    half = np.concatenate((-np.abs(rng.standard_normal(128)), [0.0]))
+    out = inverse_ft(half, 1.0, ep, h_hat)
     assert out.dtype == np.float64 and out.shape == (2 * ep.n,)
     k = np.arange(ep.n)
     assert np.array_equal(out[ep.n - 1 - k], out[ep.n - 1 + k])   # p_{-n} = p_n
@@ -124,20 +120,21 @@ def test_inverse_ft_validation():
     ep = EulerParams.from_theorem(32, 2.0, 5.0, 1.0)
     h_hat = ep.x_u / ep.n
     good = grid_series(ep, lambda w: np.zeros_like(w))
-    with pytest.raises(ValueError):
-        inverse_ft(ComplexSeries(-31, np.zeros(63), ep.h_tilde), 1.0, ep, h_hat)
-    with pytest.raises(ValueError):
-        inverse_ft(ComplexSeries(-32, np.zeros(64), ep.h_tilde), 1.0, ep, h_hat)
-    with pytest.raises(ValueError):
-        inverse_ft(ComplexSeries(-31, np.zeros(64), ep.h_tilde * 1.001), 1.0, ep, h_hat)
+    for wrong in (np.zeros(32), np.zeros(34), np.zeros(64), np.zeros((1, 33))):
+        with pytest.raises(ValueError, match="must cover l = 0..32"):
+            inverse_ft(wrong, 1.0, ep, h_hat)
     with pytest.raises(ValueError):
         inverse_ft(good, 1.0, ep, h_hat * 1.001)
     with pytest.raises(ValueError):
         inverse_ft(good, -1.0, ep, h_hat)
     with pytest.raises(ValueError):
         inverse_ft(good, float("nan"), ep, h_hat)
-    with pytest.raises(ValueError, match="not finite"):
+    with pytest.raises(ValueError, match="not finite at l = 0"):
         inverse_ft(grid_series(ep, lambda w: np.full_like(w, 1e4)), 1.0, ep, h_hat)
+    overflow = np.zeros(33)
+    overflow[9] = 1e4
+    with pytest.raises(ValueError, match="not finite at l = 9"):
+        inverse_ft(overflow, 1.0, ep, h_hat)
 
 
 def test_inverse_ft_warns_on_positive_exponent():
@@ -159,10 +156,11 @@ def test_inverse_ft_matches_direct_complex_sum_on_solver_exponents(model):
         g = g_gamma(model, grid)
         n = ep.n
         ell = np.arange(-n + 1, n + 1)
+        g_full = g[np.abs(ell)]
         outs = np.unique(np.concatenate(([-n + 1, 0, n], rng.integers(-n + 1, n, 254))))
         for t in (0.5, 1.0, 2.5, 4.0):
             got = inverse_ft(g, t, ep, grid.h_hat)[outs + n - 1]
-            coeff = weight(np.abs(ell) * ep.h_tilde, ep) * np.exp(t * g.values)
+            coeff = weight(np.abs(ell) * ep.h_tilde, ep) * np.exp(t * g_full)
             direct = (ep.h_tilde / (2 * np.pi)) * oracles.frft_direct(
                 coeff, ep.h_tilde * grid.h_hat, outs)
             err = np.max(np.abs(got - direct.real))
@@ -170,15 +168,14 @@ def test_inverse_ft_matches_direct_complex_sum_on_solver_exponents(model):
 
 
 def test_inverse_ft_rejects_complex_or_uneven_exponent():
+    # an uneven exponent has no half-line form; solve rejects one from
+    # exact_exponent (test_solver::test_solve_rejects_complex_or_uneven_exact_exponent)
     ep = EulerParams.from_theorem(32, 2.0, 5.0, 1.0)
     h_hat = ep.x_u / ep.n
-    g = -np.log1p((np.arange(-31, 33) * ep.h_tilde) ** 2)
-    inverse_ft(ComplexSeries(-31, g, ep.h_tilde), 1.0, ep, h_hat)   # even: accepted
+    g = -np.log1p((np.arange(33) * ep.h_tilde) ** 2)
+    plain = inverse_ft(g, 1.0, ep, h_hat)
+    assert np.array_equal(inverse_ft(g + 0j, 1.0, ep, h_hat), plain)  # zero imaginary part
     tilted = g + 0j
-    tilted[31 + 5] += 1e-3j
+    tilted[5] += 1e-3j
     with pytest.raises(ValueError, match="not real at l = 5"):
-        inverse_ft(ComplexSeries(-31, tilted, ep.h_tilde), 1.0, ep, h_hat)
-    skewed = g.copy()
-    skewed[31 - 7] *= 1 + 1e-15                     # G(-7) off by one ulp
-    with pytest.raises(ValueError, match="not even.* at l = 7"):
-        inverse_ft(ComplexSeries(-31, skewed, ep.h_tilde), 1.0, ep, h_hat)
+        inverse_ft(tilted, 1.0, ep, h_hat)

@@ -10,8 +10,8 @@ from levyfourier.de_ft import _sources_stacked, node_plan, splice_plan
 from levyfourier.euler_ft import EulerParams
 from levyfourier.nufft import (DEFAULT_WIDTH, ES_QUADRATURE_NODES, NufftParams, _es_quadrature,
                                _es_transform, _forward_stacked, build_windows,
-                               extend_conjugate, gridding_plan, nufft_params, source_shift)
-from levyfourier.numkit import ComplexSeries
+                               gridding_plan, nufft_params, source_shift)
+from levyfourier.solver import _window
 
 
 def vg_runs(n=128):
@@ -43,7 +43,6 @@ def test_params_rules():
     assert par.width == 15 and par.half_width == 7.5
     assert par.beta == pytest.approx(2.30 * 15, rel=1e-15)
     assert par.a == pytest.approx(2 * math.pi / 512, rel=1e-14)
-    assert par.h_check == 1.0
     # the lowest node lies a full half-width below the leftmost source
     c_min = 0.1 * 0.5 / par.a
     assert -par.l_minus <= c_min - par.half_width < -par.l_minus + 1
@@ -74,13 +73,13 @@ def test_windows_monotone_and_contain_inner_sources():
         for pos, l in enumerate(range(-par.l_minus, par.l_plus + 1)):
             # a window holds exactly the sources within w/2 of its node
             window = c[j_min[pos] - j_lo:j_max[pos] - j_lo + 1]
-            assert np.all(np.abs(l * par.h_check - window) <= par.half_width)
-            inside = np.nonzero(np.abs(l * par.h_check - c) <= par.half_width)[0] + j_lo
+            assert np.all(np.abs(l - window) <= par.half_width)
+            inside = np.nonzero(np.abs(l - c) <= par.half_width)[0] + j_lo
             assert len(inside) == len(window)
 
 
 def test_windows_single_point_threshold():
-    par = NufftParams(40, 1.0, 1.0, 25, 40)
+    par = NufftParams(40, 1.0, 25, 40)
     j_min, j_max = build_windows(np.array([0.0]), par, 1.0)
     for pos, l in enumerate(range(-25, 41)):
         if abs(l) <= 20:
@@ -90,7 +89,7 @@ def test_windows_single_point_threshold():
 
 
 def test_windows_reject_unsorted_points():
-    par = NufftParams(40, 1.0, 1.0, 25, 40)
+    par = NufftParams(40, 1.0, 25, 40)
     with pytest.raises(ValueError):
         build_windows(np.array([1.0, 0.5]), par, 1.0)
 
@@ -119,7 +118,7 @@ def test_gridding_plan_rows_are_the_window_pairs():
         for p in (0, m // 3, m // 2, m - 1):
             row = plan.matrix[[r * m + p]]
             cols = np.arange(j_min[p], j_max[p] + 1) + m // 2
-            node = (-par.l_minus + p) * par.h_check
+            node = -par.l_minus + p
             assert np.array_equal(row.indices, cols + r * m)
             u = (node - c[cols]) / par.half_width
             assert np.array_equal(row.data, np.exp(par.beta * (np.sqrt(1 - u**2) - 1)))
@@ -152,7 +151,7 @@ def test_kernel_transform_rule_is_the_first_converged_doubling():
 
 
 def test_deconvolution_is_the_kernel_transform():
-    # |post| = h_check / phi_hat(a k'); phi_hat against adaptive quadrature of
+    # |post| = 1 / phi_hat(a k'); phi_hat against adaptive quadrature of
     # the kernel's defining integral at nine frequencies over |a k'| <= pi/2
     h_tilde, n_gamma, runs = vg_runs()
     points = np.stack([pts for _, pts, _, _ in runs])
@@ -163,7 +162,7 @@ def test_deconvolution_is_the_kernel_transform():
     for k in np.linspace(0, n_gamma, 9).astype(int):
         assert abs(par.a * kp[k]) <= math.pi / 2
         ref = oracles.es_transform_quad(par.width, par.beta, par.a * kp[k])
-        got = par.h_check / np.abs(plan.post[:, k])
+        got = 1 / np.abs(plan.post[:, k])
         assert np.max(np.abs(got - ref)) <= 1e-13 * ref, k
 
 
@@ -266,28 +265,27 @@ def test_stacked_forward_matches_composition():
 
 
 def test_extend_conjugate():
-    s = extend_conjugate(ComplexSeries(0, [1.0 + 0.0j], 0.5))
-    assert s.offset == 0 and np.array_equal(s.values, [1.0 + 0.0j])
-    v = np.array([1.0 + 0j, 2.0 + 1j, 3.0 - 2j])
-    ext = extend_conjugate(ComplexSeries(0, v, 0.5))
-    # mirrored onto k = -N+1..N: 2N values, ready for a length-2N transform
-    assert ext.offset == -1 and len(ext) == 4
-    assert ext.at(-1) == np.conj(ext.at(1))
-    assert ext.at(0) == v[0]
-    assert ext.at(2) == v[2]
-    with pytest.raises(ValueError):
-        extend_conjugate(ComplexSeries(1, v, 0.5))
+    # the Step-2 window of a transform of mu: f(-k) = conj f(k) at k < 0
+    v = np.array([1.0 + 0j, 2.0 + 1j, 3.0 - 2j, 4.0 + 3j, 5.0 - 1j])
+    ext = _window(v, 2)
+    # 3N' values at k = -N'..2N'-1
+    assert ext.shape == (6,)
+    assert np.array_equal(ext[:2], np.conj(v[2:0:-1]))
+    assert np.array_equal(ext[2:], v[:4])
+    assert ext[2] == v[0]
 
 
 def test_extend_conjugate_vg_closed_form():
-    # splice the two runs, extend, and compare against 1/(1 + i zeta) on both
-    # sides of the origin
+    # splice the two runs, build the Step-2 window, and compare against
+    # 1/(1 + i zeta) on both sides of the origin
     h_tilde, n_gamma, runs = vg_runs()
     spliced = np.empty(n_gamma + 1, dtype=complex)
     for weights, points, par, krange in runs:
         out = forward(weights, points, par, h_tilde, n_gamma)
         spliced[np.asarray(krange)] = out[np.asarray(krange)]
-    full = extend_conjugate(ComplexSeries(0, spliced, h_tilde))
-    zeta = full.indices() * h_tilde
+    n_prime = n_gamma // 2
+    full = _window(spliced, n_prime)
+    zeta = np.arange(-n_prime, 2 * n_prime) * h_tilde
     exact = 1.0 / (1.0 + 1j * zeta)
-    assert np.max(np.abs(full.values - exact)) <= 1e-6
+    assert np.min(zeta) < 0 < np.max(zeta)
+    assert np.max(np.abs(full - exact)) <= 1e-6

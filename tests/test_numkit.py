@@ -1,5 +1,5 @@
-"""Series container, the scipy special functions and numpy FFT the package
-relies on, and the real-even fractional FFT."""
+"""The scipy special functions and numpy FFT the package relies on, and the
+real-even fractional FFT."""
 import math
 
 import numpy as np
@@ -7,36 +7,7 @@ import pytest
 import scipy.special as sp
 
 import oracles
-from levyfourier.numkit import ComplexSeries, frft_even
-
-
-def test_complex_series_indexing():
-    s = ComplexSeries(-3, [1, 2j, 3, 4, 5, 6, 7, 8], 0.5)
-    assert len(s) == 8
-    assert s.offset == -3 and s.last_index == 4
-    assert np.array_equal(s.indices(), np.arange(-3, 5))
-    assert np.allclose(s.grid(), np.arange(-3, 5) * 0.5)
-    assert s.at(-3) == 1 and s.at(-2) == 2j and s.at(4) == 8
-    sec = s.section(-1, 2)
-    assert sec.offset == -1 and len(sec) == 4 and sec.at(0) == 4
-
-
-def test_complex_series_validation():
-    with pytest.raises(ValueError):
-        ComplexSeries(0, [], 1.0)
-    with pytest.raises(ValueError):
-        ComplexSeries(0, [[1, 2]], 1.0)
-    with pytest.raises(ValueError):
-        ComplexSeries(0, [1, 2], 0.0)
-    with pytest.raises(ValueError):
-        ComplexSeries(0, [1, 2], float("nan"))
-    s = ComplexSeries(0, [1, 2], 1.0)
-    with pytest.raises(IndexError):
-        s.at(2)
-    with pytest.raises(IndexError):
-        s.section(-1, 1)
-    with pytest.raises(ValueError):
-        s.values[0] = 9.0
+from levyfourier.numkit import frft_even
 
 
 def test_erfc_pins():

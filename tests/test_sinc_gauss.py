@@ -7,28 +7,13 @@ import pytest
 from scipy.special import sici
 
 import oracles
-from levyfourier.numkit import ComplexSeries
-from levyfourier.sinc_gauss import (KernelTable, SincGaussConfig, indefinite_integral,
-                                    kernel_table, negative_extension)
+from levyfourier.sinc_gauss import indefinite_integral, kernel_table
+from levyfourier.solver import _window
 
 
 def h_rule(n_prime):
     """h~ proportional to 1/sqrt(N'), with the [2, 5] window constant."""
     return math.sqrt(14 * math.pi) / 2 / math.sqrt(n_prime)
-
-
-def test_config_defaults_and_validation():
-    cfg = SincGaussConfig(64, 0.125)
-    assert cfg.r == pytest.approx(math.sqrt(64 / math.pi), rel=1e-14)
-    assert SincGaussConfig(64, 0.125, r=3.0).r == 3.0
-    with pytest.raises(ValueError):
-        SincGaussConfig(1, 0.125)
-    with pytest.raises(ValueError):
-        SincGaussConfig(64, 0.0)
-    with pytest.raises(ValueError):
-        SincGaussConfig(64, float("inf"))
-    with pytest.raises(ValueError):
-        SincGaussConfig(64, 0.125, r=-1.0)
 
 
 def test_kernel_table_zero_and_odd_extension():
@@ -97,81 +82,72 @@ def test_kernel_table_size_errors():
 
 def test_sg_interpolate_reproduces_nodes():
     rng = np.random.default_rng(7)
-    cfg = SincGaussConfig(8, 0.25)
     f = rng.standard_normal(40) + 1j * rng.standard_normal(40)
-    samples = ComplexSeries(-12, f, 0.25)
-    # np.sinc leaves ~4e-17 at nonzero integers, so nodes reproduce to
-    # machine scale rather than bitwise
+    r = math.sqrt(8 / math.pi)
+    # f holds l = -12..27; np.sinc leaves ~4e-17 at nonzero integers, so
+    # nodes reproduce to machine scale rather than bitwise
     for k in (-4, 0, 3):
-        assert abs(oracles.sg_interpolate(samples, cfg, k * 0.25) - samples.at(k)) <= 1e-13
+        got = oracles.sg_interpolate(f, -12, 0.25, 8, r, k * 0.25)
+        assert abs(got - f[k + 12]) <= 1e-13
 
 
 def test_sg_interpolate_zero():
-    cfg = SincGaussConfig(8, 0.25)
-    samples = ComplexSeries(-12, np.zeros(40), 0.25)
-    assert oracles.sg_interpolate(samples, cfg, 0.1) == 0.0
+    r = math.sqrt(8 / math.pi)
+    assert oracles.sg_interpolate(np.zeros(40), -12, 0.25, 8, r, 0.1) == 0.0
 
 
 def test_sg_interpolate_runge_accuracy():
-    cfg = SincGaussConfig(64, 0.125)
     k = np.arange(-80, 81)
-    samples = ComplexSeries(-80, 1.0 / (1.0 + (k * 0.125) ** 2), 0.125)
-    got = oracles.sg_interpolate(samples, cfg, 0.06)
+    f = 1.0 / (1.0 + (k * 0.125) ** 2)
+    got = oracles.sg_interpolate(f, -80, 0.125, 64, math.sqrt(64 / math.pi), 0.06)
     assert abs(got - 1.0 / (1.0 + 0.06**2)) <= 1e-6
 
 
 def test_sg_interpolate_coverage_error():
-    cfg = SincGaussConfig(8, 0.25)
-    samples = ComplexSeries(0, np.ones(4), 0.25)
     with pytest.raises(ValueError, match="missing"):
-        oracles.sg_interpolate(samples, cfg, 0.1)
+        oracles.sg_interpolate(np.ones(4), 0, 0.25, 8, math.sqrt(8 / math.pi), 0.1)
 
 
 def arctan_setup(n_prime):
     h = h_rule(n_prime)
     ell = np.arange(-n_prime, 2 * n_prime)
     f = 1.0 / (1.0 + (ell * h) ** 2)
-    cfg = SincGaussConfig(n_prime, h)
-    tab = kernel_table(cfg.r, n_prime)
-    return ComplexSeries(-n_prime, f, h), cfg, tab, h
+    tab = kernel_table(math.sqrt(n_prime / math.pi), n_prime)
+    return f, tab, h
 
 
 def test_indefinite_zero():
-    samples, cfg, tab, h = arctan_setup(16)
-    zero = ComplexSeries(-16, np.zeros(48), h)
-    out = indefinite_integral(zero, cfg, tab)
-    assert out.offset == 1 and len(out) == 16
-    assert np.array_equal(out.values, np.zeros(16))
+    _, tab, h = arctan_setup(16)
+    out = indefinite_integral(np.zeros(48), h, tab)
+    assert out.shape == (16,)
+    assert np.array_equal(out, np.zeros(16))
 
 
 def test_indefinite_constant():
     n_prime = 256
     h = h_rule(n_prime)
-    cfg = SincGaussConfig(n_prime, h)
-    tab = kernel_table(cfg.r, n_prime)
-    ones = ComplexSeries(-n_prime, np.ones(3 * n_prime), h)
-    out = indefinite_integral(ones, cfg, tab)
-    assert np.max(np.abs(out.values - out.indices() * h)) <= 1e-6
+    tab = kernel_table(math.sqrt(n_prime / math.pi), n_prime)
+    out = indefinite_integral(np.ones(3 * n_prime), h, tab)
+    assert np.max(np.abs(out - np.arange(1, n_prime + 1) * h)) <= 1e-6
 
 
 def test_indefinite_arctan():
-    samples, cfg, tab, h = arctan_setup(256)
-    out = indefinite_integral(samples, cfg, tab)
-    assert np.max(np.abs(out.values - np.arctan(out.indices() * h))) <= 5e-8
+    f, tab, h = arctan_setup(256)
+    out = indefinite_integral(f, h, tab)
+    assert np.max(np.abs(out - np.arctan(np.arange(1, 257) * h))) <= 5e-8
 
 
 def test_indefinite_shape_errors():
-    samples, cfg, tab, h = arctan_setup(16)
-    with pytest.raises(ValueError):
-        indefinite_integral(ComplexSeries(0, np.ones(48), h), cfg, tab)
-    with pytest.raises(ValueError):
-        indefinite_integral(ComplexSeries(-16, np.ones(50), h), cfg, tab)
-    other = kernel_table(cfg.r, 32)
-    with pytest.raises(ValueError):
-        indefinite_integral(samples, cfg, other)
-    odd_r = KernelTable(tab.g, tab.r * 1.01)
-    with pytest.raises(ValueError):
-        indefinite_integral(samples, cfg, odd_r)
+    f, tab, h = arctan_setup(16)
+    with pytest.raises(ValueError, match="3N' = 48"):
+        indefinite_integral(np.ones(50), h, tab)
+    with pytest.raises(ValueError, match="3N' = 48"):
+        indefinite_integral(np.ones((3, 16)), h, tab)
+    with pytest.raises(ValueError, match="3N' = 96"):
+        indefinite_integral(f, h, kernel_table(tab.r, 32))
+    for bad_h in (0.0, -h, float("inf"), float("nan")):
+        with pytest.raises(ValueError, match="h must be finite and positive"):
+            indefinite_integral(f, bad_h, tab)
 
 
 def test_indefinite_fft_matches_direct_partitioned_sum():
@@ -179,9 +155,8 @@ def test_indefinite_fft_matches_direct_partitioned_sum():
     for n_prime in (16, 64):
         h = 0.31
         f = rng.standard_normal(3 * n_prime) + 1j * rng.standard_normal(3 * n_prime)
-        cfg = SincGaussConfig(n_prime, h)
-        tab = kernel_table(cfg.r, n_prime)
-        got = indefinite_integral(ComplexSeries(-n_prime, f, h), cfg, tab).values
+        tab = kernel_table(math.sqrt(n_prime / math.pi), n_prime)
+        got = indefinite_integral(f, h, tab)
         ref = oracles.indefinite_direct(f, tab.g, h)
         scale = np.max(np.abs(ref))
         assert np.max(np.abs(got - ref)) <= 1e-11 * scale
@@ -195,9 +170,8 @@ def test_indefinite_partition_covers_index_set():
     for n_prime in (2, 4, 8, 16):
         h = 0.4
         f = rng.standard_normal(3 * n_prime) + 1j * rng.standard_normal(3 * n_prime)
-        cfg = SincGaussConfig(n_prime, h)
-        tab = kernel_table(cfg.r, n_prime)
-        fft_out = indefinite_integral(ComplexSeries(-n_prime, f, h), cfg, tab).values
+        tab = kernel_table(math.sqrt(n_prime / math.pi), n_prime)
+        fft_out = indefinite_integral(f, h, tab)
         split = oracles.indefinite_direct(f, tab.g, h)
         whole = oracles.indefinite_saturated(f, tab.g, h)
         scale = max(np.max(np.abs(split)), 1.0)
@@ -209,9 +183,9 @@ def test_indefinite_convergence_in_n_prime():
     errs = []
     sizes = (64, 128, 256, 512)
     for n_prime in sizes:
-        samples, cfg, tab, h = arctan_setup(n_prime)
-        out = indefinite_integral(samples, cfg, tab)
-        errs.append(np.max(np.abs(out.values - np.arctan(out.indices() * h))))
+        f, tab, h = arctan_setup(n_prime)
+        out = indefinite_integral(f, h, tab)
+        errs.append(np.max(np.abs(out - np.arctan(np.arange(1, n_prime + 1) * h))))
     errs = np.array(errs)
     assert np.all(np.diff(errs) < 0)
     root_n = np.sqrt(np.array(sizes, dtype=float))
@@ -224,23 +198,19 @@ def test_indefinite_convergence_in_n_prime():
 
 
 def test_negative_extension_conjugate_odd():
-    ext = negative_extension(ComplexSeries(1, [1j, 0.5 + 0.25j], 0.3), "conjugate-odd")
-    assert ext.offset == -1 and len(ext) == 4
-    assert ext.at(0) == 0.0
-    assert ext.at(-1) == -np.conj(ext.at(1))
-    assert ext.at(-1) == 1j
+    # an indefinite integral from 0 (value 0 at l = 0) extended by
+    # f(-l) = -conj f(l) onto the second-pass window l = -2..3
+    half = np.array([0j, 1j, 0.5 + 0.25j, 2.0 - 1j])
+    ext = _window(half, 2, odd=True)
+    assert ext.shape == (6,)
+    assert ext[2] == 0.0
+    assert ext[1] == -np.conj(ext[3]) == 1j
+    assert ext[0] == -np.conj(half[2])
+    assert np.array_equal(ext[2:], half)
 
 
 def test_negative_extension_even():
-    ext = negative_extension(ComplexSeries(1, [3.0, 7.0, 2.0], 0.3), "even")
-    assert ext.offset == -2 and len(ext) == 6
-    assert ext.at(0) == 0.0
-    assert ext.at(-1) == ext.at(1) == 3.0
-    assert ext.at(-2) == ext.at(2) == 7.0
-
-
-def test_negative_extension_errors():
-    with pytest.raises(ValueError):
-        negative_extension(ComplexSeries(0, [1.0, 2.0], 0.3), "even")
-    with pytest.raises(ValueError):
-        negative_extension(ComplexSeries(1, [1.0, 2.0], 0.3), "odd-ball")
+    # a real half extended by f(-l) = conj f(l) is the even extension
+    half = np.array([0.0, 3.0, 7.0, 2.0])
+    ext = _window(half, 2)
+    assert np.array_equal(ext, [7.0, 3.0, 0.0, 3.0, 7.0, 2.0])

@@ -12,7 +12,7 @@ from levyfourier.euler_ft import EulerParams
 from levyfourier.nufft import _forward_stacked, gridding_plan, nufft_params, source_shift
 from levyfourier.solver import (GridSpec, LevyModel,
                                 _spliced_transform, _step1_plan, clear_exponent_cache,
-                                custom_model, exact_nig, exact_vg, g_gamma, gamma_fn,
+                                custom_model, exact_nig, exact_vg, g_gamma,
                                 make_grid, nig_model, solve, vg_model)
 
 
@@ -55,16 +55,6 @@ def test_levy_model_validation():
         custom_model("bad", 0, lambda y: np.exp(-y))
 
 
-def test_gamma_fn_pins():
-    assert gamma_fn(1.0) == pytest.approx(1.0, rel=1e-13)
-    assert gamma_fn(3.0) == pytest.approx(2.0, rel=1e-13)
-    assert gamma_fn(2.5) == pytest.approx(1.3293403881791370, rel=1e-13)
-    with pytest.raises(ValueError):
-        gamma_fn(0.0)
-    with pytest.raises(ValueError):
-        gamma_fn(-1.5)
-
-
 def test_exact_vg_pins():
     assert exact_vg(3.0, 1.0) == pytest.approx(0.5 * math.exp(-3.0), rel=1e-13)
     assert exact_vg(3.0, 1.0) == pytest.approx(0.024893534183931972, rel=1e-12)
@@ -72,7 +62,7 @@ def test_exact_vg_pins():
     assert exact_vg(-2.0, 1.0) == exact_vg(2.0, 1.0)
     # x = 0 limit: finite for t > 1/2, divergent at or below
     assert exact_vg(0.0, 0.8) == pytest.approx(
-        gamma_fn(0.3) / (2 * math.sqrt(math.pi) * gamma_fn(0.8)), rel=1e-12)
+        sp.gamma(0.3) / (2 * math.sqrt(math.pi) * sp.gamma(0.8)), rel=1e-12)
     assert exact_vg(0.0, 0.5) == math.inf
     assert exact_vg(0.0, 0.3) == math.inf
     with pytest.raises(ValueError):
@@ -81,7 +71,7 @@ def test_exact_vg_pins():
 
 def test_exact_vg_bessel_order_symmetry():
     x, t = 1.7, 2.3
-    alt = (x / 2) ** (t - 0.5) * sp.kv(t - 0.5, x) / (math.sqrt(math.pi) * gamma_fn(t))
+    alt = (x / 2) ** (t - 0.5) * sp.kv(t - 0.5, x) / (math.sqrt(math.pi) * sp.gamma(t))
     assert exact_vg(x, t) == pytest.approx(alt, rel=1e-12)
 
 
@@ -109,28 +99,28 @@ def test_g_gamma_vg_matches_closed_form():
     model = vg_model()
     grid, _ = setup_case(model, 11)
     g = g_gamma(model, grid)
-    omega = g.grid()
-    assert np.max(np.abs(g.values.real - (-np.log1p(omega**2)))) <= 1e-6
+    omega = np.arange(grid.n + 1) * grid.h_tilde
+    assert np.max(np.abs(g - (-np.log1p(omega**2)))) <= 1e-6
 
 
 def test_g_gamma_nig_matches_closed_form():
     model = nig_model()
     grid, _ = setup_case(model, 11)
     g = g_gamma(model, grid)
-    omega = g.grid()
-    assert np.max(np.abs(g.values.real - (1 - np.hypot(1, omega)))) <= 1e-5
+    omega = np.arange(grid.n + 1) * grid.h_tilde
+    assert np.max(np.abs(g - (1 - np.hypot(1, omega)))) <= 1e-5
 
 
 def test_g_gamma_invariants():
     for model, i in ((vg_model(), 10), (nig_model(), 10)):
         grid, _ = setup_case(model, i)
         g = g_gamma(model, grid)
-        assert np.all(g.values.imag == 0.0)
-        assert g.at(0) == 0.0
-        for k in (1, 5, grid.n - 1):
-            assert g.at(-k) == g.at(k)
+        # real and even by construction: the l = 0..N half, read-only
+        assert g.dtype == np.float64 and g.shape == (grid.n + 1,)
+        assert not g.flags.writeable
+        assert g[0] == 0.0
         # nonpositive up to scheme noise
-        assert np.max(g.values.real) <= 1e-6
+        assert np.max(g) <= 1e-6
 
 
 def test_g_gamma_grid_mismatch():
@@ -192,6 +182,38 @@ def test_solve_oracle_bypass_isolates_step3():
     window = np.abs(res.x) >= 2.0
     assert np.max(res.abs_err[window]) <= 1e-8
     assert res.timings["step1"] == 0.0 and res.timings["step2"] == 0.0
+
+
+def test_solve_rejects_complex_or_uneven_exact_exponent():
+    grid, euler = setup_case(vg_model(), 9)
+    n = grid.n
+
+    def bent(offset):
+        def exponent(omega):
+            g = -np.log1p(np.asarray(omega) ** 2) + 0j
+            g[n - 1 + offset] += 1e-3j
+            return g
+        return exponent
+
+    def skewed(omega):
+        g = -np.log1p(np.asarray(omega) ** 2)
+        g[n - 1 - 7] *= 1 + 1e-15                   # G(-7) off by one ulp
+        return g
+
+    for name, exponent, message in (
+            ("tilted", bent(5), r"\[step 3\] exponent not real at l = 5"),
+            ("tilted-left", bent(-3), "exponent not real at l = -3"),
+            ("skewed", skewed, r"\[step 3\] exponent not even: G\(-l\) != G\(l\) at l = 7")):
+        model = custom_model(name, 1, vg_model().mu, exact_exponent=exponent)
+        with pytest.raises(ValueError, match=message):
+            solve(model, grid, 1.0, euler, use_exact_exponent=True)
+    even = custom_model("even", 1, vg_model().mu,
+                        exact_exponent=lambda w: -np.log1p(np.asarray(w) ** 2) + 0j)
+    assert np.array_equal(solve(even, grid, 1.0, euler, use_exact_exponent=True).p,
+                          solve(vg_model(), grid, 1.0, euler, use_exact_exponent=True).p)
+    short = custom_model("short", 1, vg_model().mu, exact_exponent=lambda w: np.zeros(3))
+    with pytest.raises(ValueError, match=f"must return {2 * n} values"):
+        solve(short, grid, 1.0, euler, use_exact_exponent=True)
 
 
 def test_solve_mass_and_symmetry():
@@ -271,7 +293,7 @@ def test_custom_model_reproduces_vg_exponent():
     ref_grid, _ = setup_case(vg_model(), 10)
     g_custom = g_gamma(model, grid)
     g_ref = g_gamma(vg_model(), ref_grid)
-    assert np.array_equal(g_custom.values, g_ref.values)
+    assert np.array_equal(g_custom, g_ref)
 
 
 def test_solve_result_lengths():
@@ -306,8 +328,8 @@ def test_step1_plan_matches_per_run_composition(model):
     for i in range(8, 13):
         grid, _ = setup_case(model, i)
         clear_exponent_cache()
-        cold = _spliced_transform(model, grid).values
-        warm = _spliced_transform(model, grid).values
+        cold = _spliced_transform(model, grid)
+        warm = _spliced_transform(model, grid)
         assert np.array_equal(cold, warm)
         # each run on its own one-run plan, spliced
         shift = source_shift(grid.h_tilde, grid.n_gamma)
