@@ -69,6 +69,8 @@ class RunConfig:
             raise ValueError("need at least one time value")
         if not all(math.isfinite(t) and t > 0 for t in self.t_values):
             raise ValueError(f"all times must be positive and finite: {self.t_values}")
+        if len(set(self.t_values)) < len(self.t_values):
+            raise ValueError(f"times must not repeat: {self.t_values}")
         if not self.exponent_i:
             raise ValueError("need at least one grid exponent i")
         if not all(7 <= i <= 14 for i in self.exponent_i):
@@ -187,10 +189,14 @@ def _compile_mu(expr: str):
     return compile(tree, "<mu>", "eval")
 
 
-def _grid_pair(model, config: RunConfig, i: int):
+def _grid(model, config: RunConfig, i: int):
     n = 2 ** (i - model.i_offset)
-    euler = EulerParams.from_theorem(n, config.x_l, config.x_u, config.d)
-    return make_grid(model, euler), euler
+    return make_grid(model, EulerParams(n, config.x_l, config.x_u, config.d))
+
+
+def _t_label(t: float) -> str:
+    """t in the shortest digits that read back as t: 1, 1.5, 1.0000001."""
+    return np.format_float_positional(t, trim="-")
 
 
 def _config_echo(config: RunConfig) -> dict:
@@ -221,12 +227,12 @@ def cmd_solve(config: RunConfig) -> int:
     outdir = Path(config.out)
     runs = []
     for i in config.exponent_i:
-        grid, euler = _grid_pair(model, config, i)
+        grid = _grid(model, config, i)
         for t in config.t_values:
-            res = solve(model, grid, t, euler)
+            res = solve(model, grid, t, grid.euler)
             if not runs:   # a solve that fails leaves no directory behind
                 outdir.mkdir(parents=True, exist_ok=True)
-            fname = f"solve_{model.name}_i{i}_t{t:g}.csv"
+            fname = f"solve_{model.name}_i{i}_t{_t_label(t)}.csv"
             with open(outdir / fname, "w", encoding="utf-8", newline="") as fh:
                 if res.p_exact is not None:
                     fh.write("x,p_num,p_exact,abs_err\n")
@@ -262,14 +268,14 @@ def cmd_converge(config: RunConfig) -> int:
     window_err = {t: [] for t in config.t_values}
     runs = []
     for i in config.exponent_i:
-        grid, euler = _grid_pair(model, config, i)
+        grid = _grid(model, config, i)
         m_list.append(grid.m)
         for t in config.t_values:
-            res = solve(model, grid, t, euler)
+            res = solve(model, grid, t, grid.euler)
             in_window = np.abs(res.x) >= config.x_l
             full_err[t].append(float(np.max(res.abs_err)))
             window_err[t].append(float(np.max(res.abs_err[in_window])))
-        entry = params_echo(model, grid, euler)
+        entry = params_echo(model, grid)
         entry["i"] = i
         runs.append(entry)
     outdir = Path(config.out)
@@ -278,7 +284,7 @@ def cmd_converge(config: RunConfig) -> int:
     with open(outdir / fname, "w", encoding="utf-8", newline="") as fh:
         header = ["M"]
         for t in config.t_values:
-            header += [f"max_err_full_t{t:g}", f"max_err_window_t{t:g}"]
+            header += [f"max_err_full_t{_t_label(t)}", f"max_err_window_t{_t_label(t)}"]
         fh.write(",".join(header) + "\n")
         for row_i, m in enumerate(m_list):
             row = [_fmt(m)]
@@ -293,8 +299,8 @@ def cmd_converge(config: RunConfig) -> int:
         resid = logs - (slope * sqrt_m + intercept)
         ss_tot = float(np.sum((logs - logs.mean()) ** 2))
         r2 = 1.0 - float(np.sum(resid**2)) / ss_tot if ss_tot > 0 else 0.0
-        slopes[f"t={t:g}"] = {"slope_vs_sqrt_m": float(slope), "r_squared": r2}
-        print(f"t={t:g}: window-error slope vs sqrt(M) = {slope:.4f} "
+        slopes[f"t={_t_label(t)}"] = {"slope_vs_sqrt_m": float(slope), "r_squared": r2}
+        print(f"t={_t_label(t)}: window-error slope vs sqrt(M) = {slope:.4f} "
               f"(R^2 = {r2:.4f})")
     print(f"wrote {outdir / fname}")
     _write_manifest(outdir, f"converge_{model.name}_manifest.json",
@@ -312,11 +318,11 @@ def cmd_bench(config: RunConfig) -> int:
                       stacklevel=2)
     rows = []
     for i in config.exponent_i:
-        grid, euler = _grid_pair(model, config, i)
+        grid = _grid(model, config, i)
         samples = {"step1": [], "step2": [], "step3": [], "total": []}
         for _ in range(config.reps):
             clear_exponent_cache()
-            res = solve(model, grid, t, euler)
+            res = solve(model, grid, t, grid.euler)
             for key in samples:
                 samples[key].append(res.timings[key])
         med = {key: statistics.median(vals) for key, vals in samples.items()}
@@ -352,7 +358,7 @@ def _check_frft():
 
 
 def _check_euler_even():
-    euler = EulerParams.from_theorem(64, 2.0, 5.0, 1.0)
+    euler = EulerParams(64, 2.0, 5.0, 1.0)
     h_hat = euler.x_u / euler.n
     ell = np.arange(-euler.n + 1, euler.n + 1)
     g = -np.log1p((ell * euler.h_tilde) ** 2)
@@ -365,8 +371,7 @@ def _check_euler_even():
 
 def _check_nufft():
     model = vg_model()
-    euler = EulerParams.from_theorem(128, 2.0, 5.0, 1.0)
-    grid = make_grid(model, euler)
+    grid = make_grid(model, EulerParams(128, 2.0, 5.0, 1.0))
     nodes, gridding, _ = _step1_plan(grid)
     got = _forward_stacked(_sources_stacked(model.mu, nodes), gridding)
     # the plain (unshifted) weights of both runs, summed directly
@@ -396,8 +401,7 @@ def _check_kernel_table():
 
 def _check_de_ft():
     model = vg_model()
-    euler = EulerParams.from_theorem(128, 2.0, 5.0, 1.0)
-    grid = make_grid(model, euler)
+    grid = make_grid(model, EulerParams(128, 2.0, 5.0, 1.0))
     mhat = _spliced_transform(model, grid)
     k = np.arange(grid.n_gamma + 1)
     exact = 1.0 / (1.0 + 1j * k * grid.h_tilde)
@@ -405,8 +409,7 @@ def _check_de_ft():
 
 
 def _check_exponent(model, n, tol):
-    euler = EulerParams.from_theorem(n, 2.0, 5.0, 1.0)
-    grid = make_grid(model, euler)
+    grid = make_grid(model, EulerParams(n, 2.0, 5.0, 1.0))
     g = g_gamma(model, grid)
     exact = model.exact_exponent(np.arange(grid.n + 1) * grid.h_tilde)
     return float(np.max(np.abs(g - exact))), tol

@@ -14,47 +14,35 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-_BETA = 0.25
+# the DE shape constant beta of every run
+DE_BETA = 0.25
 # |E| beyond this, phi and its companions sit on their asymptotes to < 1e-200
 _E_ASYMP = 500.0
 # below this |t| the direct quotient loses digits to cancellation; use series
 _T_SERIES = 1e-3
 
 
-def _alpha_for(zeta0: float, h: float) -> float:
-    return _BETA / math.sqrt(1 + math.log(1 + math.pi / (zeta0 * h)) / (4 * zeta0 * h))
-
-
 @dataclass(frozen=True)
 class DeFtParams:
-    """Tuned constants of one DE-transform run.
-
-    alpha is derived from (zeta0, h); beta is fixed at 0.25.  m_minus + m_plus
-    must be a power of two (the downstream FFT length).
+    """One DE-transform run: zeta0, the step h and the node count m, a power
+    of two (the downstream FFT length) split evenly at j = 0 into
+    j = -m/2..m/2-1.  beta is DE_BETA, and alpha is derived from (zeta0, h)
+    at construction.
     """
 
     zeta0: float
     h: float
-    m_minus: int
-    m_plus: int
-    beta: float = _BETA
-    alpha: float = field(default=None)
+    m: int
+    alpha: float = field(init=False, compare=False)
 
     def __post_init__(self):
         if not (self.zeta0 > 0 and self.h > 0):
             raise ValueError("zeta0 and h must be positive")
-        m = self.m_minus + self.m_plus
-        if self.m_minus <= 0 or self.m_plus <= 0 or (m & (m - 1)) != 0:
-            raise ValueError(f"m_minus + m_plus = {m} must be a power of two")
-        expected = _alpha_for(self.zeta0, self.h)
-        if self.alpha is None:
-            object.__setattr__(self, "alpha", expected)
-        elif not math.isclose(self.alpha, expected, rel_tol=1e-12):
-            raise ValueError(f"alpha {self.alpha} != derived value {expected}")
-
-    @property
-    def m(self) -> int:
-        return self.m_minus + self.m_plus
+        if self.m < 2 or self.m & (self.m - 1):
+            raise ValueError(f"m = {self.m} must be a power of two >= 2")
+        zeta0, h = self.zeta0, self.h
+        object.__setattr__(self, "alpha", DE_BETA / math.sqrt(
+            1 + math.log(1 + math.pi / (zeta0 * h)) / (4 * zeta0 * h)))
 
     @property
     def point_scale(self) -> float:
@@ -119,10 +107,10 @@ def phi_parts(t, alpha: float, beta: float):
 
 @dataclass(frozen=True, eq=False)
 class NodePlan:
-    """The mu-free part of the DE sources of runs that share (h, m_minus,
-    m_plus, beta), built once per grid.
+    """The mu-free part of the DE sources of runs that share (h, m), built
+    once per grid.
 
-    points holds every DE point y_j, j = -m_minus..m_plus-1, one row per run.
+    points holds every DE point y_j, j = -m/2..m/2-1, one row per run.
     A node whose weight vanishes for every mu (phi' or sin((pi/2h) phihat)
     has underflowed to 0, as at both truncation ends of large grids) is
     dropped: live lists the flat indices into points of the other nodes, y
@@ -138,7 +126,6 @@ class NodePlan:
     live: np.ndarray
     y: np.ndarray
     factor: np.ndarray
-    m_minus: int
 
 
 def node_plan(runs, shift: float = 0.0) -> NodePlan:
@@ -151,11 +138,11 @@ def node_plan(runs, shift: float = 0.0) -> NodePlan:
     """
     runs = tuple(runs)
     first = runs[0]
-    if len({(r.h, r.m_minus, r.m_plus, r.beta) for r in runs}) != 1:
-        raise ValueError("stacked runs must share h, m_minus/m_plus and beta")
-    t = np.broadcast_to(np.arange(-first.m_minus, first.m_plus) * first.h,
+    if len({(r.h, r.m) for r in runs}) != 1:
+        raise ValueError("stacked runs must share h and m")
+    t = np.broadcast_to(np.arange(-(first.m // 2), first.m // 2) * first.h,
                         (len(runs), first.m))
-    ph, phat, dph = phi_parts(t, np.array([[r.alpha] for r in runs]), first.beta)
+    ph, phat, dph = phi_parts(t, np.array([[r.alpha] for r in runs]), DE_BETA)
     points = np.array([[r.point_scale] for r in runs]) * ph
     s = (np.pi / (2 * first.h)) * phat
     zeta0 = np.array([[r.zeta0] for r in runs])
@@ -165,7 +152,7 @@ def node_plan(runs, shift: float = 0.0) -> NodePlan:
     arrays = (points, live, points.ravel()[live], factor.ravel()[live])
     for arr in arrays:
         arr.flags.writeable = False
-    return NodePlan(*arrays, first.m_minus)
+    return NodePlan(*arrays)
 
 
 def _sources_stacked(mu, plan: NodePlan) -> np.ndarray:
@@ -175,7 +162,8 @@ def _sources_stacked(mu, plan: NodePlan) -> np.ndarray:
     and y_j.
     """
     def node(i):
-        j = plan.live[i] % plan.points.shape[1] - plan.m_minus
+        m = plan.points.shape[1]
+        j = plan.live[i] % m - m // 2
         return f"j={j}, y={float(plan.y[i])}"
 
     mu_vals = np.asarray(mu(plan.y))
@@ -196,7 +184,7 @@ def splice_plan(n_gamma: int, h_tilde: float):
 
     Run A uses zeta0 = N_gamma*h_tilde/15 and covers k = 0..floor(N_gamma/8);
     run B uses zeta0 = N_gamma*h_tilde/1.8 and covers the rest up to N_gamma.
-    Both carry h = log(1e3*M)/M and M_minus = M_plus = M/2 with M = 2*N_gamma.
+    Both carry h = log(1e3*M)/M and M = 2*N_gamma nodes.
     Returns ((params_a, range_a), (params_b, range_b)).
     """
     if n_gamma < 8:
@@ -204,6 +192,6 @@ def splice_plan(n_gamma: int, h_tilde: float):
     m = 2 * n_gamma
     h = math.log(1e3 * m) / m
     split = n_gamma // 8
-    run_a = DeFtParams(n_gamma * h_tilde / 15.0, h, m // 2, m // 2)
-    run_b = DeFtParams(n_gamma * h_tilde / 1.8, h, m // 2, m // 2)
+    run_a = DeFtParams(n_gamma * h_tilde / 15.0, h, m)
+    run_b = DeFtParams(n_gamma * h_tilde / 1.8, h, m)
     return (run_a, range(0, split + 1)), (run_b, range(split + 1, n_gamma + 1))

@@ -12,7 +12,7 @@ from __future__ import annotations
 
 import math
 import warnings
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from functools import lru_cache
 
 import numpy as np
@@ -23,52 +23,45 @@ from .numkit import frft_even
 
 @dataclass(frozen=True)
 class EulerParams:
-    """Weight shape (p, q), frequency step h~, and target window [x_l, x_u].
+    """Target window [x_l, x_u], decay constant d and size N of one Step-3
+    run, with the frequency step h~ and the weight shape (p, q) that the
+    continuous Euler transform derives from them at construction:
 
-    Built by from_theorem; direct construction must satisfy the same coupling
       h~ = sqrt(2 pi d (x_l + x_u) / (x_l^2 N)),
-      p  = sqrt(N h~ / x_l),  q = sqrt(x_l N h~ / 4)
-    for some admissible (x_l, x_u, d, N).
+      p  = sqrt(N h~ / x_l),  q = sqrt(x_l N h~ / 4).
     """
 
     n: int
     x_l: float
     x_u: float
     d: float
-    h_tilde: float
-    p: float
-    q: float
+    h_tilde: float = field(init=False, compare=False)
+    p: float = field(init=False, compare=False)
+    q: float = field(init=False, compare=False)
 
     def __post_init__(self):
         if self.n < 2 or self.n & (self.n - 1):
             raise ValueError(f"n = {self.n} must be a power of two >= 2")
+        for name in ("x_l", "x_u", "d"):
+            value = getattr(self, name)
+            if not math.isfinite(value):
+                raise ValueError(f"{name} must be finite, got {value}")
         if not (0 < self.x_l < self.x_u):
             raise ValueError("need 0 < x_l < x_u")
         if self.x_l / self.x_u > 0.5:
             raise ValueError("need x_l / x_u <= 1/2")
         if not self.d > 0:
             raise ValueError("d must be positive")
-        for name, ref in (("h_tilde", self._h_tilde_ref()),
-                          ("p", math.sqrt(self.n * self.h_tilde / self.x_l)
-                           if self.h_tilde > 0 else float("nan")),
-                          ("q", math.sqrt(self.x_l * self.n * self.h_tilde / 4)
-                           if self.h_tilde > 0 else float("nan"))):
-            got = getattr(self, name)
-            if not (math.isfinite(got) and math.isclose(got, ref, rel_tol=1e-12)):
-                raise ValueError(f"{name} = {got} inconsistent with parameters "
-                                 f"(expected {ref})")
-
-    def _h_tilde_ref(self) -> float:
-        return math.sqrt(2 * math.pi * self.d * (self.x_l + self.x_u)
-                         / (self.x_l**2 * self.n))
+        n, x_l = self.n, self.x_l
+        h_tilde = math.sqrt(2 * math.pi * self.d * (x_l + self.x_u) / (x_l**2 * n))
+        object.__setattr__(self, "h_tilde", h_tilde)
+        object.__setattr__(self, "p", math.sqrt(n * h_tilde / x_l))
+        object.__setattr__(self, "q", math.sqrt(x_l * n * h_tilde / 4))
 
     @classmethod
     def from_theorem(cls, n: int, x_l: float, x_u: float, d: float = 1.0) -> "EulerParams":
-        """Derive (h~, p, q) from (N, x_l, x_u, d)."""
-        h_tilde = math.sqrt(2 * math.pi * d * (x_l + x_u) / (x_l**2 * n))
-        p = math.sqrt(n * h_tilde / x_l)
-        q = math.sqrt(x_l * n * h_tilde / 4)
-        return cls(n, x_l, x_u, d, h_tilde, p, q)
+        """The parameters of (N, x_l, x_u, d), with d = 1 by default."""
+        return cls(n, x_l, x_u, d)
 
 
 def weight(xi, params: EulerParams) -> np.ndarray:

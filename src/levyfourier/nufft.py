@@ -27,67 +27,33 @@ from functools import lru_cache
 import numpy as np
 from scipy import sparse
 
-# ES shape parameter per unit width, chosen for an upsampling factor of 2
-BETA_PER_WIDTH = 2.30
-DEFAULT_WIDTH = 15
+# ES kernel width w in grid nodes, and its shape beta = 2.30 w, chosen for
+# an upsampling factor of 2
+WIDTH = 15
+HALF_WIDTH = WIDTH / 2
+BETA = 2.30 * WIDTH
 # Gauss-Legendre order of the phi_hat rule; test_nufft checks that halving
 # it first moves phi_hat by more than 1e-14 phi_hat(0) and doubling it less
 ES_QUADRATURE_NODES = 128
 
 
-@dataclass(frozen=True)
-class NufftParams:
-    """Gridding constants: ES kernel width w (in grid nodes) with shape
-    beta = 2.30 w and half-width w/2, grid scale a = 2pi/M, and the outer
-    node range l = -l_minus..l_plus (exactly M nodes at the integers l)."""
-
-    width: int
-    a: float
-    l_minus: int
-    l_plus: int
-
-    @property
-    def beta(self) -> float:
-        return BETA_PER_WIDTH * self.width
-
-    @property
-    def half_width(self) -> float:
-        return self.width / 2
-
-
-def nufft_params(m: int, points: np.ndarray, h_tilde: float,
-                 width: int = DEFAULT_WIDTH) -> NufftParams:
-    """Resolve the gridding constants for M sources at the given points.
-
-    l_minus = ceil(w/2) - floor(min_j c_j) with c_j = h_tilde*y_j/a,
-    so the kernel of the leftmost source lies on the grid, and
-    l_plus = -l_minus + M - 1, so the outer grid has exactly M nodes.
-    Every plan uses DEFAULT_WIDTH; other widths are for comparisons.
-    """
-    a = 2 * math.pi / m
-    c_min = h_tilde * float(np.min(points)) / a
-    l_minus = math.ceil(width / 2) - math.floor(c_min)
-    return NufftParams(width, a, l_minus, -l_minus + m - 1)
-
-
-def build_windows(points: np.ndarray, params: NufftParams, h_tilde: float):
+def build_windows(c: np.ndarray, nodes: np.ndarray):
     """Per-node source windows (j_min, j_max): j in [j_min[p], j_max[p]]
-    feeds node l = -l_minus + p.
+    feeds node l = nodes[p].
 
-    The window of node l holds exactly the sources inside the kernel's
-    support, l - w/2 <= c_j <= l + w/2 with c_j = h_tilde*y_j/a,
-    so each bound is one rank query into the sorted c, evaluated for every l
-    at once; empty windows have j_max = j_min - 1.  Tied points are allowed:
-    large DE grids put several nodes at y = 0.
+    c holds the nondecreasing lattice positions c_j = h_tilde*y_j/a of the
+    sources j = -len(c)//2.. .  The window of node l holds exactly the
+    sources inside the kernel's support, l - w/2 <= c_j <= l + w/2, so each
+    bound is one rank query into c, evaluated for every l at once; empty
+    windows have j_max = j_min - 1.  Tied points are allowed: large DE grids
+    put several nodes at y = 0.
     """
-    points = np.asarray(points, dtype=float)
-    if np.any(np.diff(points) < 0):
-        raise ValueError("points must be nondecreasing")
-    c = h_tilde * points / params.a
-    nodes = np.arange(-params.l_minus, params.l_plus + 1)
-    j_lo = -(len(points) // 2)
-    j_min = j_lo + np.searchsorted(c, nodes - params.half_width, side="left")
-    j_max = j_lo + np.searchsorted(c, nodes + params.half_width, side="right") - 1
+    c = np.asarray(c, dtype=float)
+    if np.any(np.diff(c) < 0):
+        raise ValueError("source positions must be nondecreasing")
+    j_lo = -(len(c) // 2)
+    j_min = j_lo + np.searchsorted(c, nodes - HALF_WIDTH, side="left")
+    j_max = j_lo + np.searchsorted(c, nodes + HALF_WIDTH, side="right") - 1
     return j_min, j_max
 
 
@@ -123,10 +89,10 @@ def _legendre_half(n: int):
     return x, 2 / ((1 - x * x) * dp * dp)
 
 
-def _es_quadrature(width: int, n: int = ES_QUADRATURE_NODES):
+def _es_quadrature(n: int = ES_QUADRATURE_NODES):
     """Nodes z_q and weights g_q with phi_hat(omega) = sum_q g_q cos(omega z_q)
     on |omega| <= pi/2, the band of every plan, where phi_hat is the Fourier
-    transform of the ES kernel of this width.
+    transform of the ES kernel.
 
     z = (w/2) sin(theta) turns the square-root end points of phi into an
     analytic integrand, integrated by n-point Gauss-Legendre quadrature over
@@ -135,13 +101,12 @@ def _es_quadrature(width: int, n: int = ES_QUADRATURE_NODES):
     """
     x, wts = _legendre_half(n)
     theta = (math.pi / 2) * x
-    z = (width / 2) * np.sin(theta)
-    g = (math.pi * width / 2) * wts * np.cos(theta) \
-        * np.exp(BETA_PER_WIDTH * width * (np.cos(theta) - 1))
+    z = HALF_WIDTH * np.sin(theta)
+    g = (math.pi * WIDTH / 2) * wts * np.cos(theta) * np.exp(BETA * (np.cos(theta) - 1))
     return z, g
 
 
-def _es_transform(width: int, step: float, count: int) -> np.ndarray:
+def _es_transform(step: float, count: int) -> np.ndarray:
     """phi_hat(k step) for k = 0..count-1, with (count - 1) step <= pi/2.
 
     phi_hat(k step) = Re sum_q g_q e^{i k step z_q}; writing k = s J + j, the
@@ -151,7 +116,7 @@ def _es_transform(width: int, step: float, count: int) -> np.ndarray:
     product is an einsum, not a BLAS matmul: a threaded BLAS call here took
     16 ms on a 2-CPU host.
     """
-    z, g = _es_quadrature(width)
+    z, g = _es_quadrature()
     j = math.isqrt(count - 1) + 1
     s = -(-count // j)
     fine = np.exp(1j * step * np.outer(np.arange(j), z))
@@ -165,8 +130,8 @@ class GriddingPlan:
     weights, built once per grid.
 
     matrix is the block-diagonal gridding pattern: row r*M + p is node
-    l = l_lo(r) + p of run r, with l_lo(r) = -l_minus of that run; column i
-    is the i-th live source (see gridding_plan), and the entry is the ES
+    l = l_lo(r) + p of run r (see gridding_plan); column i is the i-th live
+    source, and the entry is the ES
     kernel phi(l - c_j) for each pair of build_windows, which are the pairs
     inside the kernel's support |l - c_j| <= w/2 (the kernel is exactly 0
     outside it).
@@ -180,13 +145,16 @@ class GriddingPlan:
     gather: np.ndarray
 
 
-def gridding_plan(points: np.ndarray, params_rows, h_tilde: float, n_gamma: int,
+def gridding_plan(points: np.ndarray, h_tilde: float, n_gamma: int,
                   live: np.ndarray) -> GriddingPlan:
     """Gridding plan for runs of M sources each at the rows of points.
 
-    params_rows holds one NufftParams per run; they must share (width, a).  live lists, in increasing order, the flat indices
-    into points of the sources that can carry weight; the plan's columns are
-    those sources, and the pairs of every other source are dropped.
+    live lists, in increasing order, the flat indices into points of the
+    sources that can carry weight; the plan's columns are those sources, and
+    the pairs of every other source are dropped.  Run r grids onto the M
+    nodes l = l_lo(r)..l_lo(r) + M - 1 of the lattice a = 2pi/M, with
+    l_lo(r) = floor(min_j c_j) - ceil(w/2) for its positions c_j = h_tilde*y_j/a,
+    so the kernel of its leftmost source lies on the grid.
     """
     points = np.atleast_2d(np.asarray(points, dtype=float))
     runs, m = points.shape
@@ -194,34 +162,33 @@ def gridding_plan(points: np.ndarray, params_rows, h_tilde: float, n_gamma: int,
         raise ValueError(f"M = {m} must equal 2*n_gamma = {2 * n_gamma}")
     if m & (m - 1):
         raise ValueError(f"M = {m} must be a power of two")
-    par = params_rows[0]
-    if len({(p.width, p.a) for p in params_rows}) != 1:
-        raise ValueError("stacked runs must share width and a")
+    a = 2 * math.pi / m
+    c = h_tilde * points / a
+    l_lo = np.floor(c.min(axis=1, keepdims=True)).astype(np.int64) - math.ceil(HALF_WIDTH)
+    nodes = l_lo + np.arange(m)
     live = np.asarray(live)
     # window l of run r is the flat source range [lo, hi); its live sources
     # are the plan columns start..stop-1 since live is sorted
-    lo, hi, nodes = [], [], []
-    for r, (row, p) in enumerate(zip(points, params_rows)):
-        j_min, j_max = build_windows(row, p, h_tilde)
+    lo, hi = [], []
+    for r in range(runs):
+        j_min, j_max = build_windows(c[r], nodes[r])
         lo.append(j_min + r * m + m // 2)
         hi.append(j_max + 1 + r * m + m // 2)
-        nodes.append(np.arange(-p.l_minus, -p.l_minus + m))
     start = np.searchsorted(live, np.concatenate(lo))
     counts = np.maximum(np.searchsorted(live, np.concatenate(hi)) - start, 0)
     indptr = np.concatenate(([0], np.cumsum(counts)))
     cols = (np.arange(indptr[-1], dtype=np.int32)
             - np.repeat((indptr[:-1] - start).astype(np.int32), counts))
-    c = h_tilde * points.ravel()[live] / par.a
+    c_live = c.ravel()[live]
     # (2z/w)^2 <= 1 for every window pair: the window bounds l -+ w/2 are
     # exact (integer l) and rounding is monotone
-    u2 = ((np.repeat(np.concatenate(nodes), counts) - c[cols]) / par.half_width) ** 2
-    kernel = np.exp(par.beta * (np.sqrt(1 - u2) - 1))
+    u2 = ((np.repeat(nodes.ravel(), counts) - c_live[cols]) / HALF_WIDTH) ** 2
+    kernel = np.exp(BETA * (np.sqrt(1 - u2) - 1))
     matrix = sparse.csr_array((kernel, cols, indptr.astype(np.int32)),
                               shape=(runs * m, len(live)))
 
     kp = np.arange(0, n_gamma + 1) - n_gamma // 2
-    phi_hat = _es_transform(par.width, par.a, np.max(np.abs(kp)) + 1)
-    l_lo = np.array([[-p.l_minus] for p in params_rows])
+    phi_hat = _es_transform(a, np.max(np.abs(kp)) + 1)
     post = (1 / phi_hat[np.abs(kp)]) * np.exp(-2j * np.pi * kp * l_lo / m)
     gather = kp % m
     for arr in (matrix.data, matrix.indices, matrix.indptr, post, gather):

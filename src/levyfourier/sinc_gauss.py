@@ -50,7 +50,7 @@ class KernelTable:
         return spectrum
 
 
-def kernel_table(r: float, n_prime: int, m_table: int | None = None) -> KernelTable:
+def kernel_table(r: float, n_prime: int) -> KernelTable:
     """Tabulate G_r(k), k = 0..n_prime, from the kernel's Fourier transform.
 
     F_SG(w) = (1/2)[erf(r(w+pi)/sqrt(2)) - erf(r(w-pi)/sqrt(2))] is the
@@ -63,15 +63,12 @@ def kernel_table(r: float, n_prime: int, m_table: int | None = None) -> KernelTa
     with M = m_table.  Since h'(k + 1/2) = 2pi (2k+1) / 2M, this is a length-2M
     DFT of the real even sequence c, read at its odd bins: one inverse real
     FFT gives all k at once, prefix-summed from G_r(0) = 0 in extended
-    precision.  m_table defaults to max(4*n_prime, 2^10) and must satisfy
-    floor(m_table/2) >= n_prime.
+    precision.  m_table = max(4*n_prime, 2^10), which must be a power of two.
     """
-    if m_table is None:
-        m_table = max(4 * n_prime, 1024)
-    if m_table & (m_table - 1):
-        raise ValueError(f"m_table = {m_table} must be a power of two")
-    if m_table // 2 < n_prime:
-        raise ValueError(f"m_table = {m_table} too small for n_prime = {n_prime}")
+    m_table = max(4 * n_prime, 1024)
+    if n_prime < 1 or m_table & (m_table - 1):
+        raise ValueError(f"n_prime = {n_prime} must be positive, and a power of two "
+                         "if above 256")
     w = np.arange(m_table + 1) * (2 * np.pi / m_table)
     f_sg = 0.5 * (erf(r * (w + np.pi) / np.sqrt(2)) - erf(r * (w - np.pi) / np.sqrt(2)))
     c = f_sg * np.sinc(w / (2 * np.pi))

@@ -12,17 +12,20 @@ from typing import Callable, Optional
 import numpy as np
 import scipy.special as sp
 
-from .de_ft import _sources_stacked, node_plan, splice_plan
+from .de_ft import DE_BETA, _sources_stacked, node_plan, splice_plan
 from .euler_ft import EulerParams, inverse_ft
-from .nufft import (BETA_PER_WIDTH, DEFAULT_WIDTH, _forward_stacked, gridding_plan,
-                    nufft_params, source_shift)
+from .nufft import BETA, WIDTH, _forward_stacked, gridding_plan, source_shift
 from .sinc_gauss import indefinite_integral, kernel_table
 
 # Step-1 plans kept at once; one M = 2^14 plan holds about 6 MB
 PLAN_CACHE_SIZE = 4
 # the Step-1 gridding kernel (see nufft), echoed with every solve
-KERNEL_ECHO = {"kernel": "es", "width": DEFAULT_WIDTH,
-               "beta": BETA_PER_WIDTH * DEFAULT_WIDTH}
+KERNEL_ECHO = {"kernel": "es", "width": WIDTH, "beta": BETA}
+
+
+def _check_gamma(gamma):
+    if type(gamma) is not int or gamma not in (1, 2):
+        raise ValueError(f"gamma must be the int 1 or 2, got {gamma!r}")
 
 
 @dataclass(frozen=True)
@@ -43,8 +46,7 @@ class LevyModel:
     exact_exponent: Optional[Callable] = None
 
     def __post_init__(self):
-        if self.gamma not in (1, 2):
-            raise ValueError(f"gamma must be 1 or 2, got {self.gamma}")
+        _check_gamma(self.gamma)
         if not callable(self.mu):
             raise TypeError("mu must be callable")
 
@@ -56,44 +58,49 @@ class LevyModel:
 
 @dataclass(frozen=True)
 class GridSpec:
-    """All coupled grid sizes of one run.
+    """The grid of one run, fixed by its Euler parameters and the model
+    order gamma (1 or 2).
 
-    n_gamma = 2^gamma * N fixes the Step-2 budget, m = 2 * n_gamma the DE node
-    count, h_hat = x_max / N the output spacing; h_tilde comes from the Euler
-    parameters so Steps 1-3 share one frequency grid.
+    n = N and h_tilde come from the Euler parameters, so Steps 1-3 share one
+    frequency grid; x_max = x_u and the output spacing h_hat = x_max / N;
+    n_gamma = 2^gamma N fixes the Step-2 budget and m = 2 n_gamma the DE
+    node count.
     """
 
-    n: int
-    x_max: float
-    h_hat: float
-    n_gamma: int
-    m: int
-    h_tilde: float
+    euler: EulerParams
+    gamma: int
 
     def __post_init__(self):
-        for name in ("n", "n_gamma", "m"):
-            v = getattr(self, name)
-            if v < 2 or v & (v - 1):
-                raise ValueError(f"{name} = {v} must be a power of two >= 2")
-        if self.n_gamma // self.n not in (2, 4) or self.n_gamma % self.n:
-            raise ValueError(f"n_gamma = {self.n_gamma} must be 2N or 4N (N = {self.n})")
-        if self.m != 2 * self.n_gamma:
-            raise ValueError(f"m = {self.m} must equal 2 * n_gamma = {2 * self.n_gamma}")
-        if not math.isclose(self.h_hat * self.n, self.x_max, rel_tol=1e-12):
-            raise ValueError(f"h_hat = {self.h_hat} must equal x_max / n")
-        if not (self.h_tilde > 0 and math.isfinite(self.h_tilde)):
-            raise ValueError("h_tilde must be finite and positive")
+        _check_gamma(self.gamma)
 
     @property
-    def gamma(self) -> int:
-        return (self.n_gamma // self.n).bit_length() - 1
+    def n(self) -> int:
+        return self.euler.n
+
+    @property
+    def x_max(self) -> float:
+        return self.euler.x_u
+
+    @property
+    def h_hat(self) -> float:
+        return self.euler.x_u / self.euler.n
+
+    @property
+    def h_tilde(self) -> float:
+        return self.euler.h_tilde
+
+    @property
+    def n_gamma(self) -> int:
+        return self.euler.n << self.gamma
+
+    @property
+    def m(self) -> int:
+        return 2 * self.n_gamma
 
 
 def make_grid(model: LevyModel, euler: EulerParams) -> GridSpec:
-    """Grid sizes coupled to the model order and Euler parameters."""
-    n_gamma = (1 << model.gamma) * euler.n
-    return GridSpec(euler.n, euler.x_u, euler.x_u / euler.n,
-                    n_gamma, 2 * n_gamma, euler.h_tilde)
+    """The grid of the model's order and these Euler parameters."""
+    return GridSpec(euler, model.gamma)
 
 
 @dataclass(frozen=True, eq=False)
@@ -216,8 +223,7 @@ def _step1_plan(grid: GridSpec):
     k-ranges each run covers."""
     (run_a, range_a), (run_b, range_b) = splice_plan(grid.n_gamma, grid.h_tilde)
     nodes = node_plan((run_a, run_b), source_shift(grid.h_tilde, grid.n_gamma))
-    npar = [nufft_params(grid.m, row, grid.h_tilde) for row in nodes.points]
-    gridding = gridding_plan(nodes.points, npar, grid.h_tilde, grid.n_gamma, nodes.live)
+    gridding = gridding_plan(nodes.points, grid.h_tilde, grid.n_gamma, nodes.live)
     return nodes, gridding, (range_a, range_b)
 
 
@@ -287,7 +293,7 @@ def clear_exponent_cache():
 
 def solve(model: LevyModel, grid: GridSpec, t: float, euler: EulerParams,
           use_exact_exponent: bool = False) -> SolveResult:
-    """Density p(n h^, t) for n = -N+1..N.
+    """Density p(n h^, t) for n = -N+1..N; euler must equal grid.euler.
 
     use_exact_exponent feeds model.exact_exponent straight to Step 3, skipping
     Steps 1-2 (oracle runs isolating the inversion stage).
@@ -300,9 +306,7 @@ def solve(model: LevyModel, grid: GridSpec, t: float, euler: EulerParams,
     """
     if not (np.ndim(t) == 0 and math.isfinite(t) and t > 0):
         raise ValueError(f"t must be a positive finite scalar, got {t!r}")
-    if (euler.n != grid.n
-            or not math.isclose(euler.h_tilde, grid.h_tilde, rel_tol=1e-12)
-            or not math.isclose(euler.x_u, grid.x_max, rel_tol=1e-12)):
+    if euler != grid.euler:
         raise ValueError("euler parameters inconsistent with grid")
     t = float(t)
     total0 = time.perf_counter()
@@ -327,8 +331,7 @@ def solve(model: LevyModel, grid: GridSpec, t: float, euler: EulerParams,
                "exponent_cached": cached, "plan_cached": plan_cached}
     x = np.arange(-grid.n + 1, grid.n + 1) * grid.h_hat
     return SolveResult(x, p, timings,
-                       params_echo(model, grid, euler, t=t,
-                                   use_exact_exponent=use_exact_exponent),
+                       params_echo(model, grid, t=t, use_exact_exponent=use_exact_exponent),
                        model.exact_density)
 
 
@@ -353,15 +356,16 @@ def _exact_exponent(model: LevyModel, grid: GridSpec) -> np.ndarray:
     return g[n - 1:]
 
 
-def params_echo(model: LevyModel, grid: GridSpec, euler: EulerParams, **extra) -> dict:
+def params_echo(model: LevyModel, grid: GridSpec, **extra) -> dict:
     """Every tunable that affects the numbers, resolved."""
-    return {**_echo_base(model, grid, euler), **extra}
+    return {**_echo_base(model, grid), **extra}
 
 
 @lru_cache(maxsize=64)
-def _echo_base(model: LevyModel, grid: GridSpec, euler: EulerParams) -> dict:
-    """The part of params_echo fixed by (model, grid, euler); kept, never
-    handed out, so no caller can change it."""
+def _echo_base(model: LevyModel, grid: GridSpec) -> dict:
+    """The part of params_echo fixed by (model, grid); kept, never handed
+    out, so no caller can change it."""
+    euler = grid.euler
     (run_a, range_a), (run_b, _) = splice_plan(grid.n_gamma, grid.h_tilde)
     return {
         "model": model.name,
@@ -382,7 +386,7 @@ def _echo_base(model: LevyModel, grid: GridSpec, euler: EulerParams) -> dict:
         "splice_boundary": range_a.stop - 1,
         "h_de_rule": "log(1000*m)/m",
         "h_de": run_a.h,
-        "de_beta": run_a.beta,
+        "de_beta": DE_BETA,
         "de_alpha_low": run_a.alpha,
         "de_alpha_high": run_b.alpha,
         "r_rule": "sqrt(n_prime/pi)",

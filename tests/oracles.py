@@ -52,22 +52,30 @@ def source_sum_direct(weights, points, h_tilde, n_gamma, k=None):
     return np.exp(-1j * h_tilde * np.outer(k, points)) @ weights
 
 
-def windows_brute(points, params, h_tilde):
+def gridding_lattice(points, h_tilde):
+    """Positions c_j = h~ y_j / a of one run's M sources and its M gridding
+    nodes l = l_lo..l_lo + M - 1, with a = 2 pi / M and the lattice start
+    l_lo = floor(min_j c_j) - ceil(w/2) for the kernel width w = 15."""
+    points = np.asarray(points, dtype=float)
+    m = len(points)
+    c = h_tilde * points / (2 * math.pi / m)
+    l_lo = math.floor(min(c)) - math.ceil(15 / 2)
+    return c, np.arange(l_lo, l_lo + m)
+
+
+def windows_brute(c, nodes, b):
     """Gridding windows straight from the kernel support, source by source.
 
     j_min(l) = j_lo + #{j : c_j < l - b}
     j_max(l) = j_lo + #{j : c_j <= l + b} - 1
-    with c_j = h~ y_j / a, b = w/2 the kernel's half-width and the source
-    index frame starting at j_lo = -m//2; for sorted points these are the
-    first and last source within b of node l.
+    for each node l, with b the kernel's half-width and the source index
+    frame starting at j_lo = -len(c)//2; for sorted c these are the first
+    and last source within b of node l.
     """
-    b = params.width / 2
-    c = h_tilde * np.asarray(points, dtype=float) / params.a
     j_lo = -(len(c) // 2)
-    l_vals = np.arange(-params.l_minus, params.l_plus + 1)
-    j_min = np.empty(len(l_vals), dtype=np.int64)
-    j_max = np.empty(len(l_vals), dtype=np.int64)
-    for pos, l in enumerate(l_vals):
+    j_min = np.empty(len(nodes), dtype=np.int64)
+    j_max = np.empty(len(nodes), dtype=np.int64)
+    for pos, l in enumerate(nodes):
         j_min[pos] = j_lo + sum(1 for cj in c if cj < l - b)
         j_max[pos] = j_lo + sum(1 for cj in c if cj <= l + b) - 1
     return j_min, j_max

@@ -43,6 +43,8 @@ def test_runconfig_validation():
         RunConfig(t_values=(1.0, 0.0))
     with pytest.raises(ValueError, match="positive and finite"):
         RunConfig(t_values=(math.inf,))
+    with pytest.raises(ValueError, match="must not repeat"):
+        RunConfig(t_values=(1.0, 2.0, 1.0))
     with pytest.raises(ValueError, match="at least one grid exponent"):
         RunConfig(exponent_i=())
     with pytest.raises(ValueError, match="7..14"):
@@ -187,6 +189,29 @@ def test_converge_writes_table_and_slopes(tmp_path, capsys):
     assert [e["i"] for e in man["runs"]] == [7, 8, 9]
 
 
+def test_solve_names_each_time_by_its_shortest_round_trip_digits(tmp_path):
+    rc = main(["solve", "--t", "1.0000001,1.0000002,1.5", "--i-range", "8",
+               "--out", str(tmp_path)])
+    assert rc == 0
+    man = json.loads((tmp_path / "solve_vg_manifest.json").read_text(encoding="utf-8"))
+    files = [run["file"] for run in man["runs"]]
+    assert files == ["solve_vg_i8_t1.0000001.csv", "solve_vg_i8_t1.0000002.csv",
+                     "solve_vg_i8_t1.5.csv"]
+    first, second = ((tmp_path / f).read_text(encoding="utf-8") for f in files[:2])
+    assert first != second
+
+
+def test_converge_keeps_close_times_apart(tmp_path, capsys):
+    rc = main(["converge", "--i-range", "7..9", "--t", "1,1.0000001",
+               "--out", str(tmp_path)])
+    assert rc == 0
+    header = (tmp_path / "converge_vg.csv").read_text(encoding="utf-8").splitlines()[0]
+    assert header == ("M,max_err_full_t1,max_err_window_t1,"
+                      "max_err_full_t1.0000001,max_err_window_t1.0000001")
+    man = json.loads((tmp_path / "converge_vg_manifest.json").read_text(encoding="utf-8"))
+    assert list(man["slopes"]) == ["t=1", "t=1.0000001"]
+
+
 def test_bench_writes_table_and_warns_on_few_reps(tmp_path):
     with pytest.warns(UserWarning, match="reps = 2 < 5"):
         rc = main(["bench", "--i-range", "7,8", "--reps", "2", "--t", "1",
@@ -238,6 +263,16 @@ def test_main_reports_config_errors_on_stderr(tmp_path, capsys):
 
 def test_failed_solve_creates_no_output_directory(tmp_path, capsys):
     out = tmp_path / "out"
+    rc = main(["solve", "--t", "1,1", "--i-range", "7", "--out", str(out)])
+    assert rc == 2
+    assert "times must not repeat" in capsys.readouterr().err
+    assert not out.exists()
+    # a non-finite window input is named, not reported as a derived step
+    for flag, name in (("--xu", "x_u"), ("--d", "d")):
+        rc = main(["solve", flag, "inf", "--i-range", "7", "--out", str(out)])
+        assert rc == 2
+        assert f"error: {name} must be finite, got inf" in capsys.readouterr().err
+        assert not out.exists()
     rc = main(["solve", "--model", "custom", "--gamma", "1", "--mu", "np.exp(-y)*np.inf",
                "--i-range", "7", "--out", str(out)])
     assert rc == 2

@@ -6,7 +6,8 @@ import numpy as np
 import pytest
 
 import oracles
-from levyfourier.de_ft import DeFtParams, _sources_stacked, node_plan, phi_parts, splice_plan
+from levyfourier.de_ft import (DE_BETA, DeFtParams, _sources_stacked, node_plan, phi_parts,
+                               splice_plan)
 from levyfourier.euler_ft import EulerParams
 
 H_TILDE_2_11 = math.sqrt(14 * math.pi / 2**11)
@@ -32,8 +33,8 @@ def test_phi_asymptotes():
 def test_phi_parts_monotone_positive_on_truncation_range():
     (run_a, _), (run_b, _) = splice_plan(1024, H_TILDE_2_11)
     for run in (run_a, run_b):
-        j = np.arange(-run.m_minus, run.m_plus)
-        ph, phat, dph = phi_parts(j * run.h, run.alpha, run.beta)
+        j = np.arange(-run.m // 2, run.m // 2)
+        ph, phat, dph = phi_parts(j * run.h, run.alpha, DE_BETA)
         assert np.all(ph > 0)
         assert np.all(np.diff(ph) > 0)
         assert np.all(dph > 0)
@@ -59,19 +60,25 @@ def test_phi_parts_phihat_identity():
 
 
 def test_de_params_validation():
-    p = DeFtParams(10.0, 0.01, 512, 512)
+    p = DeFtParams(10.0, 0.01, 1024)
     expected = 0.25 / math.sqrt(1 + math.log(1 + math.pi / (10.0 * 0.01)) / (4 * 10.0 * 0.01))
     assert p.alpha == pytest.approx(expected, rel=1e-14)
-    assert p.m == 1024
     assert p.point_scale == pytest.approx(math.pi / (10.0 * 0.01), rel=1e-14)
+    assert p == DeFtParams(10.0, 0.01, 1024) and hash(p) == hash(DeFtParams(10.0, 0.01, 1024))
+    with pytest.raises(TypeError):
+        DeFtParams(10.0, 0.01, 1024, alpha=expected)   # alpha is derived, not set
+    for m in (1000, 1, 0):
+        with pytest.raises(ValueError, match=f"m = {m} must be a power of two"):
+            DeFtParams(10.0, 0.01, m)
     with pytest.raises(ValueError):
-        DeFtParams(10.0, 0.01, 512, 512, alpha=expected * 1.01)
+        DeFtParams(-1.0, 0.01, 1024)
     with pytest.raises(ValueError):
-        DeFtParams(10.0, 0.01, 500, 500)
-    with pytest.raises(ValueError):
-        DeFtParams(-1.0, 0.01, 512, 512)
-    with pytest.raises(ValueError):
-        DeFtParams(10.0, 0.0, 512, 512)
+        DeFtParams(10.0, 0.0, 1024)
+    with pytest.raises(ValueError, match="share h and m"):
+        node_plan((p, DeFtParams(10.0, 0.02, 1024)))
+    with pytest.raises(ValueError, match="share h and m"):
+        node_plan((p, DeFtParams(10.0, 0.01, 512)))
+    node_plan((p, DeFtParams(20.0, 0.01, 1024)))   # zeta0 may differ
 
 
 def test_node_plan_vg_geometry():
@@ -151,7 +158,7 @@ def test_sources_stacked_rejects_nonfinite_mu_at_live_nodes():
     plan = node_plan((run_a, run_b))
     y_bad = plan.y[plan.live >= run_a.m][3]      # a node of run b
     mu = lambda y: np.where(y == y_bad, np.nan, 1.0)
-    j = plan.live[np.flatnonzero(plan.y == y_bad)[0]] - run_a.m - run_a.m_minus
+    j = plan.live[np.flatnonzero(plan.y == y_bad)[0]] - run_a.m - run_a.m // 2
     with pytest.raises(ValueError, match=f"non-finite value nan at j={j}, y=") as info:
         _sources_stacked(mu, plan)
     assert float(str(info.value).partition(", y=")[2]) == y_bad   # a plain number
@@ -161,14 +168,14 @@ def test_sources_stacked_rejects_complex_mu():
     (run_a, _), (run_b, _) = splice_plan(256, 0.05)
     plan = node_plan((run_a, run_b))
     y_bad = plan.y[plan.live >= run_a.m][5]      # a node of run b
-    j = plan.live[np.flatnonzero(plan.y == y_bad)[0]] - run_a.m - run_a.m_minus
+    j = plan.live[np.flatnonzero(plan.y == y_bad)[0]] - run_a.m - run_a.m // 2
     mu = lambda y: np.exp(-y) + np.where(y == y_bad, 2j, 0j)
     with warnings.catch_warnings():
         warnings.simplefilter("error")           # no ComplexWarning, no truncation
         with pytest.raises(ValueError, match=rf"real values: \(1\+2j\) at j={j}, y=") as info:
             _sources_stacked(mu, plan)
         assert float(str(info.value).partition(", y=")[2]) == y_bad
-        j0 = plan.live[0] - run_a.m_minus
+        j0 = plan.live[0] - run_a.m // 2
         with pytest.raises(ValueError, match=f"real values: .* at j={j0}, y="):
             _sources_stacked(lambda y: 1j * np.exp(-y), plan)
         # a complex array is refused even where every imaginary part is zero
@@ -181,7 +188,7 @@ def test_splice_plan_rules():
     (run_a, range_a), (run_b, range_b) = splice_plan(n_gamma, H_TILDE_2_11)
     m = 2 * n_gamma
     assert run_a.h == run_b.h == pytest.approx(math.log(1e3 * m) / m, rel=1e-14)
-    assert run_a.m_minus == run_a.m_plus == n_gamma
+    assert run_a.m == run_b.m == m
     assert run_a.zeta0 == pytest.approx(n_gamma * H_TILDE_2_11 / 15.0, rel=1e-14)
     assert run_b.zeta0 == pytest.approx(n_gamma * H_TILDE_2_11 / 1.8, rel=1e-14)
     assert run_a.zeta0 == pytest.approx(10.0, abs=0.05)

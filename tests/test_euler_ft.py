@@ -17,22 +17,31 @@ def test_from_theorem_couplings():
 
 
 def test_params_validation():
-    ep = EulerParams.from_theorem(256, 2.0, 5.0, 1.0)
-    with pytest.raises(ValueError):
-        EulerParams(255, ep.x_l, ep.x_u, ep.d, ep.h_tilde, ep.p, ep.q)
-    with pytest.raises(ValueError):
-        EulerParams(256, 5.0, 2.0, ep.d, ep.h_tilde, ep.p, ep.q)
-    with pytest.raises(ValueError):
+    ep = EulerParams(256, 2.0, 5.0, 1.0)
+    # h~, p and q are derived, not set, and take no part in equality
+    twin = EulerParams.from_theorem(256, 2.0, 5.0)
+    assert twin == ep and hash(twin) == hash(ep)
+    assert (twin.h_tilde, twin.p, twin.q) == (ep.h_tilde, ep.p, ep.q)
+    assert ep != EulerParams(256, 2.0, 5.0, 2.0)
+    with pytest.raises(TypeError):
+        EulerParams(256, 2.0, 5.0, 1.0, ep.h_tilde, ep.p, ep.q)
+    with pytest.raises(ValueError, match="power of two"):
+        EulerParams(255, 2.0, 5.0, 1.0)
+    with pytest.raises(ValueError, match="0 < x_l < x_u"):
+        EulerParams(256, 5.0, 2.0, 1.0)
+    with pytest.raises(ValueError, match="1/2"):
         # x_l/x_u above 1/2 breaks the window guarantee
         EulerParams.from_theorem(256, 3.0, 5.0, 1.0)
-    with pytest.raises(ValueError):
-        EulerParams(256, ep.x_l, ep.x_u, -1.0, ep.h_tilde, ep.p, ep.q)
-    with pytest.raises(ValueError):
-        EulerParams(256, ep.x_l, ep.x_u, ep.d, ep.h_tilde * 1.0001, ep.p, ep.q)
-    with pytest.raises(ValueError):
-        EulerParams(256, ep.x_l, ep.x_u, ep.d, ep.h_tilde, ep.p * 1.0001, ep.q)
-    with pytest.raises(ValueError):
-        EulerParams(256, ep.x_l, ep.x_u, ep.d, ep.h_tilde, ep.p, ep.q * 1.0001)
+    with pytest.raises(ValueError, match="d must be positive"):
+        EulerParams(256, 2.0, 5.0, -1.0)
+    with pytest.raises(ValueError, match="d must be positive"):
+        EulerParams(256, 2.0, 5.0, 0.0)
+    # a non-finite window input is named, not reported through h~, p or q
+    for name in ("x_l", "x_u", "d"):
+        for bad in (math.inf, -math.inf, math.nan):
+            args = {"n": 256, "x_l": 2.0, "x_u": 5.0, "d": 1.0, name: bad}
+            with pytest.raises(ValueError, match=f"^{name} must be finite, got"):
+                EulerParams(**args)
 
 
 def test_weight_pins():

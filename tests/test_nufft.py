@@ -8,16 +8,16 @@ import pytest
 import oracles
 from levyfourier.de_ft import _sources_stacked, node_plan, splice_plan
 from levyfourier.euler_ft import EulerParams
-from levyfourier.nufft import (DEFAULT_WIDTH, ES_QUADRATURE_NODES, NufftParams, _es_quadrature,
+from levyfourier.nufft import (BETA, ES_QUADRATURE_NODES, HALF_WIDTH, WIDTH, _es_quadrature,
                                _es_transform, _forward_stacked, build_windows,
-                               gridding_plan, nufft_params, source_shift)
+                               gridding_plan, source_shift)
 from levyfourier.solver import _window
 
 
 def vg_runs(n=128):
     """Both splice runs of the e^{-y} model on the [2, 5] window geometry:
-    (h_tilde, n_gamma, [(weights, points, nufft params, k-range), ...]) with
-    the plain DE weights, zero at nodes that carry no weight."""
+    (h_tilde, n_gamma, [(weights, points, k-range), ...]) with the plain DE
+    weights, zero at nodes that carry no weight."""
     euler = EulerParams.from_theorem(n, 2.0, 5.0, 1.0)
     n_gamma = 2 * n
     out = []
@@ -25,107 +25,109 @@ def vg_runs(n=128):
         plan = node_plan((run,))
         weights = np.zeros(run.m, dtype=complex)
         weights[plan.live] = _sources_stacked(lambda y: np.exp(-y), plan)
-        par = nufft_params(2 * n_gamma, plan.points[0], euler.h_tilde)
-        out.append((weights, plan.points[0], par, rng))
+        out.append((weights, plan.points[0], rng))
     return euler.h_tilde, n_gamma, out
 
 
-def forward(weights, points, par, h_tilde, n_gamma):
+def forward(weights, points, h_tilde, n_gamma):
     """sum_j w_j e^{-i k h~ y_j}, k = 0..n_gamma, of one run by the plan path."""
-    plan = gridding_plan(points, (par,), h_tilde, n_gamma, np.arange(len(points)))
+    plan = gridding_plan(points, h_tilde, n_gamma, np.arange(len(points)))
     shift = np.exp(-1j * source_shift(h_tilde, n_gamma) * points)
     return _forward_stacked(weights * shift, plan)[0]
 
 
 def test_params_rules():
-    points = np.array([0.5, 1.0, 7.0])
-    par = nufft_params(512, points, 0.1)
-    assert par.width == 15 and par.half_width == 7.5
-    assert par.beta == pytest.approx(2.30 * 15, rel=1e-15)
-    assert par.a == pytest.approx(2 * math.pi / 512, rel=1e-14)
-    # the lowest node lies a full half-width below the leftmost source
-    c_min = 0.1 * 0.5 / par.a
-    assert -par.l_minus <= c_min - par.half_width < -par.l_minus + 1
-    assert par.l_plus == -par.l_minus + 512 - 1
-    assert par.l_plus - (-par.l_minus) + 1 == 512
+    # the fixed ES kernel, and each run's lattice start l_lo = floor(min c) -
+    # ceil(w/2): the kernel support of the leftmost source lies on the grid,
+    # and the plan's rows are the nodes l_lo..l_lo + M - 1
+    assert WIDTH == 15 and HALF_WIDTH == 7.5
+    assert BETA == pytest.approx(2.30 * 15, rel=1e-15)
+    points = np.linspace(0.5, 7.0, 16)
+    for h_tilde in (0.1, 0.5):             # c_0 = 0.127 and 0.637
+        c, nodes = oracles.gridding_lattice(points, h_tilde)
+        assert c[0] == pytest.approx(h_tilde * 0.5 * 16 / (2 * math.pi), rel=1e-14)
+        assert 8 <= c[0] - nodes[0] < 9
+        plan = gridding_plan(points, h_tilde, 8, np.arange(16))
+        leftmost = plan.matrix[:, [0]].tocsc().indices
+        assert np.array_equal(np.sort(leftmost),
+                              np.flatnonzero(np.abs(nodes - c[0]) <= HALF_WIDTH))
+        assert leftmost.min() >= 1
 
 
 def test_windows_match_brute_force():
     h_tilde, n_gamma, runs = vg_runs()
     # the high-band run reproduces the published window-plot geometry
     assert splice_plan(n_gamma, h_tilde)[1][0].zeta0 == pytest.approx(41.684, abs=2e-3)
-    for _, points, par, _ in runs:
-        j_min, j_max = build_windows(points, par, h_tilde)
-        ref_min, ref_max = oracles.windows_brute(points, par, h_tilde)
+    for _, points, _ in runs:
+        c, nodes = oracles.gridding_lattice(points, h_tilde)
+        j_min, j_max = build_windows(c, nodes)
+        ref_min, ref_max = oracles.windows_brute(c, nodes, 7.5)
         assert np.array_equal(j_min, ref_min)
         assert np.array_equal(j_max, ref_max)
 
 
 def test_windows_monotone_and_contain_inner_sources():
     h_tilde, _, runs = vg_runs()
-    for _, points, par, _ in runs:
-        j_min, j_max = build_windows(points, par, h_tilde)
+    for _, points, _ in runs:
+        c, nodes = oracles.gridding_lattice(points, h_tilde)
+        j_min, j_max = build_windows(c, nodes)
         assert np.all(np.diff(j_min) >= 0)
         assert np.all(np.diff(j_max) >= 0)
         assert np.all(j_min <= j_max + 1)
-        c = h_tilde * points / par.a
         j_lo = -(len(c) // 2)
-        for pos, l in enumerate(range(-par.l_minus, par.l_plus + 1)):
+        for pos, l in enumerate(nodes):
             # a window holds exactly the sources within w/2 of its node
             window = c[j_min[pos] - j_lo:j_max[pos] - j_lo + 1]
-            assert np.all(np.abs(l - window) <= par.half_width)
-            inside = np.nonzero(np.abs(l - c) <= par.half_width)[0] + j_lo
+            assert np.all(np.abs(l - window) <= 7.5)
+            inside = np.nonzero(np.abs(l - c) <= 7.5)[0] + j_lo
             assert len(inside) == len(window)
 
 
 def test_windows_single_point_threshold():
-    par = NufftParams(40, 1.0, 25, 40)
-    j_min, j_max = build_windows(np.array([0.0]), par, 1.0)
+    # one source at c = 0 feeds exactly the nodes within w/2 = 7.5 of it
+    j_min, j_max = build_windows(np.array([0.0]), np.arange(-25, 41))
     for pos, l in enumerate(range(-25, 41)):
-        if abs(l) <= 20:
+        if abs(l) <= 7:
             assert (j_min[pos], j_max[pos]) == (0, 0)
         else:
             assert j_max[pos] == j_min[pos] - 1
 
 
 def test_windows_reject_unsorted_points():
-    par = NufftParams(40, 1.0, 25, 40)
-    with pytest.raises(ValueError):
-        build_windows(np.array([1.0, 0.5]), par, 1.0)
+    with pytest.raises(ValueError, match="nondecreasing"):
+        build_windows(np.array([1.0, 0.5]), np.arange(-25, 41))
 
 
 def test_windows_with_tied_points_match_brute_force():
     # large DE grids put a run of nodes at y = 0; the rank queries must
     # still give exactly the sources inside each node's kernel support
     points = np.concatenate((np.zeros(5), np.linspace(0.1, 4.0, 27)))
-    par = nufft_params(32, points, 0.9)
-    j_min, j_max = build_windows(points, par, 0.9)
-    ref_min, ref_max = oracles.windows_brute(points, par, 0.9)
+    c, nodes = oracles.gridding_lattice(points, 0.9)
+    j_min, j_max = build_windows(c, nodes)
+    ref_min, ref_max = oracles.windows_brute(c, nodes, 7.5)
     assert np.array_equal(j_min, ref_min)
     assert np.array_equal(j_max, ref_max)
 
 
 def test_gridding_plan_rows_are_the_window_pairs():
     h_tilde, n_gamma, runs = vg_runs()
-    points = np.stack([pts for _, pts, _, _ in runs])
-    params = [par for _, _, par, _ in runs]
+    points = np.stack([pts for _, pts, _ in runs])
     m = 2 * n_gamma
-    plan = gridding_plan(points, params, h_tilde, n_gamma, np.arange(2 * m))
+    plan = gridding_plan(points, h_tilde, n_gamma, np.arange(2 * m))
     assert plan.matrix.shape == (2 * m, 2 * m)
-    for r, (_, pts, par, _) in enumerate(runs):
-        j_min, j_max = build_windows(pts, par, h_tilde)
-        c = h_tilde * pts / par.a
+    for r, (_, pts, _) in enumerate(runs):
+        c, nodes = oracles.gridding_lattice(pts, h_tilde)
+        j_min, j_max = build_windows(c, nodes)
         for p in (0, m // 3, m // 2, m - 1):
             row = plan.matrix[[r * m + p]]
             cols = np.arange(j_min[p], j_max[p] + 1) + m // 2
-            node = -par.l_minus + p
             assert np.array_equal(row.indices, cols + r * m)
-            u = (node - c[cols]) / par.half_width
-            assert np.array_equal(row.data, np.exp(par.beta * (np.sqrt(1 - u**2) - 1)))
+            u = (nodes[p] - c[cols]) / 7.5
+            assert np.array_equal(row.data, np.exp(2.30 * 15 * (np.sqrt(1 - u**2) - 1)))
         assert np.all(plan.matrix.data > 0)
     # restricting to live sources keeps the other columns' entries unchanged
     live = np.flatnonzero(np.arange(2 * m) % 3)
-    sub = gridding_plan(points, params, h_tilde, n_gamma, live)
+    sub = gridding_plan(points, h_tilde, n_gamma, live)
     assert (sub.matrix != plan.matrix[:, live]).nnz == 0
 
 
@@ -136,7 +138,7 @@ def test_kernel_transform_rule_is_the_first_converged_doubling():
     omega = np.linspace(0.0, math.pi / 2, 65)
 
     def phi_hat(n):
-        z, g = _es_quadrature(DEFAULT_WIDTH, n)
+        z, g = _es_quadrature(n)
         return np.cos(np.outer(omega, z)) @ g
 
     moves = {}
@@ -146,7 +148,7 @@ def test_kernel_transform_rule_is_the_first_converged_doubling():
     assert moves[64] > 1e-14 and moves[128] <= 1e-14 and moves[256] <= 1e-14
     assert ES_QUADRATURE_NODES == 128
     step = math.pi / 2 / 4096
-    assert np.allclose(_es_transform(DEFAULT_WIDTH, step, 4097)[::64], phi_hat(128),
+    assert np.allclose(_es_transform(step, 4097)[::64], phi_hat(128),
                        rtol=1e-14, atol=0)
 
 
@@ -154,22 +156,20 @@ def test_deconvolution_is_the_kernel_transform():
     # |post| = 1 / phi_hat(a k'); phi_hat against adaptive quadrature of
     # the kernel's defining integral at nine frequencies over |a k'| <= pi/2
     h_tilde, n_gamma, runs = vg_runs()
-    points = np.stack([pts for _, pts, _, _ in runs])
-    params = [par for _, _, par, _ in runs]
-    plan = gridding_plan(points, params, h_tilde, n_gamma, np.arange(points.size))
-    par = params[0]
+    points = np.stack([pts for _, pts, _ in runs])
+    plan = gridding_plan(points, h_tilde, n_gamma, np.arange(points.size))
+    a = 2 * math.pi / (2 * n_gamma)
     kp = np.arange(0, n_gamma + 1) - n_gamma // 2
     for k in np.linspace(0, n_gamma, 9).astype(int):
-        assert abs(par.a * kp[k]) <= math.pi / 2
-        ref = oracles.es_transform_quad(par.width, par.beta, par.a * kp[k])
+        assert abs(a * kp[k]) <= math.pi / 2
+        ref = oracles.es_transform_quad(15, 2.30 * 15, a * kp[k])
         got = 1 / np.abs(plan.post[:, k])
         assert np.max(np.abs(got - ref)) <= 1e-13 * ref, k
 
 
 def test_forward_zero_weights():
     points = np.linspace(0.1, 3.2, 32)
-    par = nufft_params(32, points, 0.2)
-    out = forward(np.zeros(32), points, par, 0.2, 16)
+    out = forward(np.zeros(32), points, 0.2, 16)
     assert np.array_equal(out, np.zeros(17))
 
 
@@ -180,8 +180,7 @@ def test_forward_single_source_is_pure_phase():
     weights[20] = 1.0
     points = np.linspace(0.3, 4.8, 64)
     h_tilde = 0.21
-    par = nufft_params(64, points, h_tilde)
-    out = forward(weights, points, par, h_tilde, 32)
+    out = forward(weights, points, h_tilde, 32)
     k = np.arange(0, 33)
     exact = np.exp(-1j * k * h_tilde * points[20])
     assert np.max(np.abs(out - exact)) <= 1e-9
@@ -189,8 +188,8 @@ def test_forward_single_source_is_pure_phase():
 
 def test_forward_vg_matches_direct_sum():
     h_tilde, n_gamma, runs = vg_runs()
-    for weights, points, par, _ in runs:
-        fast = forward(weights, points, par, h_tilde, n_gamma)
+    for weights, points, _ in runs:
+        fast = forward(weights, points, h_tilde, n_gamma)
         direct = oracles.source_sum_direct(weights, points, h_tilde, n_gamma)
         assert np.max(np.abs(fast - direct)) <= 1e-8
 
@@ -200,37 +199,20 @@ def test_forward_phase_randomized_weights_stay_accurate():
     # node span are dropped by design, which only works when they are tiny
     rng = np.random.default_rng(41)
     h_tilde, n_gamma, runs = vg_runs()
-    for weights, points, par, _ in runs:
+    for weights, points, _ in runs:
         w = weights * np.exp(1j * rng.uniform(0.0, 2 * np.pi, len(weights)))
-        fast = forward(w, points, par, h_tilde, n_gamma)
+        fast = forward(w, points, h_tilde, n_gamma)
         direct = oracles.source_sum_direct(w, points, h_tilde, n_gamma)
         assert np.max(np.abs(fast - direct)) <= 1e-8
 
 
-def test_forward_wider_window_tradeoff():
-    # the node count is pinned at M, so widening the kernel shifts the lattice
-    # left and shrinks right-tail coverage.  both settings stay in the
-    # contract accuracy class, they are not bitwise related
-    h_tilde, n_gamma, runs = vg_runs()
-    for weights, points, par, _ in runs:
-        wide = nufft_params(2 * n_gamma, points, h_tilde, width=30)
-        out15 = forward(weights, points, par, h_tilde, n_gamma)
-        out30 = forward(weights, points, wide, h_tilde, n_gamma)
-        direct = oracles.source_sum_direct(weights, points, h_tilde, n_gamma)
-        assert np.max(np.abs(out15 - direct)) <= 1e-8
-        assert np.max(np.abs(out30 - direct)) <= 3e-8
-        assert np.max(np.abs(out15 - out30)) <= 3e-8
-
-
 def test_forward_size_errors():
     points = np.linspace(0.3, 4.8, 16)
-    par = nufft_params(16, points, 0.2)
     with pytest.raises(ValueError, match="must equal 2"):
-        forward(np.ones(16), points, par, 0.2, 16)
+        forward(np.ones(16), points, 0.2, 16)
     points = np.linspace(0.3, 4.8, 24)
-    par = nufft_params(24, points, 0.2)
     with pytest.raises(ValueError, match="power of two"):
-        forward(np.ones(24), points, par, 0.2, 12)
+        forward(np.ones(24), points, 0.2, 12)
 
 
 def test_phase_compensated_spectrum_is_m_periodic():
@@ -238,12 +220,11 @@ def test_phase_compensated_spectrum_is_m_periodic():
     w = rng.standard_normal(16) + 1j * rng.standard_normal(16)
     points = np.linspace(0.3, 4.8, 16)
     h_tilde, n_gamma = 0.21, 8
-    par = nufft_params(16, points, h_tilde)
     m = 16
-    plan = gridding_plan(points, (par,), h_tilde, n_gamma, np.arange(m))
+    plan = gridding_plan(points, h_tilde, n_gamma, np.arange(m))
     shifted = w * np.exp(-1j * source_shift(h_tilde, n_gamma) * points)
     spec = np.fft.fft(plan.matrix @ shifted)
-    l_lo = -par.l_minus
+    l_lo = oracles.gridding_lattice(points, h_tilde)[1][0]
     for k in range(n_gamma + 1):
         kp = k - n_gamma // 2
         a = np.exp(-2j * np.pi * kp * l_lo / m) * spec[kp % m]
@@ -253,14 +234,13 @@ def test_phase_compensated_spectrum_is_m_periodic():
 
 def test_stacked_forward_matches_composition():
     h_tilde, n_gamma, runs = vg_runs()
-    points = np.stack([pts for _, pts, _, _ in runs])
-    weights = np.concatenate([w for w, _, _, _ in runs])
+    points = np.stack([pts for _, pts, _ in runs])
+    weights = np.concatenate([w for w, _, _ in runs])
     shifted = weights * np.exp(-1j * source_shift(h_tilde, n_gamma) * points.ravel())
-    plan = gridding_plan(points, [par for _, _, par, _ in runs], h_tilde, n_gamma,
-                         np.arange(weights.size))
+    plan = gridding_plan(points, h_tilde, n_gamma, np.arange(weights.size))
     both = _forward_stacked(shifted, plan)
-    for row, (w, pts, par, _) in enumerate(runs):
-        ref = forward(w, pts, par, h_tilde, n_gamma)
+    for row, (w, pts, _) in enumerate(runs):
+        ref = forward(w, pts, h_tilde, n_gamma)
         assert np.max(np.abs(both[row] - ref)) <= 1e-13 * np.max(np.abs(ref))
 
 
@@ -280,8 +260,8 @@ def test_extend_conjugate_vg_closed_form():
     # 1/(1 + i zeta) on both sides of the origin
     h_tilde, n_gamma, runs = vg_runs()
     spliced = np.empty(n_gamma + 1, dtype=complex)
-    for weights, points, par, krange in runs:
-        out = forward(weights, points, par, h_tilde, n_gamma)
+    for weights, points, krange in runs:
+        out = forward(weights, points, h_tilde, n_gamma)
         spliced[np.asarray(krange)] = out[np.asarray(krange)]
     n_prime = n_gamma // 2
     full = _window(spliced, n_prime)

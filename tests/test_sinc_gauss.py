@@ -44,19 +44,20 @@ def test_kernel_table_matches_quadrature():
 
 def test_kernel_table_matches_its_midpoint_sum():
     # the real-FFT evaluation against the same midpoint rule summed directly
-    for n_prime, m_table in ((32, None), (64, None), (512, None), (64, 128)):
+    for n_prime in (32, 64, 512):
         r = math.sqrt(n_prime / math.pi)
-        tab = kernel_table(r, n_prime, m_table=m_table)
-        ref = oracles.kernel_midpoint_direct(r, n_prime, m_table or max(4 * n_prime, 1024))
-        assert np.max(np.abs(tab.g - ref)) <= 1e-15, (n_prime, m_table)
+        tab = kernel_table(r, n_prime)
+        ref = oracles.kernel_midpoint_direct(r, n_prime, max(4 * n_prime, 1024))
+        assert np.max(np.abs(tab.g - ref)) <= 1e-15, n_prime
 
 
 def test_kernel_table_huge_r_gives_sine_integral():
     # r -> inf turns G_r(1) into int_0^1 sinc = Si(pi)/pi.  The near-box
     # frequency window converges at second order in the table mesh, so the
-    # refinement ratio is ~16 per 4x and 2^16 points reach 1e-9.
+    # refinement ratio is ~16 per 4x and 2^16 points reach 1e-9.  The table
+    # has 4 N' points, so N' = m/4 sets the mesh.
     ref = sici(math.pi)[0] / math.pi
-    err = {m: abs(float(kernel_table(1e6, 8, m_table=m).g[1]) - ref)
+    err = {m: abs(float(kernel_table(1e6, m // 4).g[1]) - ref)
            for m in (4096, 16384, 65536)}
     assert err[65536] <= 1e-9
     assert err[4096] >= 8 * err[16384]
@@ -74,10 +75,12 @@ def test_kernel_table_keeps_its_circulant_spectrum():
 
 
 def test_kernel_table_size_errors():
-    with pytest.raises(ValueError):
-        kernel_table(3.0, 32, m_table=100)
-    with pytest.raises(ValueError):
-        kernel_table(3.0, 600, m_table=1024)
+    # the table has max(4 N', 1024) points, a power of two only for N' <= 256
+    # or N' a power of two
+    for n_prime in (600, 0, -4):
+        with pytest.raises(ValueError, match=f"n_prime = {n_prime}"):
+            kernel_table(3.0, n_prime)
+    assert kernel_table(3.0, 200).n_prime == 200
 
 
 def test_sg_interpolate_reproduces_nodes():

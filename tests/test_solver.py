@@ -9,7 +9,7 @@ import scipy.special as sp
 import oracles
 from levyfourier.de_ft import _sources_stacked, node_plan, splice_plan
 from levyfourier.euler_ft import EulerParams
-from levyfourier.nufft import _forward_stacked, gridding_plan, nufft_params, source_shift
+from levyfourier.nufft import _forward_stacked, gridding_plan, source_shift
 from levyfourier.solver import (GridSpec, LevyModel,
                                 _spliced_transform, _step1_plan, clear_exponent_cache,
                                 custom_model, exact_nig, exact_vg, g_gamma,
@@ -38,14 +38,15 @@ def test_make_grid_couplings():
 
 
 def test_grid_spec_validation():
-    with pytest.raises(ValueError):
-        GridSpec(n=256, x_max=5.0, h_hat=5.0 / 256, n_gamma=768, m=1536, h_tilde=0.1)
-    with pytest.raises(ValueError):
-        GridSpec(n=256, x_max=5.0, h_hat=5.0 / 256, n_gamma=512, m=512, h_tilde=0.1)
-    with pytest.raises(ValueError):
-        GridSpec(n=250, x_max=5.0, h_hat=0.02, n_gamma=500, m=1000, h_tilde=0.1)
-    with pytest.raises(ValueError):
-        GridSpec(n=256, x_max=5.0, h_hat=5.0 / 256, n_gamma=512, m=1024, h_tilde=-0.1)
+    # every size is derived from (euler, gamma); only gamma can be wrong
+    euler = EulerParams(256, 2.0, 5.0, 1.0)
+    grid = GridSpec(euler, 2)
+    assert grid == make_grid(nig_model(), euler)
+    assert (grid.n, grid.n_gamma, grid.m) == (256, 1024, 2048)
+    assert (grid.x_max, grid.h_hat, grid.h_tilde) == (5.0, 5.0 / 256, euler.h_tilde)
+    for gamma in (0, 3, 2.0, True, "2"):
+        with pytest.raises(ValueError, match="gamma"):
+            GridSpec(euler, gamma)
 
 
 def test_levy_model_validation():
@@ -53,6 +54,12 @@ def test_levy_model_validation():
         LevyModel(gamma=3, mu=lambda y: np.exp(-y), name="bad")
     with pytest.raises(ValueError):
         custom_model("bad", 0, lambda y: np.exp(-y))
+    # a float gamma would fail only later, in make_grid
+    for gamma in (2.0, 1.0, True, None):
+        with pytest.raises(ValueError, match=f"gamma must be the int 1 or 2, got {gamma!r}"):
+            custom_model("bad", gamma, lambda y: np.exp(-y))
+    with pytest.raises(TypeError, match="callable"):
+        custom_model("bad", 1, 3.0)
 
 
 def test_exact_vg_pins():
@@ -281,10 +288,28 @@ def test_solve_validation():
     with pytest.raises(ValueError):
         solve(model, grid, float("inf"), euler)
     other = euler_for(model, 11)
-    with pytest.raises(ValueError):
-        solve(model, grid, 1.0, other)
-    with pytest.raises(ValueError):
+    for wrong in (other, EulerParams(euler.n, euler.x_l, euler.x_u, 2.0)):
+        with pytest.raises(ValueError, match="euler parameters inconsistent with grid"):
+            solve(model, grid, 1.0, wrong)
+    with pytest.raises(ValueError, match="euler parameters inconsistent with grid"):
         solve(model, make_grid(model, other), 1.0, euler)
+
+
+def test_equal_inputs_built_separately_share_cache_entries():
+    vg = vg_model()
+    euler = EulerParams(256, 2.0, 5.0, 1.0)
+    twin = EulerParams(256, 2.0, 5.0, 1.0)
+    assert twin is not euler and twin == euler and hash(twin) == hash(euler)
+    grid, twin_grid = make_grid(vg, euler), GridSpec(twin, 1)
+    assert twin_grid == grid and hash(twin_grid) == hash(grid)
+    clear_exponent_cache()
+    first = solve(custom_model("expdecay", 1, vg.mu), grid, 1.0, euler)
+    assert not first.timings["plan_cached"]
+    # a new density on the twin grid finds the plan, then the exponent
+    timings = solve(vg, twin_grid, 1.0, twin).timings
+    assert (timings["exponent_cached"], timings["plan_cached"]) == (False, True)
+    timings = solve(vg, grid, 2.0, euler).timings
+    assert (timings["exponent_cached"], timings["plan_cached"]) == (True, True)
 
 
 def test_custom_model_reproduces_vg_exponent():
@@ -336,9 +361,7 @@ def test_step1_plan_matches_per_run_composition(model):
         ref = np.empty(grid.n_gamma + 1, dtype=complex)
         for run, krange in splice_plan(grid.n_gamma, grid.h_tilde):
             nodes = node_plan((run,), shift)
-            npar = nufft_params(grid.m, nodes.points[0], grid.h_tilde)
-            gridding = gridding_plan(nodes.points, (npar,), grid.h_tilde, grid.n_gamma,
-                                     nodes.live)
+            gridding = gridding_plan(nodes.points, grid.h_tilde, grid.n_gamma, nodes.live)
             out = _forward_stacked(_sources_stacked(model.mu, nodes), gridding)[0]
             ref[krange.start:krange.stop] = out[krange.start:krange.stop]
         assert np.max(np.abs(cold - ref)) <= 1e-14 * np.max(np.abs(ref)), i
