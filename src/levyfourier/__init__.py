@@ -13,7 +13,7 @@ transform inverts e^{t G} back to the density with a fractional FFT.
 from .de_ft import DeFtParams, node_plan, phi_parts, splice_plan
 from .euler_ft import EulerParams, inverse_ft, weight
 from .numkit import frft_even
-from .nufft import build_windows, gridding_plan
+from .nufft import gridding_plan
 from .sinc_gauss import KernelTable, indefinite_integral, kernel_table
 from .solver import (GridSpec, LevyModel, SolveResult, clear_exponent_cache,
                      custom_model, exact_nig, exact_vg, g_gamma, make_grid, nig_model,
@@ -24,7 +24,7 @@ __version__ = "0.1.0"
 __all__ = [
     "frft_even",
     "DeFtParams", "node_plan", "phi_parts", "splice_plan",
-    "build_windows", "gridding_plan",
+    "gridding_plan",
     "KernelTable", "indefinite_integral", "kernel_table",
     "EulerParams", "inverse_ft", "weight",
     "GridSpec", "LevyModel", "SolveResult", "clear_exponent_cache",

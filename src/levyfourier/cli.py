@@ -233,15 +233,12 @@ def cmd_solve(config: RunConfig) -> int:
             if not runs:   # a solve that fails leaves no directory behind
                 outdir.mkdir(parents=True, exist_ok=True)
             fname = f"solve_{model.name}_i{i}_t{_t_label(t)}.csv"
+            cols = ((res.x, res.p) if res.p_exact is None
+                    else (res.x, res.p, res.p_exact, res.abs_err))
+            line = ",".join(["%.17g"] * len(cols)) + "\n"
             with open(outdir / fname, "w", encoding="utf-8", newline="") as fh:
-                if res.p_exact is not None:
-                    fh.write("x,p_num,p_exact,abs_err\n")
-                    for row in zip(res.x, res.p, res.p_exact, res.abs_err):
-                        fh.write(",".join(_fmt(v) for v in row) + "\n")
-                else:
-                    fh.write("x,p_num\n")
-                    for row in zip(res.x, res.p):
-                        fh.write(",".join(_fmt(v) for v in row) + "\n")
+                fh.write(",".join(("x", "p_num", "p_exact", "abs_err")[:len(cols)]) + "\n")
+                fh.writelines(line % row for row in zip(*cols))
             entry = dict(res.params_echo)
             entry["i"] = i
             entry["file"] = fname
@@ -362,7 +359,7 @@ def _check_euler_even():
     h_hat = euler.x_u / euler.n
     ell = np.arange(-euler.n + 1, euler.n + 1)
     g = -np.log1p((ell * euler.h_tilde) ** 2)
-    got = inverse_ft(g[euler.n - 1:], 1.0, euler, h_hat)
+    got = inverse_ft(g[euler.n - 1:], 1.0, euler)
     coeff = weight(np.abs(ell) * euler.h_tilde, euler) * np.exp(g)
     direct = np.array([np.sum(coeff * np.exp(1j * euler.h_tilde * h_hat * ell * k))
                        for k in ell]) * (euler.h_tilde / (2 * np.pi))

@@ -53,10 +53,18 @@ class EulerParams:
         if not self.d > 0:
             raise ValueError("d must be positive")
         n, x_l = self.n, self.x_l
-        h_tilde = math.sqrt(2 * math.pi * self.d * (x_l + self.x_u) / (x_l**2 * n))
+        try:
+            h_tilde = math.sqrt(2 * math.pi * self.d * (x_l + self.x_u) / (x_l**2 * n))
+            p, q = math.sqrt(n * h_tilde / x_l), math.sqrt(x_l * n * h_tilde / 4)
+        except (ZeroDivisionError, OverflowError):   # x_l**2 under- or overflows
+            h_tilde = p = q = math.nan
+        if not all(0 < v < math.inf for v in (h_tilde, p, q)):
+            raise ValueError(f"x_l = {x_l} is out of range for x_u = {self.x_u}, "
+                             f"d = {self.d} and N = {n}: h~, p and q must be "
+                             "finite and positive")
         object.__setattr__(self, "h_tilde", h_tilde)
-        object.__setattr__(self, "p", math.sqrt(n * h_tilde / x_l))
-        object.__setattr__(self, "q", math.sqrt(x_l * n * h_tilde / 4))
+        object.__setattr__(self, "p", p)
+        object.__setattr__(self, "q", q)
 
     @classmethod
     def from_theorem(cls, n: int, x_l: float, x_u: float, d: float = 1.0) -> "EulerParams":
@@ -79,21 +87,19 @@ def _half_weights(params: EulerParams) -> np.ndarray:
     return out
 
 
-def inverse_ft(g, t: float, params: EulerParams, h_hat: float) -> np.ndarray:
+def inverse_ft(g, t: float, params: EulerParams) -> np.ndarray:
     """Density values p(n h^, t), n = -N+1..N, as a real array, from the real
     exponent samples G(l h~), l = 0..N, with G(-l) = G(l) standing for the
     rest.
 
-    h^ N = x_u must hold, so the grid reaches the right edge of the
-    guaranteed window.  Outputs with |n h^| < x_l carry no accuracy
+    The output step is h^ = x_u / N, so the grid reaches the right edge of
+    the guaranteed window.  Outputs with |n h^| < x_l carry no accuracy
     guarantee.
     """
     n = params.n
     g = np.asarray(g)
     if g.shape != (n + 1,):
         raise ValueError(f"exponent must cover l = 0..{n}; got shape {g.shape}")
-    if not math.isclose(h_hat * n, params.x_u, rel_tol=1e-12):
-        raise ValueError(f"h_hat * N = {h_hat * n} must equal x_u = {params.x_u}")
     if not (math.isfinite(t) and t >= 0):
         raise ValueError("t must be a finite non-negative number")
     if np.iscomplexobj(g):
@@ -110,5 +116,5 @@ def inverse_ft(g, t: float, params: EulerParams, h_hat: float) -> np.ndarray:
     if peak > 1 + 1e-6:
         warnings.warn(f"|exp(t G)| reaches {peak}; exponent has positive real "
                       "part, result is unreliable", RuntimeWarning, stacklevel=2)
-    half = frft_even(_half_weights(params) * amp, params.h_tilde * h_hat).real
+    half = frft_even(_half_weights(params) * amp, params.h_tilde * (params.x_u / n)).real
     return np.concatenate((half[n - 1:0:-1], half))

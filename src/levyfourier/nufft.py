@@ -6,18 +6,24 @@ exponential-of-semicircle (ES) kernel phi(z) = exp(beta (sqrt(1 - (2z/w)^2) - 1)
 of width w, which is exactly 0 for |z| > w/2 (Barnett, Magland and
 af Klinteberg, arXiv:1808.06736); one length-M FFT transforms the grid, and
 division by the kernel's Fourier transform phi_hat undoes the spreading.
-The grid is twice the output band, so |a k'| <= pi/2; beta = 2.30 w is the
-paper's shape for that upsampling.  The width is fixed at w = 15, the
-narrowest that keeps every Step-1 row within 5e-14 of the largest
-transform value against direct sums (at most 1.8e-14 on the VG and NIG grids
-of M = 2^12 and 2^14; w = 14 gives up to 5.6e-14, w = 13 up to 4.5e-13).
-Output indices are shifted by floor(N_gamma/2) before the FFT so the
-deconvolution 1/phi_hat(a k') stays moderate.
+With a = 2pi/M the sum is periodic in a source's lattice position
+c_j = h_tilde y_j / a with period M, so the grid is one period and every
+node l is folded onto l mod M (Dutt and Rokhlin, SIAM J. Sci. Comput.
+14:1368, 1993): each live source keeps all w of its kernel values, however
+far past M its position lies.  The grid is twice the output band, so
+|a k'| <= pi/2; beta = 2.30 w is the paper's shape for that upsampling.
+The width is fixed at w = 15, the narrowest that keeps every Step-1 row of
+VG and NIG within 5e-14 of the largest transform value against direct
+sums (at most 4.5e-14 at M = 2^7, 2^10, 2^12 and 2^14; w = 14 gives up to
+3.9e-13, w = 13 up to 3.0e-12).  For mu = e^{-0.05 y}, whose DE sources
+carry weight far past one period, the rows reach 1.9e-14 to 1.7e-13 over
+the same M for w = 15 and w = 16 alike: that floor is rounding, not the
+kernel.  Output indices are shifted by floor(N_gamma/2) before the FFT so
+the deconvolution 1/phi_hat(a k') stays moderate.
 
 Everything except the weights depends only on the grid: gridding_plan builds
-the kernel pattern as one sparse matrix over all runs, with the
-deconvolution and phase factors, and _forward_stacked applies it to one set
-of weights."""
+the kernel bands of all runs as one sparse matrix, with the deconvolution,
+and _forward_stacked applies it to one set of weights."""
 from __future__ import annotations
 
 import math
@@ -32,29 +38,13 @@ from scipy import sparse
 WIDTH = 15
 HALF_WIDTH = WIDTH / 2
 BETA = 2.30 * WIDTH
+# a weight part below the smallest normal number times e^beta, the inverse of
+# the smallest kernel value, would make subnormal products in the gridding
+# step, each far slower than a normal multiply
+SUBNORMAL_WEIGHT = np.finfo(float).tiny * math.exp(BETA)
 # Gauss-Legendre order of the phi_hat rule; test_nufft checks that halving
 # it first moves phi_hat by more than 1e-14 phi_hat(0) and doubling it less
 ES_QUADRATURE_NODES = 128
-
-
-def build_windows(c: np.ndarray, nodes: np.ndarray):
-    """Per-node source windows (j_min, j_max): j in [j_min[p], j_max[p]]
-    feeds node l = nodes[p].
-
-    c holds the nondecreasing lattice positions c_j = h_tilde*y_j/a of the
-    sources j = -len(c)//2.. .  The window of node l holds exactly the
-    sources inside the kernel's support, l - w/2 <= c_j <= l + w/2, so each
-    bound is one rank query into c, evaluated for every l at once; empty
-    windows have j_max = j_min - 1.  Tied points are allowed: large DE grids
-    put several nodes at y = 0.
-    """
-    c = np.asarray(c, dtype=float)
-    if np.any(np.diff(c) < 0):
-        raise ValueError("source positions must be nondecreasing")
-    j_lo = -(len(c) // 2)
-    j_min = j_lo + np.searchsorted(c, nodes - HALF_WIDTH, side="left")
-    j_max = j_lo + np.searchsorted(c, nodes + HALF_WIDTH, side="right") - 1
-    return j_min, j_max
 
 
 def source_shift(h_tilde: float, n_gamma: int) -> float:
@@ -129,18 +119,15 @@ class GriddingPlan:
     """Everything of a nonuniform FFT over one or more runs except the
     weights, built once per grid.
 
-    matrix is the block-diagonal gridding pattern: row r*M + p is node
-    l = l_lo(r) + p of run r (see gridding_plan); column i is the i-th live
-    source, and the entry is the ES
-    kernel phi(l - c_j) for each pair of build_windows, which are the pairs
-    inside the kernel's support |l - c_j| <= w/2 (the kernel is exactly 0
-    outside it).
-    post (runs, n_gamma + 1) holds the deconvolution 1 / phi_hat(a k')
-    and the node-offset phase exp(-2 pi i k' l_lo / M); gather = k' mod M
-    reads the FFT bins.
+    matrix (runs*M, live) holds the folded kernel band of each source: row
+    r*M + p is node p of run r, column i is the i-th live source, and each
+    column has exactly w = 15 entries, the ES kernel phi(l - c_j) at the 15
+    nodes l nearest the source's lattice position c_j, stored at p = l mod M.
+    post holds the deconvolution 1 / phi_hat(a k') for k = 0..n_gamma, and
+    gather = k' mod M reads the FFT bins.
     """
 
-    matrix: sparse.csr_array
+    matrix: sparse.csc_array
     post: np.ndarray
     gather: np.ndarray
 
@@ -151,10 +138,12 @@ def gridding_plan(points: np.ndarray, h_tilde: float, n_gamma: int,
 
     live lists, in increasing order, the flat indices into points of the
     sources that can carry weight; the plan's columns are those sources, and
-    the pairs of every other source are dropped.  Run r grids onto the M
-    nodes l = l_lo(r)..l_lo(r) + M - 1 of the lattice a = 2pi/M, with
-    l_lo(r) = floor(min_j c_j) - ceil(w/2) for its positions c_j = h_tilde*y_j/a,
-    so the kernel of its leftmost source lies on the grid.
+    every other source is left out.  A source at y sits at c = h_tilde*y/a
+    on the lattice a = 2pi/M and spreads onto the 15 nodes nearest c,
+    rint(c) - 7..rint(c) + 7: every node inside the kernel's support
+    |l - c| <= w/2, except one of the two end nodes when c is a half-integer,
+    where the kernel is e^{-beta} ~ 1e-15.  Node l lands on grid position
+    l mod M of its run, since e^{-i a k' l} has period M in l for integer k'.
     """
     points = np.atleast_2d(np.asarray(points, dtype=float))
     runs, m = points.shape
@@ -163,33 +152,23 @@ def gridding_plan(points: np.ndarray, h_tilde: float, n_gamma: int,
     if m & (m - 1):
         raise ValueError(f"M = {m} must be a power of two")
     a = 2 * math.pi / m
-    c = h_tilde * points / a
-    l_lo = np.floor(c.min(axis=1, keepdims=True)).astype(np.int64) - math.ceil(HALF_WIDTH)
-    nodes = l_lo + np.arange(m)
     live = np.asarray(live)
-    # window l of run r is the flat source range [lo, hi); its live sources
-    # are the plan columns start..stop-1 since live is sorted
-    lo, hi = [], []
-    for r in range(runs):
-        j_min, j_max = build_windows(c[r], nodes[r])
-        lo.append(j_min + r * m + m // 2)
-        hi.append(j_max + 1 + r * m + m // 2)
-    start = np.searchsorted(live, np.concatenate(lo))
-    counts = np.maximum(np.searchsorted(live, np.concatenate(hi)) - start, 0)
-    indptr = np.concatenate(([0], np.cumsum(counts)))
-    cols = (np.arange(indptr[-1], dtype=np.int32)
-            - np.repeat((indptr[:-1] - start).astype(np.int32), counts))
-    c_live = c.ravel()[live]
-    # (2z/w)^2 <= 1 for every window pair: the window bounds l -+ w/2 are
-    # exact (integer l) and rounding is monotone
-    u2 = ((np.repeat(nodes.ravel(), counts) - c_live[cols]) / HALF_WIDTH) ** 2
-    kernel = np.exp(BETA * (np.sqrt(1 - u2) - 1))
-    matrix = sparse.csr_array((kernel, cols, indptr.astype(np.int32)),
+    c = h_tilde * points.ravel()[live] / a
+    centre = np.rint(c)
+    offsets = np.arange(WIDTH, dtype=np.int32) - WIDTH // 2
+    # rint(c) - c is exact, so |u| <= 1 holds in floating point too and the
+    # square root never sees a negative argument
+    u = ((centre - c)[:, None] + offsets) / HALF_WIDTH
+    kernel = np.exp(BETA * (np.sqrt(1 - u * u) - 1))
+    rows = centre.astype(np.int32)[:, None] + offsets
+    rows %= m
+    rows += (live // m * m).astype(np.int32)[:, None]
+    indptr = np.arange(0, WIDTH * len(live) + 1, WIDTH, dtype=np.int32)
+    matrix = sparse.csc_array((kernel.ravel(), rows.ravel(), indptr),
                               shape=(runs * m, len(live)))
 
     kp = np.arange(0, n_gamma + 1) - n_gamma // 2
-    phi_hat = _es_transform(a, np.max(np.abs(kp)) + 1)
-    post = (1 / phi_hat[np.abs(kp)]) * np.exp(-2j * np.pi * kp * l_lo / m)
+    post = 1 / _es_transform(a, np.max(np.abs(kp)) + 1)[np.abs(kp)]
     gather = kp % m
     for arr in (matrix.data, matrix.indices, matrix.indptr, post, gather):
         arr.flags.writeable = False
@@ -202,15 +181,16 @@ def _forward_stacked(weights: np.ndarray, plan: GriddingPlan) -> np.ndarray:
     e^{-i zeta_s y_j} (source_shift).  Returns shape (runs, n_gamma + 1).
 
     One real sparse product per part of the weights grids all runs and one
-    batched length-M FFT transforms the grids.  Position p of a grid carries
-    node l = l_lo + p, and e^{-i(2pi/M)k'l} = e^{-i(2pi/M)k'l_lo}
-    e^{-i(2pi/M)k'p} since k' is an integer, so reading bin (k' mod M) and
-    applying the l_lo phase reproduces the sum over the original node range
-    exactly.
+    batched length-M FFT transforms the grids, M = 2 n_gamma.  The grid of
+    a run folds every node l onto position l mod M, and e^{-i(2pi/M)k'l}
+    has period M in l since k' is an integer, so bin (k' mod M) is exactly
+    the sum over the unfolded nodes.  Parts below SUBNORMAL_WEIGHT are set
+    to 0: each would add less than 1e-290 to any output.
     """
+    parts = np.stack((weights.real, weights.imag))
+    parts[np.abs(parts) < SUBNORMAL_WEIGHT] = 0
     grids = np.empty(plan.matrix.shape[0], dtype=complex)
-    grids.real = plan.matrix @ weights.real
-    grids.imag = plan.matrix @ weights.imag
-    spectrum = np.fft.fft(grids.reshape(len(plan.post), -1), axis=-1)
+    grids.real = plan.matrix @ parts[0]
+    grids.imag = plan.matrix @ parts[1]
+    spectrum = np.fft.fft(grids.reshape(-1, 2 * (len(plan.post) - 1)), axis=-1)
     return plan.post * spectrum[:, plan.gather]
-

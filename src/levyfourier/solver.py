@@ -17,7 +17,7 @@ from .euler_ft import EulerParams, inverse_ft
 from .nufft import BETA, WIDTH, _forward_stacked, gridding_plan, source_shift
 from .sinc_gauss import indefinite_integral, kernel_table
 
-# Step-1 plans kept at once; one M = 2^14 plan holds about 6 MB
+# Step-1 plans kept at once; one M = 2^14 plan holds about 7 MB
 PLAN_CACHE_SIZE = 4
 # the Step-1 gridding kernel (see nufft), echoed with every solve
 KERNEL_ECHO = {"kernel": "es", "width": WIDTH, "beta": BETA}
@@ -320,7 +320,7 @@ def solve(model: LevyModel, grid: GridSpec, t: float, euler: EulerParams,
         cached = _exponent_cached.cache_info().hits > hits_before
     t3 = time.perf_counter()
     try:
-        p = inverse_ft(g, t, euler, grid.h_hat)
+        p = inverse_ft(g, t, euler)
     except ValueError as exc:
         raise ValueError(f"[step 3] {exc}") from exc
     s3 = time.perf_counter() - t3

@@ -2,11 +2,11 @@
 
 Everything here is written from the defining formulas with plain loops or
 adaptive quadrature, sharing no code path with the package: direct O(n^2)
-transform sums, brute-force gridding windows, adaptive quadrature of the
-gridding kernel's transform, the sinc-Gauss interpolant from its defining sum,
-per-interval quadrature of the kernel integral and its midpoint rule as a
-direct cosine sum, and nested quadrature of the integral forms behind the
-closed-form characteristic exponents.
+transform sums, the periodic gridding matrix node by node, adaptive
+quadrature of the gridding kernel's transform, the sinc-Gauss interpolant
+from its defining sum, per-interval quadrature of the kernel integral and
+its midpoint rule as a direct cosine sum, and nested quadrature of the
+integral forms behind the closed-form characteristic exponents.
 """
 import math
 
@@ -52,33 +52,31 @@ def source_sum_direct(weights, points, h_tilde, n_gamma, k=None):
     return np.exp(-1j * h_tilde * np.outer(k, points)) @ weights
 
 
-def gridding_lattice(points, h_tilde):
-    """Positions c_j = h~ y_j / a of one run's M sources and its M gridding
-    nodes l = l_lo..l_lo + M - 1, with a = 2 pi / M and the lattice start
-    l_lo = floor(min_j c_j) - ceil(w/2) for the kernel width w = 15."""
+def es_kernel(d, w=15, beta=2.30 * 15):
+    """The exponential-of-semicircle kernel exp(beta (sqrt(1 - (2d/w)^2) - 1))
+    at distances d, zero for |d| > w/2."""
+    d = np.asarray(d, dtype=float)
+    inside = np.abs(d) <= w / 2
+    u = np.where(inside, d, 0.0) / (w / 2)
+    return np.where(inside, np.exp(beta * (np.sqrt(1 - u**2) - 1)), 0.0)
+
+
+def periodic_band(points, h_tilde):
+    """Dense (M, M) gridding matrix of one run of M sources, node by node.
+
+    Source j sits at c_j = h~ y_j / a on the lattice a = 2 pi / M; entry
+    (l, j), l = 0..M-1, is the kernel at the distance from c_j to the image
+    L = l + n M of node l nearest c_j, computed as L - c_j.
+    """
     points = np.asarray(points, dtype=float)
     m = len(points)
     c = h_tilde * points / (2 * math.pi / m)
-    l_lo = math.floor(min(c)) - math.ceil(15 / 2)
-    return c, np.arange(l_lo, l_lo + m)
-
-
-def windows_brute(c, nodes, b):
-    """Gridding windows straight from the kernel support, source by source.
-
-    j_min(l) = j_lo + #{j : c_j < l - b}
-    j_max(l) = j_lo + #{j : c_j <= l + b} - 1
-    for each node l, with b the kernel's half-width and the source index
-    frame starting at j_lo = -len(c)//2; for sorted c these are the first
-    and last source within b of node l.
-    """
-    j_lo = -(len(c) // 2)
-    j_min = np.empty(len(nodes), dtype=np.int64)
-    j_max = np.empty(len(nodes), dtype=np.int64)
-    for pos, l in enumerate(nodes):
-        j_min[pos] = j_lo + sum(1 for cj in c if cj < l - b)
-        j_max[pos] = j_lo + sum(1 for cj in c if cj <= l + b) - 1
-    return j_min, j_max
+    nodes = np.arange(m)
+    out = np.zeros((m, m))
+    for j, cj in enumerate(c):
+        image = nodes + m * np.round((cj - nodes) / m)
+        out[:, j] = es_kernel(image - cj)
+    return out
 
 
 def es_transform_quad(w, beta, xi):

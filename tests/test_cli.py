@@ -273,6 +273,11 @@ def test_failed_solve_creates_no_output_directory(tmp_path, capsys):
         assert rc == 2
         assert f"error: {name} must be finite, got inf" in capsys.readouterr().err
         assert not out.exists()
+    # so is an x_l so small that x_l**2 underflows in the h~ rule
+    rc = main(["solve", "--xl", "1e-200", "--i-range", "7", "--out", str(out)])
+    assert rc == 2
+    assert "error: x_l = 1e-200 is out of range" in capsys.readouterr().err
+    assert not out.exists()
     rc = main(["solve", "--model", "custom", "--gamma", "1", "--mu", "np.exp(-y)*np.inf",
                "--i-range", "7", "--out", str(out)])
     assert rc == 2

@@ -1,5 +1,5 @@
-"""ES-gridding NUFFT: parameter rules, index windows, kernel transform,
-forward accuracy."""
+"""ES-gridding NUFFT: parameter rules, the folded kernel bands, kernel
+transform, forward accuracy."""
 import math
 
 import numpy as np
@@ -8,9 +8,9 @@ import pytest
 import oracles
 from levyfourier.de_ft import _sources_stacked, node_plan, splice_plan
 from levyfourier.euler_ft import EulerParams
-from levyfourier.nufft import (BETA, ES_QUADRATURE_NODES, HALF_WIDTH, WIDTH, _es_quadrature,
-                               _es_transform, _forward_stacked, build_windows,
-                               gridding_plan, source_shift)
+from levyfourier.nufft import (BETA, ES_QUADRATURE_NODES, HALF_WIDTH, SUBNORMAL_WEIGHT, WIDTH,
+                               _es_quadrature, _es_transform, _forward_stacked, gridding_plan,
+                               source_shift)
 from levyfourier.solver import _window
 
 
@@ -37,98 +37,43 @@ def forward(weights, points, h_tilde, n_gamma):
 
 
 def test_params_rules():
-    # the fixed ES kernel, and each run's lattice start l_lo = floor(min c) -
-    # ceil(w/2): the kernel support of the leftmost source lies on the grid,
-    # and the plan's rows are the nodes l_lo..l_lo + M - 1
+    # the fixed ES kernel, and the band of each source: the 15 nodes nearest
+    # its lattice position c = h~ y M / 2pi, folded mod M, with the kernel at
+    # their distance from c, exactly as the periodic brute-force matrix has
+    # them; tied sources (large DE grids put several at y = 0) share a band
     assert WIDTH == 15 and HALF_WIDTH == 7.5
     assert BETA == pytest.approx(2.30 * 15, rel=1e-15)
-    points = np.linspace(0.5, 7.0, 16)
-    for h_tilde in (0.1, 0.5):             # c_0 = 0.127 and 0.637
-        c, nodes = oracles.gridding_lattice(points, h_tilde)
-        assert c[0] == pytest.approx(h_tilde * 0.5 * 16 / (2 * math.pi), rel=1e-14)
-        assert 8 <= c[0] - nodes[0] < 9
+    points = np.concatenate((np.zeros(3), np.linspace(0.5, 7.0, 13)))
+    for h_tilde in (0.1, 0.5, 9.0):        # c up to 1.8, 8.9 and 160 = 10 M
         plan = gridding_plan(points, h_tilde, 8, np.arange(16))
-        leftmost = plan.matrix[:, [0]].tocsc().indices
-        assert np.array_equal(np.sort(leftmost),
-                              np.flatnonzero(np.abs(nodes - c[0]) <= HALF_WIDTH))
-        assert leftmost.min() >= 1
-
-
-def test_windows_match_brute_force():
-    h_tilde, n_gamma, runs = vg_runs()
-    # the high-band run reproduces the published window-plot geometry
-    assert splice_plan(n_gamma, h_tilde)[1][0].zeta0 == pytest.approx(41.684, abs=2e-3)
-    for _, points, _ in runs:
-        c, nodes = oracles.gridding_lattice(points, h_tilde)
-        j_min, j_max = build_windows(c, nodes)
-        ref_min, ref_max = oracles.windows_brute(c, nodes, 7.5)
-        assert np.array_equal(j_min, ref_min)
-        assert np.array_equal(j_max, ref_max)
-
-
-def test_windows_monotone_and_contain_inner_sources():
-    h_tilde, _, runs = vg_runs()
-    for _, points, _ in runs:
-        c, nodes = oracles.gridding_lattice(points, h_tilde)
-        j_min, j_max = build_windows(c, nodes)
-        assert np.all(np.diff(j_min) >= 0)
-        assert np.all(np.diff(j_max) >= 0)
-        assert np.all(j_min <= j_max + 1)
-        j_lo = -(len(c) // 2)
-        for pos, l in enumerate(nodes):
-            # a window holds exactly the sources within w/2 of its node
-            window = c[j_min[pos] - j_lo:j_max[pos] - j_lo + 1]
-            assert np.all(np.abs(l - window) <= 7.5)
-            inside = np.nonzero(np.abs(l - c) <= 7.5)[0] + j_lo
-            assert len(inside) == len(window)
-
-
-def test_windows_single_point_threshold():
-    # one source at c = 0 feeds exactly the nodes within w/2 = 7.5 of it
-    j_min, j_max = build_windows(np.array([0.0]), np.arange(-25, 41))
-    for pos, l in enumerate(range(-25, 41)):
-        if abs(l) <= 7:
-            assert (j_min[pos], j_max[pos]) == (0, 0)
-        else:
-            assert j_max[pos] == j_min[pos] - 1
-
-
-def test_windows_reject_unsorted_points():
-    with pytest.raises(ValueError, match="nondecreasing"):
-        build_windows(np.array([1.0, 0.5]), np.arange(-25, 41))
-
-
-def test_windows_with_tied_points_match_brute_force():
-    # large DE grids put a run of nodes at y = 0; the rank queries must
-    # still give exactly the sources inside each node's kernel support
-    points = np.concatenate((np.zeros(5), np.linspace(0.1, 4.0, 27)))
-    c, nodes = oracles.gridding_lattice(points, 0.9)
-    j_min, j_max = build_windows(c, nodes)
-    ref_min, ref_max = oracles.windows_brute(c, nodes, 7.5)
-    assert np.array_equal(j_min, ref_min)
-    assert np.array_equal(j_max, ref_max)
+        assert plan.matrix.indices.dtype == np.int32
+        assert np.array_equal(plan.matrix.indptr, 15 * np.arange(17))
+        assert np.array_equal(plan.matrix.toarray(), oracles.periodic_band(points, h_tilde))
 
 
 def test_gridding_plan_rows_are_the_window_pairs():
+    # every source's column holds the 15 (node, source) pairs of its folded
+    # band on its own run's block of rows; run A's positions reach 7.5 M, so
+    # most of its bands fold
     h_tilde, n_gamma, runs = vg_runs()
+    # the high-band run reproduces the published window-plot geometry
+    assert splice_plan(n_gamma, h_tilde)[1][0].zeta0 == pytest.approx(41.684, abs=2e-3)
     points = np.stack([pts for _, pts, _ in runs])
     m = 2 * n_gamma
     plan = gridding_plan(points, h_tilde, n_gamma, np.arange(2 * m))
     assert plan.matrix.shape == (2 * m, 2 * m)
+    assert plan.matrix.nnz == 15 * 2 * m
+    assert np.all(plan.matrix.data > 0)
+    assert h_tilde * points[0].max() * m / (2 * math.pi) > 7 * m
+    dense = plan.matrix.toarray()
     for r, (_, pts, _) in enumerate(runs):
-        c, nodes = oracles.gridding_lattice(pts, h_tilde)
-        j_min, j_max = build_windows(c, nodes)
-        for p in (0, m // 3, m // 2, m - 1):
-            row = plan.matrix[[r * m + p]]
-            cols = np.arange(j_min[p], j_max[p] + 1) + m // 2
-            assert np.array_equal(row.indices, cols + r * m)
-            u = (nodes[p] - c[cols]) / 7.5
-            assert np.array_equal(row.data, np.exp(2.30 * 15 * (np.sqrt(1 - u**2) - 1)))
-        assert np.all(plan.matrix.data > 0)
+        rows = slice(r * m, (r + 1) * m)
+        assert np.array_equal(dense[rows, rows], oracles.periodic_band(pts, h_tilde))
+        assert not np.any(np.delete(dense[rows], np.arange(r * m, (r + 1) * m), axis=1))
     # restricting to live sources keeps the other columns' entries unchanged
     live = np.flatnonzero(np.arange(2 * m) % 3)
     sub = gridding_plan(points, h_tilde, n_gamma, live)
-    assert (sub.matrix != plan.matrix[:, live]).nnz == 0
+    assert np.array_equal(sub.matrix.toarray(), dense[:, live])
 
 
 def test_kernel_transform_rule_is_the_first_converged_doubling():
@@ -153,7 +98,7 @@ def test_kernel_transform_rule_is_the_first_converged_doubling():
 
 
 def test_deconvolution_is_the_kernel_transform():
-    # |post| = 1 / phi_hat(a k'); phi_hat against adaptive quadrature of
+    # post = 1 / phi_hat(a k'); phi_hat against adaptive quadrature of
     # the kernel's defining integral at nine frequencies over |a k'| <= pi/2
     h_tilde, n_gamma, runs = vg_runs()
     points = np.stack([pts for _, pts, _ in runs])
@@ -163,19 +108,26 @@ def test_deconvolution_is_the_kernel_transform():
     for k in np.linspace(0, n_gamma, 9).astype(int):
         assert abs(a * kp[k]) <= math.pi / 2
         ref = oracles.es_transform_quad(15, 2.30 * 15, a * kp[k])
-        got = 1 / np.abs(plan.post[:, k])
-        assert np.max(np.abs(got - ref)) <= 1e-13 * ref, k
+        assert abs(1 / plan.post[k] - ref) <= 1e-13 * ref, k
+    assert plan.post.dtype == float
 
 
 def test_forward_zero_weights():
     points = np.linspace(0.1, 3.2, 32)
     out = forward(np.zeros(32), points, 0.2, 16)
     assert np.array_equal(out, np.zeros(17))
+    # weight parts below SUBNORMAL_WEIGHT count as 0; a weight of 1e-280 is
+    # kept to full relative accuracy
+    tiny = np.full(32, 0.5 * SUBNORMAL_WEIGHT * (1 + 1j))
+    assert np.array_equal(forward(tiny, points, 0.2, 16), np.zeros(17))
+    kept = np.zeros(32)
+    kept[5] = 1e-280
+    exact = 1e-280 * np.exp(-1j * np.arange(17) * 0.2 * points[5])
+    assert np.max(np.abs(forward(kept, points, 0.2, 16) - exact)) <= 1e-289
 
 
 def test_forward_single_source_is_pure_phase():
-    # M = 64 nodes so the grid holds every c_j with the kernel's half-width
-    # on both sides
+    # the source sits at c = 3.7, so its band -3..11 folds past node 0
     weights = np.zeros(64)
     weights[20] = 1.0
     points = np.linspace(0.3, 4.8, 64)
@@ -195,8 +147,7 @@ def test_forward_vg_matches_direct_sum():
 
 
 def test_forward_phase_randomized_weights_stay_accurate():
-    # magnitudes must keep the double-exponential envelope: sources beyond the
-    # node span are dropped by design, which only works when they are tiny
+    # random phases on the magnitudes of the VG DE weights
     rng = np.random.default_rng(41)
     h_tilde, n_gamma, runs = vg_runs()
     for weights, points, _ in runs:
@@ -204,6 +155,19 @@ def test_forward_phase_randomized_weights_stay_accurate():
         fast = forward(w, points, h_tilde, n_gamma)
         direct = oracles.source_sum_direct(w, points, h_tilde, n_gamma)
         assert np.max(np.abs(fast - direct)) <= 1e-8
+
+
+def test_forward_flat_random_phase_weights_match_direct_sum():
+    # one magnitude and random phases at every DE point: the sources past
+    # one period of the lattice (c > M, most of run A) weigh as much as any
+    # other, so every one of them must reach the grid
+    rng = np.random.default_rng(47)
+    h_tilde, n_gamma, runs = vg_runs()
+    for _, points, _ in runs:
+        w = np.exp(1j * rng.uniform(0.0, 2 * np.pi, len(points)))
+        fast = forward(w, points, h_tilde, n_gamma)
+        direct = oracles.source_sum_direct(w, points, h_tilde, n_gamma)
+        assert np.max(np.abs(fast - direct)) <= 1e-13 * np.sum(np.abs(w))
 
 
 def test_forward_size_errors():
@@ -216,20 +180,24 @@ def test_forward_size_errors():
 
 
 def test_phase_compensated_spectrum_is_m_periodic():
+    # folding is exact: bin k' mod M of the folded grid's FFT is the Fourier
+    # sum over the unfolded nodes l, for k' and k' + M alike, with the
+    # sources spread over three periods of the lattice
     rng = np.random.default_rng(43)
-    w = rng.standard_normal(16) + 1j * rng.standard_normal(16)
-    points = np.linspace(0.3, 4.8, 16)
-    h_tilde, n_gamma = 0.21, 8
-    m = 16
+    m, n_gamma, h_tilde = 16, 8, 0.21
+    w = rng.standard_normal(m) + 1j * rng.standard_normal(m)
+    points = np.linspace(0.3, 90.0, m)
+    a = 2 * math.pi / m
+    c = h_tilde * points / a
+    assert c.max() > 3 * m
     plan = gridding_plan(points, h_tilde, n_gamma, np.arange(m))
-    shifted = w * np.exp(-1j * source_shift(h_tilde, n_gamma) * points)
-    spec = np.fft.fft(plan.matrix @ shifted)
-    l_lo = oracles.gridding_lattice(points, h_tilde)[1][0]
-    for k in range(n_gamma + 1):
-        kp = k - n_gamma // 2
-        a = np.exp(-2j * np.pi * kp * l_lo / m) * spec[kp % m]
-        b = np.exp(-2j * np.pi * (kp + m) * l_lo / m) * spec[(kp + m) % m]
-        assert abs(a - b) <= 1e-12 * max(1.0, abs(a))
+    spec = np.fft.fft(plan.matrix @ w)
+    nodes = np.arange(math.floor(c.min()) - 8, math.ceil(c.max()) + 9)
+    unfolded = oracles.es_kernel(nodes[:, None] - c) @ w
+    for kp in range(-(n_gamma // 2), n_gamma // 2 + 1):
+        for k in (kp, kp + m):
+            direct = np.sum(unfolded * np.exp(-1j * a * k * nodes))
+            assert abs(spec[k % m] - direct) <= 1e-13 * np.sum(np.abs(w)), k
 
 
 def test_stacked_forward_matches_composition():

@@ -385,24 +385,46 @@ def test_step1_plan_matches_direct_sum_with_tied_nodes_at_m_2_14():
         assert np.max(np.abs(got[row, k] - direct)) <= 1e-8, row
 
 
-@pytest.mark.parametrize("model", [vg_model(), nig_model()], ids=["vg", "nig"])
-@pytest.mark.parametrize("i", [12, 14])
-def test_step1_rows_match_direct_sum_to_gridding_precision(model, i):
-    # each run of the production plan against its direct source sum, relative
-    # to the largest sum: width 15 gives at most 1.8e-14 here, and a kernel
-    # one or two nodes narrower misses (width 14: up to 5.6e-14, width 13: up
-    # to 4.5e-13)
+def step1_row_errors(model, i):
+    """Per splice run of the production Step-1 plan: its largest error
+    against the direct source sum at 129 frequencies, the largest direct
+    value and the sum of |weights|."""
     grid, _ = setup_case(model, i)
     nodes, gridding, _ = _step1_plan(grid)
     got = _forward_stacked(_sources_stacked(model.mu, nodes), gridding)
     plain = node_plan(run for run, _ in splice_plan(grid.n_gamma, grid.h_tilde))
     weights = _sources_stacked(model.mu, plain)
     k = np.linspace(0, grid.n_gamma, 129).astype(int)
+    out = []
     for row in range(2):
         mine = plain.live // grid.m == row
         direct = oracles.source_sum_direct(weights[mine], plain.y[mine], grid.h_tilde,
                                            grid.n_gamma, k)
-        assert np.max(np.abs(got[row, k] - direct)) <= 5e-14 * np.max(np.abs(direct)), row
+        out.append((np.max(np.abs(got[row, k] - direct)), np.max(np.abs(direct)),
+                    np.sum(np.abs(weights[mine]))))
+    return out
+
+
+@pytest.mark.parametrize("model", [vg_model(), nig_model()], ids=["vg", "nig"])
+@pytest.mark.parametrize("i", [7, 12, 14])
+def test_step1_rows_match_direct_sum_to_gridding_precision(model, i):
+    # each run of the production plan against its direct source sum, relative
+    # to the largest sum: width 15 gives at most 4.5e-14 here (run A at i = 7,
+    # whose positions reach 7.5 M, so most of its bands fold), and a kernel
+    # one or two nodes narrower misses (width 14: up to 3.9e-13, width 13: up
+    # to 3.0e-12)
+    for row, (err, peak, _) in enumerate(step1_row_errors(model, i)):
+        assert err <= 5e-14 * peak, row
+
+
+@pytest.mark.parametrize("i", [7, 10])
+def test_step1_rows_match_direct_sum_for_slowly_decaying_mu(i):
+    # mu = e^{-0.05 y} still carries weight at the DE points past one period
+    # of the gridding lattice, so each of them must reach the grid; the error
+    # is bounded relative to the sum of |weights| (at most 2.9e-14 measured)
+    model = custom_model("slow", 1, lambda y: np.exp(-0.05 * y))
+    for row, (err, _, mass) in enumerate(step1_row_errors(model, i)):
+        assert err <= 1e-12 * mass, row
 
 
 def test_singular_cgmy_density_matches_exact_exponent_inversion():
