@@ -228,17 +228,20 @@ def cmd_solve(config: RunConfig) -> int:
     runs = []
     for i in config.exponent_i:
         grid = _grid(model, config, i)
+        x_text = None   # the x column, formatted once per grid
         for t in config.t_values:
             res = solve(model, grid, t, grid.euler)
             if not runs:   # a solve that fails leaves no directory behind
                 outdir.mkdir(parents=True, exist_ok=True)
+            if x_text is None:
+                x_text = ["%.17g," % v for v in res.x]
             fname = f"solve_{model.name}_i{i}_t{_t_label(t)}.csv"
-            cols = ((res.x, res.p) if res.p_exact is None
-                    else (res.x, res.p, res.p_exact, res.abs_err))
+            cols = ((res.p,) if res.p_exact is None
+                    else (res.p, res.p_exact, res.abs_err))
             line = ",".join(["%.17g"] * len(cols)) + "\n"
             with open(outdir / fname, "w", encoding="utf-8", newline="") as fh:
-                fh.write(",".join(("x", "p_num", "p_exact", "abs_err")[:len(cols)]) + "\n")
-                fh.writelines(line % row for row in zip(*cols))
+                fh.write(",".join(("x", "p_num", "p_exact", "abs_err")[:len(cols) + 1]) + "\n")
+                fh.writelines(x + line % row for x, row in zip(x_text, zip(*cols)))
             entry = dict(res.params_echo)
             entry["i"] = i
             entry["file"] = fname

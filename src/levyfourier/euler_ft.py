@@ -107,14 +107,16 @@ def inverse_ft(g, t: float, params: EulerParams) -> np.ndarray:
         if complex_at.size:
             raise ValueError(f"exponent not real at l = {complex_at[0]}")
         g = g.real
+    amp = np.multiply(t, g, dtype=float)
     with np.errstate(over="ignore"):   # overflow is rejected explicitly below
-        amp = np.exp(t * g)
-    bad = np.flatnonzero(~np.isfinite(amp))
-    if bad.size:
+        np.exp(amp, out=amp)
+    if not np.isfinite(amp).all():
+        bad = np.flatnonzero(~np.isfinite(amp))
         raise ValueError(f"exp(t G) not finite at l = {bad[0]}")
     peak = amp.max()
     if peak > 1 + 1e-6:
         warnings.warn(f"|exp(t G)| reaches {peak}; exponent has positive real "
                       "part, result is unreliable", RuntimeWarning, stacklevel=2)
-    half = frft_even(_half_weights(params) * amp, params.h_tilde * (params.x_u / n)).real
+    amp *= _half_weights(params)
+    half = frft_even(amp, params.h_tilde * (params.x_u / n)).real
     return np.concatenate((half[n - 1:0:-1], half))

@@ -35,9 +35,11 @@ def frft_even(c, delta: float) -> np.ndarray:
     if n < 1 or n & (n - 1):
         raise ValueError(f"frft_even needs N + 1 values with N a power of two, got {len(c)}")
     chirp_in, chirp, kernel_hat, edge = _even_plan_cached(n, float(delta))
-    conv = np.fft.ifft(np.fft.fft(c[:n] * chirp_in, 2 * n) * kernel_hat)[:n + 1]
+    z = np.fft.fft(c[:n] * chirp_in, 2 * n)
+    z *= kernel_hat
+    np.fft.ifft(z, out=z)
     out = c[n] * edge
-    out.real += (chirp * conv).real
+    out.real += (chirp * z[:n + 1]).real
     return out
 
 

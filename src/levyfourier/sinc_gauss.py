@@ -4,7 +4,11 @@ built from it, and the kernel-integral table G_r(k).
 The interpolant T f(zeta) = sum_k f(k h~) sinc(zeta/h~ - k) exp(-(zeta/h~-k)^2/(2r^2))
 integrates term by term into differences of G_r(v) = integral_0^v sinc(eta)
 exp(-eta^2/(2r^2)) d eta at integer arguments, so one table of G_r(0..N') plus
-an FFT convolution evaluates all N' indefinite integrals in O(N' log N')."""
+an FFT convolution evaluates all N' indefinite integrals in O(N' log N').
+
+G_r is real and the formula is linear in f, so a pass runs on real samples as
+one real FFT pair against the kernel's half spectrum; a complex f is
+integrated as its real and imaginary parts."""
 from __future__ import annotations
 
 import math
@@ -39,13 +43,14 @@ class KernelTable:
 
     @cached_property
     def circulant_spectrum(self) -> np.ndarray:
-        """FFT of G_r(k), k = -N'+1..N', zero-extended onto the 4N' circle of
-        indefinite_integral; computed on first use and kept with the table."""
+        """Half spectrum (rfft, 2N'+1 bins) of the real G_r(k), k = -N'+1..N',
+        zero-extended onto the 4N' circle of indefinite_integral; computed on
+        first use and kept with the table."""
         n = self.n_prime
-        ker = np.zeros(4 * n, dtype=complex)
-        k_idx = np.arange(-n + 1, n + 1)
-        ker[k_idx % (4 * n)] = self.signed(k_idx)
-        spectrum = np.fft.fft(ker)
+        ker = np.zeros(4 * n)
+        ker[:n + 1] = self.g
+        ker[3 * n + 1:] = -self.g[n - 1:0:-1]
+        spectrum = np.fft.rfft(ker)
         spectrum.flags.writeable = False
         return spectrum
 
@@ -89,11 +94,11 @@ def indefinite_integral(f, h: float, table: KernelTable) -> np.ndarray:
             - sum_{k=-N'+1}^{N'} h~ f(k h~) G_r(-k) + H_{l,N'},
 
     with H the two-case tail correction.  The first term is a discrete
-    convolution: the kernel is zero-extended onto a 4N' circle (its transform
-    is kept with the table) and one forward/inverse FFT pair evaluates every
-    l at once; outputs at l <= 0 would touch the unavailable quarter of the
-    circle and are discarded.
-    H is accumulated with running prefix sums in O(N').
+    convolution: real samples are placed on a 4N' circle and one rfft/irfft
+    pair against the kernel's half spectrum (kept with the table) evaluates
+    every l at once; outputs at l <= 0 would touch the unavailable quarter of
+    the circle and are discarded.  H is accumulated with running prefix sums
+    in O(N').  A complex f is integrated as its real and imaginary parts.
     """
     n = table.n_prime
     f = np.asarray(f)
@@ -102,21 +107,25 @@ def indefinite_integral(f, h: float, table: KernelTable) -> np.ndarray:
                          f"got shape {f.shape}")
     if not (math.isfinite(h) and h > 0):
         raise ValueError(f"h must be finite and positive, got {h}")
+    if np.iscomplexobj(f):
+        return (indefinite_integral(f.real, h, table)
+                + 1j * indefinite_integral(f.imag, h, table))
     big = 4 * n
 
-    u = np.zeros(big, dtype=complex)
-    u[np.arange(-n, 2 * n) % big] = f
-    conv = np.fft.ifft(np.fft.fft(u) * table.circulant_spectrum)
-    k_idx = np.arange(-n + 1, n + 1)
-    ell = np.arange(1, n + 1)
-    s1 = h * conv[ell]
+    # l = 0..2N'-1 at the start of the circle, l = -N'..-1 at its end
+    u = np.zeros(big)
+    u[:2 * n] = f[n:]
+    u[3 * n:] = f[:n]
+    spectrum = np.fft.rfft(u)
+    spectrum *= table.circulant_spectrum
+    out = h * np.fft.irfft(spectrum, big, out=u)[1:n + 1]
 
-    s2 = h * np.sum(f[k_idx + n] * table.signed(-k_idx))
+    out -= h * np.sum(f[1:2 * n + 1] * table.signed(np.arange(n - 1, -n - 1, -1)))
 
     # H_{l,N'}: zero for l = 1; G_r is odd so both tail sums carry +G_r(N')
-    tail_hi = np.concatenate(([0.0 + 0j], np.cumsum(f[np.arange(n + 1, 2 * n) + n])))
-    tail_lo = np.concatenate(([0.0 + 0j], np.cumsum(f[np.arange(-n + 1, 0) + n])))
-    h_corr = table.g[n] * h * (tail_hi[ell - 1] + tail_lo[ell - 1])
-
-    return s1 - s2 + h_corr
-
+    tails = np.zeros(n)
+    tails[1:] = np.cumsum(f[2 * n + 1:])
+    tails[1:] += np.cumsum(f[1:n])
+    tails *= table.g[n] * h
+    out += tails
+    return out

@@ -205,8 +205,9 @@ def _table_cached(n_prime: int):
 
 def _window(half: np.ndarray, n_prime: int, odd: bool = False) -> np.ndarray:
     """The 3N' samples f(l h~), l = -N'..2N'-1, of a Step-2 pass, from f at
-    l = 0..2N'-1 or beyond: f(-l) = conj f(l) for the transform of mu, or
-    -conj f(l) (odd) for its indefinite integral from 0."""
+    l = 0..2N'-1 or beyond: f(-l) = conj f(l), or -conj f(l) (odd).  For a
+    real half (Step 2 passes only real parts) that is the even or the odd
+    extension."""
     head = np.conj(half[n_prime:0:-1])
     return np.concatenate((-head if odd else head, half[:2 * n_prime]))
 
@@ -258,12 +259,13 @@ def _exponent_cached(model: LevyModel, grid: GridSpec):
     t1 = time.perf_counter()
     plan_cached = _step1_plan.cache_info().hits > plan_hits
     h = grid.h_tilde
+    # Step 2 is linear, so it integrates only the real part G keeps
     try:
         if model.gamma == 1:
-            g = 2.0 * _integrate(mhat, grid.n, h).imag
+            g = 2.0 * _integrate(mhat.imag, grid.n, h, odd=True)
         else:
-            first = np.concatenate(([0j], _integrate(mhat, 2 * grid.n, h)))
-            g = -2.0 * _integrate(first, grid.n, h, odd=True).real
+            first = np.concatenate(([0.0], _integrate(mhat.real, 2 * grid.n, h)))
+            g = -2.0 * _integrate(first, grid.n, h, odd=True)
     except ValueError as exc:
         raise ValueError(f"[step 2] {exc}") from exc
     g = np.concatenate(([0.0], g))
@@ -272,14 +274,24 @@ def _exponent_cached(model: LevyModel, grid: GridSpec):
     return g, t1 - t0, t2 - t1, plan_cached
 
 
+@lru_cache(maxsize=64)
+def _abscissae(grid: GridSpec) -> np.ndarray:
+    """The output points n h^, n = -N+1..N, read-only and shared by every
+    solve on the grid."""
+    x = np.arange(-grid.n + 1, grid.n + 1) * grid.h_hat
+    x.flags.writeable = False
+    return x
+
+
 def g_gamma(model: LevyModel, grid: GridSpec) -> np.ndarray:
     """Characteristic exponent G_gamma(l h~), l = 0..N, as a read-only float64
     array with G(0) = 0; G is even, so G(-l) = G(l) gives the rest.
 
-    gamma = 1 runs Steps 1-2 once with N' = N and returns 2 Im of the
-    indefinite integral; gamma = 2 runs Step 2 twice (N' = 2N, then N' = N on
-    the first integral extended by f(-l) = -conj f(l)) and returns -2 Re of
-    the double integral.
+    gamma = 1 runs Step 2 once with N' = N on Im m^ (odd extension) and
+    returns twice the indefinite integral; gamma = 2 runs Step 2 twice on
+    Re m^ (N' = 2N with the even extension, then N' = N on that first
+    integral with the odd extension) and returns -2 times the double
+    integral.  Both equal 2 Im and -2 Re of the integrals of m^ itself.
     Results are cached per (model, grid) and reused across times.
     """
     return _exponent_cached(model, grid)[0]
@@ -303,6 +315,7 @@ def solve(model: LevyModel, grid: GridSpec, t: float, euler: EulerParams,
     plan built).  step1, step2 and plan_cached describe the solve that
     computed the exponent, which is this one unless exponent_cached.
     model.exact_density, if any, runs only when p_exact or abs_err is read.
+    Every result on one grid holds the same read-only x.
     """
     if not (np.ndim(t) == 0 and math.isfinite(t) and t > 0):
         raise ValueError(f"t must be a positive finite scalar, got {t!r}")
@@ -329,8 +342,7 @@ def solve(model: LevyModel, grid: GridSpec, t: float, euler: EulerParams,
         raise ValueError("density output contains non-finite values")
     timings = {"step1": s1, "step2": s2, "step3": s3, "total": total,
                "exponent_cached": cached, "plan_cached": plan_cached}
-    x = np.arange(-grid.n + 1, grid.n + 1) * grid.h_hat
-    return SolveResult(x, p, timings,
+    return SolveResult(_abscissae(grid), p, timings,
                        params_echo(model, grid, t=t, use_exact_exponent=use_exact_exponent),
                        model.exact_density)
 

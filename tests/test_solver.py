@@ -10,10 +10,11 @@ import oracles
 from levyfourier.de_ft import _sources_stacked, node_plan, splice_plan
 from levyfourier.euler_ft import EulerParams
 from levyfourier.nufft import _forward_stacked, gridding_plan, source_shift
-from levyfourier.solver import (GridSpec, LevyModel,
-                                _spliced_transform, _step1_plan, clear_exponent_cache,
-                                custom_model, exact_nig, exact_vg, g_gamma,
-                                make_grid, nig_model, solve, vg_model)
+from levyfourier.sinc_gauss import kernel_table
+from levyfourier.solver import (GridSpec, LevyModel, _spliced_transform, _step1_plan,
+                                _window, clear_exponent_cache, custom_model,
+                                exact_nig, exact_vg, g_gamma, make_grid, nig_model,
+                                solve, vg_model)
 
 
 def euler_for(model, i):
@@ -130,6 +131,33 @@ def test_g_gamma_invariants():
         assert np.max(g) <= 1e-6
 
 
+@pytest.mark.parametrize("model", [vg_model(), nig_model(),
+                                   custom_model("cgmy", 2, lambda y: y ** -0.5 * np.exp(-y))],
+                         ids=["vg", "nig", "cgmy"])
+def test_g_gamma_real_parts_match_the_complex_integrals(model):
+    # Step 2 integrates only the part G keeps: Im m^ (odd) for gamma = 1,
+    # Re m^ (even) and then its first integral (odd) for gamma = 2.  The
+    # reference integrates the complex m^ on its conjugate-symmetric windows
+    # by the direct partitioned sum and takes 2 Im or -2 Re at the end.
+    # The scale is max |G|: at small l the gamma = 2 error is set by the
+    # largest samples of the second pass (6e-13 at |G| = 0.15 for CGMY
+    # Y = 1.5, against max |G| = 1260)
+    grid, _ = setup_case(model, 11)
+    n, h = grid.n, grid.h_tilde
+
+    def integral(f, n_prime):
+        return oracles.indefinite_direct(
+            f, kernel_table(math.sqrt(n_prime / math.pi), n_prime).g, h)
+    mhat = _spliced_transform(model, grid)
+    if model.gamma == 1:
+        ref = 2 * integral(_window(mhat, n), n).imag
+    else:
+        first = np.concatenate(([0j], integral(_window(mhat, 2 * n), 2 * n)))
+        ref = -2 * integral(_window(first, n, odd=True), n).real
+    got = g_gamma(model, grid)[1:]
+    assert np.max(np.abs(got - ref)) <= 1e-13 * max(1.0, np.max(np.abs(ref)))
+
+
 def test_g_gamma_grid_mismatch():
     model = vg_model()
     grid, _ = setup_case(nig_model(), 11)
@@ -221,6 +249,17 @@ def test_solve_rejects_complex_or_uneven_exact_exponent():
     short = custom_model("short", 1, vg_model().mu, exact_exponent=lambda w: np.zeros(3))
     with pytest.raises(ValueError, match=f"must return {2 * n} values"):
         solve(short, grid, 1.0, euler, use_exact_exponent=True)
+
+
+def test_solves_on_one_grid_share_a_read_only_x():
+    model = vg_model()
+    grid, euler = setup_case(model, 9)
+    a, b = solve(model, grid, 1.0, euler), solve(model, grid, 2.5, euler)
+    assert a.x is b.x
+    assert not a.x.flags.writeable
+    with pytest.raises(ValueError):
+        a.x[0] = 0.0
+    assert a.x.tobytes() == (np.arange(-grid.n + 1, grid.n + 1) * grid.h_hat).tobytes()
 
 
 def test_solve_mass_and_symmetry():
