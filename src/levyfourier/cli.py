@@ -75,6 +75,8 @@ class RunConfig:
             raise ValueError("need at least one grid exponent i")
         if not all(7 <= i <= 14 for i in self.exponent_i):
             raise ValueError(f"grid exponents must lie in 7..14: {self.exponent_i}")
+        if len(set(self.exponent_i)) < len(self.exponent_i):
+            raise ValueError(f"grid exponents must not repeat: {self.exponent_i}")
         if not (0 < self.x_l < self.x_u):
             raise ValueError("need 0 < xl < xu")
         if self.reps < 1:

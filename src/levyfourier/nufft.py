@@ -21,6 +21,12 @@ the same M for w = 15 and w = 16 alike: that floor is rounding, not the
 kernel.  Output indices are shifted by floor(N_gamma/2) before the FFT so
 the deconvolution 1/phi_hat(a k') stays moderate.
 
+phi_hat comes from the trapezoid rule at step 1/4 on the same kernel samples
+the bands use.  By Poisson summation the rule's error is phi_hat's aliases
+at omega + 8 pi m, m != 0; the largest, at m = +-1, is at most 1.5e-16
+phi_hat(0) for |omega| <= pi/2, and at 65 frequencies of that band the rule
+is within 1.8e-15 relative of a 40-digit quadrature of the kernel.
+
 Everything except the weights depends only on the grid: gridding_plan builds
 the kernel bands of all runs as one sparse matrix, with the deconvolution,
 and _forward_stacked applies it to one set of weights."""
@@ -28,7 +34,6 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from functools import lru_cache
 
 import numpy as np
 from scipy import sparse
@@ -42,9 +47,21 @@ BETA = 2.30 * WIDTH
 # the smallest kernel value, would make subnormal products in the gridding
 # step, each far slower than a normal multiply
 SUBNORMAL_WEIGHT = np.finfo(float).tiny * math.exp(BETA)
-# Gauss-Legendre order of the phi_hat rule; test_nufft checks that halving
-# it first moves phi_hat by more than 1e-14 phi_hat(0) and doubling it less
-ES_QUADRATURE_NODES = 128
+
+
+def _es_kernel(u: np.ndarray) -> np.ndarray:
+    """The ES kernel phi at u = 2z/w, |u| <= 1: exp(beta (sqrt(1 - u^2) - 1))."""
+    return np.exp(BETA * (np.sqrt(1 - u * u) - 1))
+
+
+# phi_hat(omega) = sum_q g_q cos(omega z_q) on |omega| <= pi/2: the trapezoid
+# rule at step ES_STEP on the kernel's samples over [-w/2, w/2], each pair +-z
+# folded onto z >= 0; test_nufft checks that step 1/4 is the first converged
+ES_STEP = 0.25
+_ES_NODES = np.arange(0, HALF_WIDTH + ES_STEP / 2, ES_STEP)
+_ES_WEIGHTS = 2 * ES_STEP * _es_kernel(_ES_NODES / HALF_WIDTH)
+_ES_WEIGHTS[[0, -1]] /= 2
+_ES_NODES.flags.writeable = _ES_WEIGHTS.flags.writeable = False
 
 
 def source_shift(h_tilde: float, n_gamma: int) -> float:
@@ -54,59 +71,18 @@ def source_shift(h_tilde: float, n_gamma: int) -> float:
     return (n_gamma // 2) * h_tilde
 
 
-def _legendre(n: int, x: np.ndarray):
-    """P_n(x) and P_n'(x) by the three-term recurrence."""
-    p0, p1 = np.ones_like(x), x
-    for k in range(2, n + 1):
-        p0, p1 = p1, ((2 * k - 1) * x * p1 - (k - 1) * p0) / k
-    return p1, n * (x * p1 - p0) / (x * x - 1)
-
-
-@lru_cache(maxsize=1)
-def _legendre_half(n: int):
-    """Positive Gauss-Legendre nodes x of even order n and their weights.
-
-    Newton's method from the cosine guesses; five steps take every node to
-    within 1e-16 for n <= 256.  Not leggauss: its eigensolver is a threaded
-    LAPACK call, after which the idle BLAS threads slowed each following
-    small solve by about 4 ms on a 2-CPU host.
-    """
-    x = np.cos(math.pi * (np.arange(n // 2) + 0.75) / (n + 0.5))
-    for _ in range(5):
-        p, dp = _legendre(n, x)
-        x = x - p / dp
-    dp = _legendre(n, x)[1]
-    return x, 2 / ((1 - x * x) * dp * dp)
-
-
-def _es_quadrature(n: int = ES_QUADRATURE_NODES):
-    """Nodes z_q and weights g_q with phi_hat(omega) = sum_q g_q cos(omega z_q)
-    on |omega| <= pi/2, the band of every plan, where phi_hat is the Fourier
-    transform of the ES kernel.
-
-    z = (w/2) sin(theta) turns the square-root end points of phi into an
-    analytic integrand, integrated by n-point Gauss-Legendre quadrature over
-    theta in [-pi/2, pi/2]; the nodes pair up as +-theta, so the theta > 0
-    half carries the cosine transform.
-    """
-    x, wts = _legendre_half(n)
-    theta = (math.pi / 2) * x
-    z = HALF_WIDTH * np.sin(theta)
-    g = (math.pi * WIDTH / 2) * wts * np.cos(theta) * np.exp(BETA * (np.cos(theta) - 1))
-    return z, g
-
-
 def _es_transform(step: float, count: int) -> np.ndarray:
     """phi_hat(k step) for k = 0..count-1, with (count - 1) step <= pi/2.
 
-    phi_hat(k step) = Re sum_q g_q e^{i k step z_q}; writing k = s J + j, the
-    factors e^{i s J step z_q} and e^{i j step z_q} take S + J rows of
-    exponentials, and one product combines them for every k: 1.0 ms at
-    M = 2^14 against 5-7 ms for the direct sum of cosines over every k.  The
-    product is an einsum, not a BLAS matmul: a threaded BLAS call here took
-    16 ms on a 2-CPU host.
+    phi_hat(k step) = Re sum_q g_q e^{i k step z_q} over the 31 trapezoid
+    nodes z_q; writing k = s J + j, the factors e^{i s J step z_q} and
+    e^{i j step z_q} take S + J rows of exponentials, and one product
+    combines them for every k: 0.3-0.5 ms at M = 2^14 on a 2-CPU host, where
+    the same sum as one rfft of length 4M took 1.2-1.9 ms and as a direct
+    sum of cosines 1.9-3.3 ms.  The product is an einsum, not a BLAS matmul:
+    a threaded BLAS call here took 16 ms on that host.
     """
-    z, g = _es_quadrature()
+    z, g = _ES_NODES, _ES_WEIGHTS
     j = math.isqrt(count - 1) + 1
     s = -(-count // j)
     fine = np.exp(1j * step * np.outer(np.arange(j), z))
@@ -159,7 +135,7 @@ def gridding_plan(points: np.ndarray, h_tilde: float, n_gamma: int,
     # rint(c) - c is exact, so |u| <= 1 holds in floating point too and the
     # square root never sees a negative argument
     u = ((centre - c)[:, None] + offsets) / HALF_WIDTH
-    kernel = np.exp(BETA * (np.sqrt(1 - u * u) - 1))
+    kernel = _es_kernel(u)
     rows = centre.astype(np.int32)[:, None] + offsets
     rows %= m
     rows += (live // m * m).astype(np.int32)[:, None]

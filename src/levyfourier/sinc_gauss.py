@@ -36,11 +36,6 @@ class KernelTable:
     def n_prime(self) -> int:
         return len(self.g) - 1
 
-    def signed(self, k) -> np.ndarray:
-        """G_r at signed integer arguments |k| <= n_prime."""
-        k = np.asarray(k)
-        return np.sign(k) * self.g[np.abs(k)]
-
     @cached_property
     def circulant_spectrum(self) -> np.ndarray:
         """Half spectrum (rfft, 2N'+1 bins) of the real G_r(k), k = -N'+1..N',
@@ -88,17 +83,18 @@ def indefinite_integral(f, h: float, table: KernelTable) -> np.ndarray:
     """Integrals integral_0^{l h~} f for l = 1..N' from 3N' equispaced samples
     at spacing h = h~, with N' = table.n_prime.
 
-    f must hold f(l h~) exactly for l = -N'..2N'-1.  Per sample index k,
+    f must hold f(l h~) exactly for l = -N'..2N'-1.  With the discrete
+    convolution conv_l = sum_{k=-N'+1}^{N'} f((l-k)h~) G_r(k), the formula is
 
-      out_l = sum_{k=-N'+1}^{N'} h~ f((l-k)h~) G_r(k)
-            - sum_{k=-N'+1}^{N'} h~ f(k h~) G_r(-k) + H_{l,N'},
+      out_l = h~ [conv_l - sum_{k=-N'+1}^{N'} f(k h~) G_r(-k)
+                  + G_r(N') sum_{j=1}^{l-1} (f((N'+j)h~) + f((-N'+j)h~))].
 
-    with H the two-case tail correction.  The first term is a discrete
-    convolution: real samples are placed on a 4N' circle and one rfft/irfft
-    pair against the kernel's half spectrum (kept with the table) evaluates
-    every l at once; outputs at l <= 0 would touch the unavailable quarter of
-    the circle and are discarded.  H is accumulated with running prefix sums
-    in O(N').  A complex f is integrated as its real and imaginary parts.
+    G_r is odd, so the lower-limit sum is conv_0 - G_r(N') (f(N'h~) + f(-N'h~)),
+    and its last term joins the tail sum as j = 0.  conv_l reads f at
+    l-N'..l+N'-1, so conv_0..conv_N' need only the samples given: one
+    rfft/irfft pair on a 4N' circle against the kernel's half spectrum (kept
+    with the table) yields them all, and the tail sum is one prefix sum.  A
+    complex f is integrated as its real and imaginary parts.
     """
     n = table.n_prime
     f = np.asarray(f)
@@ -118,14 +114,9 @@ def indefinite_integral(f, h: float, table: KernelTable) -> np.ndarray:
     u[3 * n:] = f[:n]
     spectrum = np.fft.rfft(u)
     spectrum *= table.circulant_spectrum
-    out = h * np.fft.irfft(spectrum, big, out=u)[1:n + 1]
+    conv = np.fft.irfft(spectrum, big, out=u)
 
-    out -= h * np.sum(f[1:2 * n + 1] * table.signed(np.arange(n - 1, -n - 1, -1)))
-
-    # H_{l,N'}: zero for l = 1; G_r is odd so both tail sums carry +G_r(N')
-    tails = np.zeros(n)
-    tails[1:] = np.cumsum(f[2 * n + 1:])
-    tails[1:] += np.cumsum(f[1:n])
-    tails *= table.g[n] * h
-    out += tails
+    out = conv[1:n + 1] - conv[0]
+    out += table.g[n] * np.cumsum(f[2 * n:] + f[:n])
+    out *= h
     return out

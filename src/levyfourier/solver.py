@@ -62,7 +62,7 @@ class GridSpec:
     order gamma (1 or 2).
 
     n = N and h_tilde come from the Euler parameters, so Steps 1-3 share one
-    frequency grid; x_max = x_u and the output spacing h_hat = x_max / N;
+    frequency grid; the output spacing is h_hat = x_u / N;
     n_gamma = 2^gamma N fixes the Step-2 budget and m = 2 n_gamma the DE
     node count.
     """
@@ -76,10 +76,6 @@ class GridSpec:
     @property
     def n(self) -> int:
         return self.euler.n
-
-    @property
-    def x_max(self) -> float:
-        return self.euler.x_u
 
     @property
     def h_hat(self) -> float:
@@ -150,11 +146,12 @@ def exact_vg(x, t: float):
 
 
 def exact_nig(x, t: float):
-    """Closed-form normal-inverse-Gaussian density t e^t K_1(sqrt(x^2+t^2)) / (pi sqrt(x^2+t^2))."""
+    """Closed-form normal-inverse-Gaussian density t e^t K_1(s) / (pi s), s = sqrt(x^2+t^2),
+    as t e^{t-s} k1e(s) / (pi s) with k1e(s) = e^s K_1(s): e^t overflows past t = 709."""
     if not t > 0:
         raise ValueError("t must be positive")
     s = np.hypot(np.asarray(x, dtype=float), t)
-    out = t * math.exp(t) * sp.k1(s) / (np.pi * s)
+    out = t * np.exp(t - s) * sp.k1e(s) / (np.pi * s)
     return float(out) if out.ndim == 0 else out
 
 

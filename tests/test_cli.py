@@ -51,6 +51,8 @@ def test_runconfig_validation():
         RunConfig(exponent_i=(6,))
     with pytest.raises(ValueError, match="7..14"):
         RunConfig(exponent_i=(11, 15))
+    with pytest.raises(ValueError, match=r"grid exponents must not repeat: \(8, 8, 9\)"):
+        RunConfig(exponent_i=(8, 8, 9))
     with pytest.raises(ValueError, match="0 < xl < xu"):
         RunConfig(x_l=5.0, x_u=2.0)
     with pytest.raises(ValueError, match="reps"):
@@ -147,6 +149,15 @@ def test_solve_custom_model_has_no_exact_columns(tmp_path):
     assert all(len(ln.split(",")) == 2 for ln in lines[1:])
     man = json.loads((tmp_path / "solve_custom_manifest.json").read_text(encoding="utf-8"))
     assert man["runs"][0]["model"] == "custom"
+
+
+def test_solve_nig_past_t_709_writes_a_finite_exact_column(tmp_path):
+    # e^t overflows a float past t = 709; the closed form must not
+    rc = main(["solve", "--model", "nig", "--i-range", "8", "--t", "800",
+               "--out", str(tmp_path)])
+    assert rc == 0
+    rows = np.loadtxt(tmp_path / "solve_nig_i8_t800.csv", delimiter=",", skiprows=1)
+    assert np.all(np.isfinite(rows[:, 2])) and np.all(rows[:, 2] > 0)
 
 
 def test_solve_output_is_deterministic(tmp_path):
@@ -267,6 +278,14 @@ def test_failed_solve_creates_no_output_directory(tmp_path, capsys):
     assert rc == 2
     assert "times must not repeat" in capsys.readouterr().err
     assert not out.exists()
+    # a repeated grid exponent would write and list one CSV twice, and let
+    # converge fit a slope to fewer distinct grids than it asks for
+    for command, irange in (("solve", "7,7"), ("converge", "8,8,8"), ("converge", "8,8,9")):
+        rc = main([command, "--i-range", irange, "--out", str(out)])
+        assert rc == 2
+        assert f"error: grid exponents must not repeat: ({irange.replace(',', ', ')})" \
+            in capsys.readouterr().err
+        assert not out.exists()
     # a non-finite window input is named, not reported as a derived step
     for flag, name in (("--xu", "x_u"), ("--d", "d")):
         rc = main(["solve", flag, "inf", "--i-range", "7", "--out", str(out)])

@@ -8,9 +8,8 @@ import pytest
 import oracles
 from levyfourier.de_ft import _sources_stacked, node_plan, splice_plan
 from levyfourier.euler_ft import EulerParams
-from levyfourier.nufft import (BETA, ES_QUADRATURE_NODES, HALF_WIDTH, SUBNORMAL_WEIGHT, WIDTH,
-                               _es_quadrature, _es_transform, _forward_stacked, gridding_plan,
-                               source_shift)
+from levyfourier.nufft import (BETA, ES_STEP, HALF_WIDTH, SUBNORMAL_WEIGHT, WIDTH, _es_transform,
+                               _forward_stacked, gridding_plan, source_shift)
 from levyfourier.solver import _window
 
 
@@ -76,24 +75,26 @@ def test_gridding_plan_rows_are_the_window_pairs():
     assert np.array_equal(sub.matrix.toarray(), dense[:, live])
 
 
-def test_kernel_transform_rule_is_the_first_converged_doubling():
-    # doubling the Gauss-Legendre order from 32 first moves phi_hat at 65
-    # frequencies over [0, pi/2] by at most 1e-14 phi_hat(0) at 128 nodes;
-    # the transform is summed directly here, not by the plan's factorization
+def test_kernel_transform_rule_is_the_first_converged_halving():
+    # the trapezoid rule over the kernel's support [-w/2, w/2]: halving step
+    # 1/2 still moves phi_hat at 65 frequencies over [0, pi/2] by more than
+    # 1e-15 phi_hat(0), and halving step 1/4 by at most that, the rounding
+    # floor; the rule is summed directly here, not by the plan's factorization
     omega = np.linspace(0.0, math.pi / 2, 65)
 
-    def phi_hat(n):
-        z, g = _es_quadrature(n)
-        return np.cos(np.outer(omega, z)) @ g
+    def phi_hat(step):
+        z = np.linspace(-HALF_WIDTH, HALF_WIDTH, round(WIDTH / step) + 1)
+        g = np.full(len(z), step)
+        g[[0, -1]] /= 2
+        return np.cos(np.outer(omega, z)) @ (g * oracles.es_kernel(z))
 
-    moves = {}
-    for n in (64, 128, 256):
-        fine, coarse = phi_hat(n), phi_hat(n // 2)
-        moves[n] = np.max(np.abs(fine - coarse)) / fine[0]
-    assert moves[64] > 1e-14 and moves[128] <= 1e-14 and moves[256] <= 1e-14
-    assert ES_QUADRATURE_NODES == 128
+    rule = {step: phi_hat(step) for step in (1.0, 0.5, 0.25, 0.125)}
+    moves = {step: np.max(np.abs(rule[step / 2] - rule[step])) / rule[step][0]
+             for step in (1.0, 0.5, 0.25)}
+    assert moves[1.0] > moves[0.5] > 1e-15 and moves[0.25] <= 1e-15
+    assert ES_STEP == 0.25
     step = math.pi / 2 / 4096
-    assert np.allclose(_es_transform(step, 4097)[::64], phi_hat(128),
+    assert np.allclose(_es_transform(step, 4097)[::64], rule[0.25],
                        rtol=1e-14, atol=0)
 
 

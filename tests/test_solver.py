@@ -44,7 +44,7 @@ def test_grid_spec_validation():
     grid = GridSpec(euler, 2)
     assert grid == make_grid(nig_model(), euler)
     assert (grid.n, grid.n_gamma, grid.m) == (256, 1024, 2048)
-    assert (grid.x_max, grid.h_hat, grid.h_tilde) == (5.0, 5.0 / 256, euler.h_tilde)
+    assert (grid.h_hat, grid.h_tilde) == (5.0 / 256, euler.h_tilde)
     for gamma in (0, 3, 2.0, True, "2"):
         with pytest.raises(ValueError, match="gamma"):
             GridSpec(euler, gamma)
@@ -90,6 +90,13 @@ def test_exact_nig_pins():
     assert exact_nig(1.3, 2.0) == exact_nig(-1.3, 2.0)
     # central limit: p(0, t) ~ 1/sqrt(2 pi t) for large t
     assert exact_nig(0.0, 50.0) == pytest.approx(1 / math.sqrt(2 * math.pi * 50), rel=0.05)
+    # e^t overflows past t = 709; the scaled K_1 keeps the density finite
+    x = np.array([0.0, 2.0, 5.0])
+    s = np.hypot(x, 700.0)
+    assert np.allclose(exact_nig(x, 700.0), 700.0 * math.exp(700.0) * sp.k1(s) / (math.pi * s),
+                       rtol=1e-14, atol=0)
+    late = exact_nig(x, 800.0)
+    assert np.all(np.isfinite(late)) and np.all(late > 0)
     with pytest.raises(ValueError):
         exact_nig(1.0, -1.0)
 
