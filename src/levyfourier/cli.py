@@ -21,15 +21,12 @@ from scipy.integrate import quad
 from .de_ft import _sources_stacked, node_plan, splice_plan
 from .euler_ft import EulerParams, inverse_ft, weight
 from .numkit import frft_even
-from .nufft import _forward_stacked
+from .nufft import _forward_stacked, gridding_plan, source_shift
 from .sinc_gauss import kernel_table
-from .solver import (KERNEL_ECHO, _spliced_transform, _step1_plan, clear_exponent_cache,
-                     custom_model, g_gamma, make_grid, nig_model, params_echo, solve,
-                     vg_model)
+from .solver import (KERNEL_ECHO, _spliced_transform, clear_exponent_cache, custom_model,
+                     g_gamma, make_grid, nig_model, params_echo, solve, vg_model)
 
 CONFIG_SCHEMA_VERSION = "1"
-_CONFIG_KEYS = ("schema_version", "model", "gamma", "mu", "t", "i_range",
-                "xl", "xu", "d", "out", "reps")
 # the names a --mu expression may use besides y, as np.NAME or math.NAME;
 # np.NAME must be a ufunc or one of _MU_NUMPY_EXTRA, which keeps numpy's
 # file and memory functions (np.save, np.load, np.fromfile, ...) out
@@ -95,7 +92,7 @@ def parse_config_file(path) -> dict:
                 raise ValueError(f"{path}:{lineno}: expected key=value, got {line!r}")
             key, _, value = line.partition("=")
             key, value = key.strip(), value.strip()
-            if key not in _CONFIG_KEYS:
+            if key != "schema_version" and key not in _SETTINGS:
                 raise ValueError(f"{path}:{lineno}: unknown config key {key!r}")
             data[key] = value
     if data.get("schema_version") != CONFIG_SCHEMA_VERSION:
@@ -117,29 +114,21 @@ def _parse_irange(text: str) -> tuple:
     return tuple(int(tok) for tok in text.split(",") if tok.strip())
 
 
+# each config key, which is also its flag's argparse dest: the RunConfig
+# field it sets and the parser of its text; RunConfig holds the defaults
+_SETTINGS = {"model": ("model", str), "gamma": ("gamma", int), "mu": ("mu_expr", str),
+             "t": ("t_values", _parse_times), "i_range": ("exponent_i", _parse_irange),
+             "xl": ("x_l", float), "xu": ("x_u", float), "d": ("d", float),
+             "out": ("out", str), "reps": ("reps", int)}
+
+
 def resolve_config(args) -> RunConfig:
-    """Merge defaults < config file < explicit flags."""
-    file_vals = parse_config_file(args.config) if args.config else {}
-
-    def pick(flag_value, key, conv, default):
-        if flag_value is not None:
-            return flag_value
-        if key in file_vals:
-            return conv(file_vals[key])
-        return default
-
-    return RunConfig(
-        model=pick(args.model, "model", str, "vg"),
-        gamma=pick(args.gamma, "gamma", int, None),
-        mu_expr=pick(args.mu, "mu", str, None),
-        t_values=_parse_times(pick(args.t, "t", str, "1")),
-        exponent_i=_parse_irange(pick(args.i_range, "i_range", str, "11")),
-        x_l=pick(args.xl, "xl", float, 2.0),
-        x_u=pick(args.xu, "xu", float, 5.0),
-        d=pick(args.d, "d", float, 1.0),
-        out=pick(args.out, "out", str, "out"),
-        reps=pick(args.reps, "reps", int, 5),
-    )
+    """Merge RunConfig's defaults < config file < explicit flags."""
+    given = parse_config_file(args.config) if args.config else {}
+    given.update((key, getattr(args, key)) for key in _SETTINGS
+                 if getattr(args, key) is not None)
+    return RunConfig(**{name: parse(given[key])
+                        for key, (name, parse) in _SETTINGS.items() if key in given})
 
 
 def _build_model(config: RunConfig):
@@ -313,6 +302,9 @@ def cmd_converge(config: RunConfig) -> int:
 
 def cmd_bench(config: RunConfig) -> int:
     """Median per-step wall times per grid size, with time/(M log2 M)."""
+    if len(config.t_values) > 1:
+        times = ", ".join(map(_t_label, config.t_values))
+        raise ValueError(f"bench times one t, got t = {times}")
     model = _build_model(config)
     t = config.t_values[0]
     if config.reps < 5:
@@ -356,7 +348,7 @@ def _check_frft():
     idx = np.arange(-n + 1, n + 1)
     direct = np.array([np.sum(c[np.abs(idx)] * np.exp(1j * 0.3 * idx * k))
                        for k in range(n + 1)])
-    return float(np.max(np.abs(got - direct))), 1e-10
+    return float(np.max(np.abs(got - direct.real))), 1e-10
 
 
 def _check_euler_even():
@@ -374,10 +366,12 @@ def _check_euler_even():
 def _check_nufft():
     model = vg_model()
     grid = make_grid(model, EulerParams(128, 2.0, 5.0, 1.0))
-    nodes, gridding, _ = _step1_plan(grid)
+    runs = [run for run, _ in splice_plan(grid.n_gamma, grid.h_tilde)]
+    nodes = node_plan(runs, source_shift(grid.h_tilde, grid.n_gamma))
+    gridding = gridding_plan(nodes.points, grid.h_tilde, grid.n_gamma, nodes.live)
     got = _forward_stacked(_sources_stacked(model.mu, nodes), gridding)
     # the plain (unshifted) weights of both runs, summed directly
-    plain = node_plan(run for run, _ in splice_plan(grid.n_gamma, grid.h_tilde))
+    plain = node_plan(runs)
     weights = _sources_stacked(model.mu, plain)
     k = np.arange(grid.n_gamma + 1)
     worst = 0.0

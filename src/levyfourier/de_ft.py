@@ -158,8 +158,8 @@ def node_plan(runs, shift: float = 0.0) -> NodePlan:
 def _sources_stacked(mu, plan: NodePlan) -> np.ndarray:
     """Weights mu(y_j) * factor_j at the plan's live nodes, from one call of mu.
 
-    Raises on complex or non-finite mu values, naming the first offending j
-    and y_j.
+    Raises on a result whose shape is not that of y, naming both shapes, and
+    on complex or non-finite mu values, naming the first offending j and y_j.
     """
     def node(i):
         m = plan.points.shape[1]
@@ -167,6 +167,8 @@ def _sources_stacked(mu, plan: NodePlan) -> np.ndarray:
         return f"j={j}, y={float(plan.y[i])}"
 
     mu_vals = np.asarray(mu(plan.y))
+    if mu_vals.shape != plan.y.shape:
+        raise ValueError(f"mu returned shape {mu_vals.shape} for y of shape {plan.y.shape}")
     if np.iscomplexobj(mu_vals):
         bad = np.flatnonzero(mu_vals.imag)
         where = (f": {mu_vals[bad[0]]} at {node(bad[0])}" if bad.size

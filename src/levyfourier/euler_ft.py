@@ -118,5 +118,5 @@ def inverse_ft(g, t: float, params: EulerParams) -> np.ndarray:
         warnings.warn(f"|exp(t G)| reaches {peak}; exponent has positive real "
                       "part, result is unreliable", RuntimeWarning, stacklevel=2)
     amp *= _half_weights(params)
-    half = frft_even(amp, params.h_tilde * (params.x_u / n)).real
+    half = frft_even(amp, params.h_tilde * (params.x_u / n))
     return np.concatenate((half[n - 1:0:-1], half))

@@ -100,7 +100,7 @@ class GriddingPlan:
     column has exactly w = 15 entries, the ES kernel phi(l - c_j) at the 15
     nodes l nearest the source's lattice position c_j, stored at p = l mod M.
     post holds the deconvolution 1 / phi_hat(a k') for k = 0..n_gamma, and
-    gather = k' mod M reads the FFT bins.
+    gather[r, k] = r*M + (k' mod M), the flat index of k's FFT bin in run r.
     """
 
     matrix: sparse.csc_array
@@ -145,7 +145,7 @@ def gridding_plan(points: np.ndarray, h_tilde: float, n_gamma: int,
 
     kp = np.arange(0, n_gamma + 1) - n_gamma // 2
     post = 1 / _es_transform(a, np.max(np.abs(kp)) + 1)[np.abs(kp)]
-    gather = kp % m
+    gather = np.arange(0, runs * m, m)[:, None] + kp % m
     for arr in (matrix.data, matrix.indices, matrix.indptr, post, gather):
         arr.flags.writeable = False
     return GriddingPlan(matrix, post, gather)
@@ -154,7 +154,7 @@ def gridding_plan(points: np.ndarray, h_tilde: float, n_gamma: int,
 def _forward_stacked(weights: np.ndarray, plan: GriddingPlan) -> np.ndarray:
     """Source sums sum_j w_j e^{-i k h~ y_j}, k = 0..n_gamma, of every run of
     the plan; weights are one per plan column, already multiplied by
-    e^{-i zeta_s y_j} (source_shift).  Returns shape (runs, n_gamma + 1).
+    e^{-i zeta_s y_j} (source_shift).  Returns the shape of plan.gather.
 
     One real sparse product per part of the weights grids all runs and one
     batched length-M FFT transforms the grids, M = 2 n_gamma.  The grid of
@@ -169,4 +169,4 @@ def _forward_stacked(weights: np.ndarray, plan: GriddingPlan) -> np.ndarray:
     grids.real = plan.matrix @ parts[0]
     grids.imag = plan.matrix @ parts[1]
     spectrum = np.fft.fft(grids.reshape(-1, 2 * (len(plan.post) - 1)), axis=-1)
-    return plan.post * spectrum[:, plan.gather]
+    return plan.post * spectrum.ravel()[plan.gather]

@@ -13,7 +13,6 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from functools import cached_property
 
 import numpy as np
 from scipy.special import erf
@@ -22,32 +21,17 @@ from scipy.special import erf
 @dataclass(frozen=True, eq=False)
 class KernelTable:
     """G_r(k) for k = 0..N'; negative arguments go through the odd extension
-    G_r(-k) = -G_r(k)."""
+    G_r(-k) = -G_r(k).  circulant_spectrum is the half spectrum (rfft, 2N'+1
+    bins) of G_r(k), k = -N'+1..N', zero-extended onto the 4N' circle of
+    indefinite_integral."""
 
     g: np.ndarray
     r: float
-
-    def __post_init__(self):
-        g = np.ascontiguousarray(self.g, dtype=float)
-        g.flags.writeable = False
-        object.__setattr__(self, "g", g)
+    circulant_spectrum: np.ndarray
 
     @property
     def n_prime(self) -> int:
         return len(self.g) - 1
-
-    @cached_property
-    def circulant_spectrum(self) -> np.ndarray:
-        """Half spectrum (rfft, 2N'+1 bins) of the real G_r(k), k = -N'+1..N',
-        zero-extended onto the 4N' circle of indefinite_integral; computed on
-        first use and kept with the table."""
-        n = self.n_prime
-        ker = np.zeros(4 * n)
-        ker[:n + 1] = self.g
-        ker[3 * n + 1:] = -self.g[n - 1:0:-1]
-        spectrum = np.fft.rfft(ker)
-        spectrum.flags.writeable = False
-        return spectrum
 
 
 def kernel_table(r: float, n_prime: int) -> KernelTable:
@@ -64,6 +48,8 @@ def kernel_table(r: float, n_prime: int) -> KernelTable:
     DFT of the real even sequence c, read at its odd bins: one inverse real
     FFT gives all k at once, prefix-summed from G_r(0) = 0 in extended
     precision.  m_table = max(4*n_prime, 2^10), which must be a power of two.
+    The table comes with its half spectrum on the 4N' circle, which every
+    Step-2 pass reads.
     """
     m_table = max(4 * n_prime, 1024)
     if n_prime < 1 or m_table & (m_table - 1):
@@ -74,9 +60,15 @@ def kernel_table(r: float, n_prime: int) -> KernelTable:
     c = f_sg * np.sinc(w / (2 * np.pi))
     # the sum is 2M irfft(c) at bin 2k+1, and h'/2pi = 1/M
     diffs = 2 * np.fft.irfft(c, 2 * m_table)[1:2 * n_prime:2]
-    # a float64 prefix sum of N' terms near 1/2 drifts by several ulps
-    g = np.concatenate(([0.0], np.cumsum(diffs, dtype=np.longdouble)))
-    return KernelTable(g, r)
+    # G_r(k) at k = -N'+1..N' on the 4N' circle; a float64 prefix sum of N'
+    # terms near 1/2 drifts by several ulps
+    ker = np.zeros(4 * n_prime)
+    ker[1:n_prime + 1] = np.cumsum(diffs, dtype=np.longdouble)
+    ker[3 * n_prime + 1:] = -ker[n_prime - 1:0:-1]
+    g = ker[:n_prime + 1].copy()
+    spectrum = np.fft.rfft(ker)
+    g.flags.writeable = spectrum.flags.writeable = False
+    return KernelTable(g, r, spectrum)
 
 
 def indefinite_integral(f, h: float, table: KernelTable) -> np.ndarray:

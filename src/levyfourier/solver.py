@@ -5,7 +5,7 @@ from __future__ import annotations
 
 import math
 import time
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, replace
 from functools import cached_property, lru_cache
 from typing import Callable, Optional
 
@@ -217,12 +217,14 @@ def _integrate(half: np.ndarray, n_prime: int, h: float, odd: bool = False) -> n
 @lru_cache(maxsize=PLAN_CACHE_SIZE)
 def _step1_plan(grid: GridSpec):
     """Everything of Step 1 that does not depend on mu: the DE nodes and
-    mu-free weight factors of both splice runs, their gridding plan, and the
-    k-ranges each run covers."""
-    (run_a, range_a), (run_b, range_b) = splice_plan(grid.n_gamma, grid.h_tilde)
+    mu-free weight factors of both splice runs, and their gridding plan,
+    whose gather reads each k from the run that covers it."""
+    (run_a, range_a), (run_b, _) = splice_plan(grid.n_gamma, grid.h_tilde)
     nodes = node_plan((run_a, run_b), source_shift(grid.h_tilde, grid.n_gamma))
-    gridding = gridding_plan(nodes.points, grid.h_tilde, grid.n_gamma, nodes.live)
-    return nodes, gridding, (range_a, range_b)
+    plan = gridding_plan(nodes.points, grid.h_tilde, grid.n_gamma, nodes.live)
+    gather = np.concatenate((plan.gather[0, :range_a.stop], plan.gather[1, range_a.stop:]))
+    gather.flags.writeable = False
+    return nodes, replace(plan, gather=gather)
 
 
 def _spliced_transform(model: LevyModel, grid: GridSpec) -> np.ndarray:
@@ -230,14 +232,11 @@ def _spliced_transform(model: LevyModel, grid: GridSpec) -> np.ndarray:
     m^(-k h~) is its conjugate.
 
     With the grid's plan this is mu at the DE nodes times the mu-free
-    factors, one sparse gridding product and one batched FFT over both runs.
+    factors, one sparse gridding product and one batched FFT over both runs,
+    read at the bins of the run that covers each k.
     """
-    nodes, gridding, ranges = _step1_plan(grid)
-    out = _forward_stacked(_sources_stacked(model.mu, nodes), gridding)
-    vals = np.empty(grid.n_gamma + 1, dtype=complex)
-    for row, rng in enumerate(ranges):
-        vals[rng.start:rng.stop] = out[row, rng.start:rng.stop]
-    return vals
+    nodes, plan = _step1_plan(grid)
+    return _forward_stacked(_sources_stacked(model.mu, nodes), plan)
 
 
 @lru_cache(maxsize=64)
@@ -295,7 +294,9 @@ def g_gamma(model: LevyModel, grid: GridSpec) -> np.ndarray:
 
 
 def clear_exponent_cache():
-    """Drop every cached exponent and Step-1 plan, so the next solve is cold."""
+    """Drop every cached exponent and Step-1 plan, so the next solve runs
+    Steps 1-2 and builds its plan.  Kept: the Step-2 kernel tables, the
+    Step-3 weights and chirp tables, the output points x and the echo."""
     _exponent_cached.cache_clear()
     _step1_plan.cache_clear()
 

@@ -240,6 +240,14 @@ def test_bench_writes_table_and_warns_on_few_reps(tmp_path):
     assert man["normalized_spread"] >= 1.0
 
 
+def test_bench_rejects_more_than_one_time(tmp_path, capsys):
+    out = tmp_path / "out"
+    rc = main(["bench", "--t", "1,2", "--i-range", "7", "--out", str(out)])
+    assert rc == 2
+    assert "error: bench times one t, got t = 1, 2" in capsys.readouterr().err
+    assert not out.exists()
+
+
 def test_selftest_passes(capsys):
     assert main(["selftest"]) == 0
     out = capsys.readouterr().out
@@ -306,6 +314,12 @@ def test_failed_solve_creates_no_output_directory(tmp_path, capsys):
                "--i-range", "7", "--out", str(out)])
     assert rc == 2
     assert "error: [step 1] mu must return real values: 1j at j=" in capsys.readouterr().err
+    assert not out.exists()
+    # a constant is not a function of y: its one value would broadcast
+    rc = main(["solve", "--model", "custom", "--gamma", "1", "--mu", "1.0",
+               "--i-range", "7", "--out", str(out)])
+    assert rc == 2
+    assert "error: [step 1] mu returned shape () for y of shape (" in capsys.readouterr().err
     assert not out.exists()
     # --gamma / --mu would otherwise be dropped silently for a built-in model
     rc = main(["solve", "--gamma", "2", "--mu", "np.exp(-3*y)", "--i-range", "7",

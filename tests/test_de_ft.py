@@ -1,5 +1,6 @@
 """Double-exponential Fourier-transform sources and the two-run splice plan."""
 import math
+import re
 import warnings
 
 import numpy as np
@@ -181,6 +182,17 @@ def test_sources_stacked_rejects_complex_mu():
         # a complex array is refused even where every imaginary part is zero
         with pytest.raises(ValueError, match="real values .*complex array"):
             _sources_stacked(lambda y: np.exp(-y) + 0j, plan)
+
+
+def test_sources_stacked_rejects_mu_of_another_shape():
+    (run_a, _), (run_b, _) = splice_plan(256, 0.05)
+    plan = node_plan((run_a, run_b))
+    shape = plan.y.shape
+    # a scalar would broadcast to every node, a column to an (S, S) block
+    for mu, got in ((lambda y: 1.0, ()), (lambda y: np.exp(-y)[:, None], shape + (1,))):
+        with pytest.raises(ValueError, match=rf"mu returned shape {re.escape(str(got))} "
+                                             rf"for y of shape \({shape[0]},\)"):
+            _sources_stacked(mu, plan)
 
 
 def test_splice_plan_rules():

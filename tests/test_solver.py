@@ -9,10 +9,11 @@ import scipy.special as sp
 import oracles
 from levyfourier.de_ft import _sources_stacked, node_plan, splice_plan
 from levyfourier.euler_ft import EulerParams
+from levyfourier.numkit import frft_even
 from levyfourier.nufft import _forward_stacked, gridding_plan, source_shift
 from levyfourier.sinc_gauss import kernel_table
-from levyfourier.solver import (GridSpec, LevyModel, _spliced_transform, _step1_plan,
-                                _window, clear_exponent_cache, custom_model,
+from levyfourier.solver import (GridSpec, LevyModel, _spliced_transform, _window,
+                                clear_exponent_cache, custom_model,
                                 exact_nig, exact_vg, g_gamma, make_grid, nig_model,
                                 solve, vg_model)
 
@@ -413,13 +414,37 @@ def test_step1_plan_matches_per_run_composition(model):
         assert np.max(np.abs(cold - ref)) <= 1e-14 * np.max(np.abs(ref)), i
 
 
+def per_run_transform(model, grid):
+    """The Step-1 transform of each splice run over k = 0..N_gamma, one row
+    per run, from the per-run plan of gridding_plan."""
+    runs = [run for run, _ in splice_plan(grid.n_gamma, grid.h_tilde)]
+    nodes = node_plan(runs, source_shift(grid.h_tilde, grid.n_gamma))
+    gridding = gridding_plan(nodes.points, grid.h_tilde, grid.n_gamma, nodes.live)
+    return _forward_stacked(_sources_stacked(model.mu, nodes), gridding)
+
+
+@pytest.mark.parametrize("model", [vg_model(), nig_model()], ids=["vg", "nig"])
+def test_stages_hand_on_only_what_the_next_reads(model):
+    # Step 1 gathers each k from the run that covers it, bit for bit the
+    # per-run rows on their ranges; Step 3's transform is real
+    for i in (7, 10, 14):
+        grid, _ = setup_case(model, i)
+        rows = per_run_transform(model, grid)
+        (_, range_a), (_, range_b) = splice_plan(grid.n_gamma, grid.h_tilde)
+        ref = np.concatenate((rows[0, range_a.start:range_a.stop],
+                              rows[1, range_b.start:range_b.stop]))
+        assert np.array_equal(_spliced_transform(model, grid), ref), i
+        n = grid.n
+        half = frft_even(np.linspace(1.0, 0.0, n + 1), grid.h_tilde * grid.h_hat)
+        assert half.dtype == np.float64 and half.shape == (n + 1,), i
+
+
 def test_step1_plan_matches_direct_sum_with_tied_nodes_at_m_2_14():
     # run B of vg at M = 2^14 has DE nodes tied at y = 0 (zero weight, left
     # out of the plan); both rows must still match the direct source sums
     model = vg_model()
     grid, _ = setup_case(model, 14)
-    nodes, gridding, _ = _step1_plan(grid)
-    got = _forward_stacked(_sources_stacked(model.mu, nodes), gridding)
+    got = per_run_transform(model, grid)
     plain = node_plan(run for run, _ in splice_plan(grid.n_gamma, grid.h_tilde))
     assert np.any(np.diff(plain.points[1]) == 0)
     weights = _sources_stacked(model.mu, plain)
@@ -436,8 +461,7 @@ def step1_row_errors(model, i):
     against the direct source sum at 129 frequencies, the largest direct
     value and the sum of |weights|."""
     grid, _ = setup_case(model, i)
-    nodes, gridding, _ = _step1_plan(grid)
-    got = _forward_stacked(_sources_stacked(model.mu, nodes), gridding)
+    got = per_run_transform(model, grid)
     plain = node_plan(run for run, _ in splice_plan(grid.n_gamma, grid.h_tilde))
     weights = _sources_stacked(model.mu, plain)
     k = np.linspace(0, grid.n_gamma, 129).astype(int)
