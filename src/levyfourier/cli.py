@@ -213,26 +213,31 @@ def _fmt(v) -> str:
 
 
 def cmd_solve(config: RunConfig) -> int:
-    """One CSV per (model, i, t) with x, p_num and, when available, exact values."""
+    """One CSV per (model, i, t) with x, p_num and, when available, exact values.
+
+    Every column is even in x, so the rows x >= 0 are formatted once and each
+    row at x < 0 repeats the text of the row at -x."""
     model = _build_model(config)
     outdir = Path(config.out)
     runs = []
     for i in config.exponent_i:
         grid = _grid(model, config, i)
-        x_text = None   # the x column, formatted once per grid
+        n, x_text = grid.n, None   # the x column, formatted once per grid
         for t in config.t_values:
             res = solve(model, grid, t, grid.euler)
             if not runs:   # a solve that fails leaves no directory behind
                 outdir.mkdir(parents=True, exist_ok=True)
-            if x_text is None:
-                x_text = ["%.17g," % v for v in res.x]
+            if x_text is None:   # x(-n) = -x(n) exactly
+                x_text = ["%.17g," % v for v in res.x[n - 1:].tolist()]
+                x_text = ["-" + v for v in x_text[n - 1:0:-1]] + x_text
             fname = f"solve_{model.name}_i{i}_t{_t_label(t)}.csv"
             cols = ((res.p,) if res.p_exact is None
                     else (res.p, res.p_exact, res.abs_err))
             line = ",".join(["%.17g"] * len(cols)) + "\n"
+            rows = [line % row for row in zip(*(c[n - 1:].tolist() for c in cols))]
             with open(outdir / fname, "w", encoding="utf-8", newline="") as fh:
-                fh.write(",".join(("x", "p_num", "p_exact", "abs_err")[:len(cols) + 1]) + "\n")
-                fh.writelines(x + line % row for x, row in zip(x_text, zip(*cols)))
+                fh.write(",".join(("x", "p_num", "p_exact", "abs_err")[:len(cols) + 1])
+                         + "\n" + "".join(x + r for x, r in zip(x_text, rows[n - 1:0:-1] + rows)))
             entry = dict(res.params_echo)
             entry["i"] = i
             entry["file"] = fname

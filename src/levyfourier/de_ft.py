@@ -119,13 +119,15 @@ class NodePlan:
       factor_j = -(2 pi i / zeta0) sin((pi/2h) phihat(jh)) phi'(jh)
                  * exp((i pi/2h) phihat(jh)) * exp(-i shift y_j),
 
-    so the weights of a density mu are mu(y_j) * factor_j.
+    so the weights of a density mu are mu(y_j) * factor_j.  low holds the
+    indices into y of the two smallest live points, in increasing order.
     """
 
     points: np.ndarray
     live: np.ndarray
     y: np.ndarray
     factor: np.ndarray
+    low: np.ndarray
 
 
 def node_plan(runs, shift: float = 0.0) -> NodePlan:
@@ -149,17 +151,22 @@ def node_plan(runs, shift: float = 0.0) -> NodePlan:
     factor = ((-2j * np.pi / zeta0) * np.sin(s) * dph * np.exp(1j * s)
               * np.exp(-1j * shift * points))
     live = np.flatnonzero(factor)
-    arrays = (points, live, points.ravel()[live], factor.ravel()[live])
+    y = points.ravel()[live]
+    low = np.argpartition(y, 1)[:2]
+    arrays = (points, live, y, factor.ravel()[live], low[np.argsort(y[low])])
     for arr in arrays:
         arr.flags.writeable = False
     return NodePlan(*arrays)
 
 
-def _sources_stacked(mu, plan: NodePlan) -> np.ndarray:
+def _sources_stacked(mu, plan: NodePlan, gamma=None) -> np.ndarray:
     """Weights mu(y_j) * factor_j at the plan's live nodes, from one call of mu.
 
     Raises on a result whose shape is not that of y, naming both shapes, and
     on complex or non-finite mu values, naming the first offending j and y_j.
+    Given the model order gamma, it also raises when mu grows like y^s at 0,
+    measured at the two smallest live points, with s <= gamma - 3: then
+    nu = mu/y^gamma is not a Levy density, since y^2 nu is not integrable.
     """
     def node(i):
         m = plan.points.shape[1]
@@ -178,6 +185,12 @@ def _sources_stacked(mu, plan: NodePlan) -> np.ndarray:
     bad = np.flatnonzero(~np.isfinite(mu_vals))
     if bad.size:
         raise ValueError(f"mu returned non-finite value {mu_vals[bad[0]]} at {node(bad[0])}")
+    (mu_1, mu_2), (y_1, y_2) = mu_vals[plan.low], plan.y[plan.low]
+    if gamma is not None and mu_1 > 0 and mu_2 > 0 and y_2 > y_1:
+        s = (math.log(mu_2) - math.log(mu_1)) / math.log(y_2 / y_1)
+        if s <= gamma - 3 + 1e-9:
+            raise ValueError(f"mu grows like y^{s:.4g} at 0: nu = mu/y^gamma is not a Levy "
+                             "density (y^2 nu must be integrable); pass mu = y^gamma nu")
     return mu_vals * plan.factor
 
 

@@ -32,8 +32,8 @@ def _check_gamma(gamma):
 class LevyModel:
     """A symmetric pure-jump model: mu(y) = y^gamma nu(y) on (0, inf), where
     nu is the Levy density of the jumps, and the order gamma of the required
-    integrability at the origin (1 or 2).  Pass mu, not nu: nu is not
-    integrable at 0, and passing it typically ends in a Step-3 failure.
+    integrability at the origin (1 or 2).  Pass mu, not nu: Step 1 refuses
+    a mu that grows like y^s at 0 with s <= gamma - 3, as nu typically does.
 
     exact_density(x, t) and exact_exponent(omega), when present, are
     closed-form references used for error columns and oracle runs.
@@ -104,7 +104,8 @@ class SolveResult:
     """One density run: outputs, optional exact references, and bookkeeping.
 
     p_exact and abs_err are None without an exact_density(x, t); otherwise
-    it is evaluated at (x, params_echo["t"]) on first read of either and kept.
+    it runs on first read of either, once, at the N+1 points x >= 0 and
+    t = params_echo["t"], and is mirrored to x < 0, so it must be even in x.
     """
 
     x: np.ndarray
@@ -117,7 +118,10 @@ class SolveResult:
     def p_exact(self) -> Optional[np.ndarray]:
         if self.exact_density is None:
             return None
-        return np.asarray(self.exact_density(self.x, self.params_echo["t"]), dtype=float)
+        n = len(self.x) // 2
+        half = np.asarray(self.exact_density(self.x[n - 1:], self.params_echo["t"]),
+                          dtype=float)
+        return np.concatenate((half[n - 1:0:-1], half))
 
     @cached_property
     def abs_err(self) -> Optional[np.ndarray]:
@@ -236,24 +240,27 @@ def _spliced_transform(model: LevyModel, grid: GridSpec) -> np.ndarray:
     read at the bins of the run that covers each k.
     """
     nodes, plan = _step1_plan(grid)
-    return _forward_stacked(_sources_stacked(model.mu, nodes), plan)
+    return _forward_stacked(_sources_stacked(model.mu, nodes, model.gamma), plan)
 
 
 @lru_cache(maxsize=64)
 def _exponent_cached(model: LevyModel, grid: GridSpec):
-    """(exponent G(l h~) for l = 0..N, step-1 seconds, step-2 seconds,
-    whether Step 1 found its plan cached)."""
+    """(exponent G(l h~) for l = 0..N, step-1 seconds, the seconds of them
+    spent building the Step-1 plan, step-2 seconds, whether Step 1 found its
+    plan cached)."""
     if grid.gamma != model.gamma:
         raise ValueError(f"grid built for gamma = {grid.gamma}, "
                          f"model {model.name} has gamma = {model.gamma}")
     plan_hits = _step1_plan.cache_info().hits
     t0 = time.perf_counter()
     try:
+        _step1_plan(grid)
+        plan_cached = _step1_plan.cache_info().hits > plan_hits
+        plan_s = 0.0 if plan_cached else time.perf_counter() - t0
         mhat = _spliced_transform(model, grid)
     except ValueError as exc:
         raise ValueError(f"[step 1] {exc}") from exc
     t1 = time.perf_counter()
-    plan_cached = _step1_plan.cache_info().hits > plan_hits
     h = grid.h_tilde
     # Step 2 is linear, so it integrates only the real part G keeps
     try:
@@ -267,7 +274,7 @@ def _exponent_cached(model: LevyModel, grid: GridSpec):
     g = np.concatenate(([0.0], g))
     g.flags.writeable = False
     t2 = time.perf_counter()
-    return g, t1 - t0, t2 - t1, plan_cached
+    return g, t1 - t0, plan_s, t2 - t1, plan_cached
 
 
 @lru_cache(maxsize=64)
@@ -308,10 +315,12 @@ def solve(model: LevyModel, grid: GridSpec, t: float, euler: EulerParams,
     use_exact_exponent feeds model.exact_exponent straight to Step 3, skipping
     Steps 1-2 (oracle runs isolating the inversion stage).
 
-    timings holds seconds per step and in total, exponent_cached (the
-    exponent came from the cache) and plan_cached (Step 1 found the grid's
-    plan built).  step1, step2 and plan_cached describe the solve that
-    computed the exponent, which is this one unless exponent_cached.
+    timings holds seconds per step and in total, step1_plan (the part of
+    step1 spent building the Step-1 plan, 0.0 when it was cached),
+    exponent_cached (the exponent came from the cache) and plan_cached (Step 1
+    found the grid's plan built).  step1, step1_plan, step2 and plan_cached
+    describe the solve that computed the exponent, which is this one unless
+    exponent_cached.
     model.exact_density, if any, runs only when p_exact or abs_err is read.
     Every result on one grid holds the same read-only x.
     """
@@ -324,10 +333,10 @@ def solve(model: LevyModel, grid: GridSpec, t: float, euler: EulerParams,
     cached = plan_cached = False
     if use_exact_exponent:
         g = _exact_exponent(model, grid)
-        s1 = s2 = 0.0
+        s1 = s1_plan = s2 = 0.0
     else:
         hits_before = _exponent_cached.cache_info().hits
-        g, s1, s2, plan_cached = _exponent_cached(model, grid)
+        g, s1, s1_plan, s2, plan_cached = _exponent_cached(model, grid)
         cached = _exponent_cached.cache_info().hits > hits_before
     t3 = time.perf_counter()
     try:
@@ -338,7 +347,7 @@ def solve(model: LevyModel, grid: GridSpec, t: float, euler: EulerParams,
     total = time.perf_counter() - total0
     if not np.all(np.isfinite(p)):
         raise ValueError("density output contains non-finite values")
-    timings = {"step1": s1, "step2": s2, "step3": s3, "total": total,
+    timings = {"step1": s1, "step1_plan": s1_plan, "step2": s2, "step3": s3, "total": total,
                "exponent_cached": cached, "plan_cached": plan_cached}
     return SolveResult(_abscissae(grid), p, timings,
                        params_echo(model, grid, t=t, use_exact_exponent=use_exact_exponent),

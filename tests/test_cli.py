@@ -2,8 +2,11 @@
 output, exit codes, and the built-in selftest."""
 import json
 import math
+import os
 import shutil
 import subprocess
+import sys
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -11,6 +14,7 @@ import pytest
 from levyfourier import cli
 from levyfourier.cli import (RunConfig, _parse_irange, _parse_times, build_parser, main,
                              parse_config_file, resolve_config)
+from levyfourier.solver import solve
 
 
 def test_parse_irange_forms():
@@ -138,6 +142,30 @@ def test_solve_writes_csv_and_manifest(tmp_path, capsys):
     assert entry["t"] == 1.0 and entry["kernel"] == "es" and entry["width"] == 15
     assert entry["beta"] == pytest.approx(2.30 * 15, rel=1e-15)
     assert "epsilon" not in entry and "b" not in entry
+
+
+@pytest.mark.parametrize("flags", (["--model", "vg"], ["--model", "nig"],
+                                   ["--model", "custom", "--gamma", "1", "--mu", "np.exp(-y)"]),
+                         ids=("vg", "nig", "custom"))
+def test_solve_csv_matches_full_line_formatting(tmp_path, flags, capsys):
+    # the CLI formats the rows x >= 0 once and mirrors them; formatting every
+    # row of the full line gives the same bytes
+    assert main(["solve", *flags, "--i-range", "7,10", "--t", "0.5,2.5",
+                 "--out", str(tmp_path)]) == 0
+    config = resolve_config(build_parser().parse_args(["solve", *flags]))
+    model = cli._build_model(config)
+    for i in (7, 10):
+        grid = cli._grid(model, config, i)
+        for t in (0.5, 2.5):
+            res = solve(model, grid, t, grid.euler)
+            cols = ((res.p,) if res.p_exact is None
+                    else (res.p, res.p_exact, res.abs_err))
+            assert len(cols) == (1 if flags[1] == "custom" else 3)
+            line = ",".join(["%.17g"] * len(cols)) + "\n"
+            text = (",".join(("x", "p_num", "p_exact", "abs_err")[:len(cols) + 1]) + "\n"
+                    + "".join("%.17g," % x + line % row for x, row in zip(res.x, zip(*cols))))
+            name = f"solve_{model.name}_i{i}_t{cli._t_label(t)}.csv"
+            assert (tmp_path / name).read_bytes() == text.encode("utf-8"), name
 
 
 def test_solve_custom_model_has_no_exact_columns(tmp_path):
@@ -321,6 +349,14 @@ def test_failed_solve_creates_no_output_directory(tmp_path, capsys):
     assert rc == 2
     assert "error: [step 1] mu returned shape () for y of shape (" in capsys.readouterr().err
     assert not out.exists()
+    # nu passed as mu, or a mu whose nu is not a Levy density at 0
+    for gamma, mu in (("2", "np.exp(-y)/y"), ("2", "np.exp(-y)/y**2"),
+                      ("1", "np.exp(-y)/y**2")):
+        rc = main(["solve", "--model", "custom", "--gamma", gamma, "--mu", mu,
+                   "--i-range", "7", "--out", str(out)])
+        assert rc == 2
+        assert "error: [step 1] mu grows like y^" in capsys.readouterr().err
+        assert not out.exists()
     # --gamma / --mu would otherwise be dropped silently for a built-in model
     rc = main(["solve", "--gamma", "2", "--mu", "np.exp(-3*y)", "--i-range", "7",
                "--out", str(out)])
@@ -392,3 +428,22 @@ def test_console_script_runs(tmp_path):
                           capture_output=True, text=True, timeout=120)
     assert proc.returncode == 0, proc.stderr
     assert (tmp_path / "solve_vg_i7_t1.csv").exists()
+
+
+def test_module_entry_point_runs(tmp_path):
+    src = str(Path(cli.__file__).resolve().parents[1])
+    env = {**os.environ,
+           "PYTHONPATH": os.pathsep.join(filter(None, (src, os.environ.get("PYTHONPATH"))))}
+    flags = ["solve", "--i-range", "7", "--t", "1", "--out", str(tmp_path)]
+    proc = subprocess.run([sys.executable, "-m", "levyfourier.cli", *flags],
+                          capture_output=True, text=True, timeout=120, env=env)
+    assert proc.returncode == 0, proc.stderr
+    names = ("solve_vg_i7_t1.csv", "solve_vg_manifest.json")
+    written = [(tmp_path / name).read_bytes() for name in names]
+    assert main(flags) == 0
+    assert [(tmp_path / name).read_bytes() for name in names] == written
+    bad = subprocess.run([sys.executable, "-m", "levyfourier.cli", "solve", "--t", "-1",
+                          "--i-range", "7", "--out", str(tmp_path / "bad")],
+                         capture_output=True, text=True, timeout=120, env=env)
+    assert bad.returncode == 2 and bad.stderr.startswith("error: ")
+    assert not (tmp_path / "bad").exists()

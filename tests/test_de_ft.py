@@ -5,6 +5,7 @@ import warnings
 
 import numpy as np
 import pytest
+import scipy.special as sp
 
 import oracles
 from levyfourier.de_ft import (DE_BETA, DeFtParams, _sources_stacked, node_plan, phi_parts,
@@ -193,6 +194,40 @@ def test_sources_stacked_rejects_mu_of_another_shape():
         with pytest.raises(ValueError, match=rf"mu returned shape {re.escape(str(got))} "
                                              rf"for y of shape \({shape[0]},\)"):
             _sources_stacked(mu, plan)
+
+
+def test_node_plan_records_its_two_smallest_live_points():
+    (run_a, _), (run_b, _) = splice_plan(256, 0.05)
+    plan = node_plan((run_a, run_b))
+    assert np.array_equal(plan.low, np.argsort(plan.y)[:2])
+
+
+def _cgmy_mu(y_power):
+    return lambda y: 0.8 * y ** y_power * np.exp(-2.0 * y)
+
+
+def test_sources_stacked_refuses_a_mu_whose_nu_is_not_a_levy_density():
+    # nu = mu / y^gamma needs y^2 nu integrable at 0, so mu ~ y^s needs s > gamma - 3
+    (run_a, _), (run_b, _) = splice_plan(256, 0.05)
+    plan = node_plan((run_a, run_b))
+    refused = ((2, lambda y: np.exp(-y) / y, "-1"),
+               (2, lambda y: sp.k1(y) / (np.pi * y), "-2"),     # nig's nu
+               (1, lambda y: np.exp(-y) / y**2, "-2"))
+    for gamma, mu, s in refused:
+        with pytest.raises(ValueError, match=rf"mu grows like y\^{s} at 0: nu = mu/y\^gamma "
+                                             r"is not a Levy density .* pass mu = y\^gamma nu"):
+            _sources_stacked(mu, plan, gamma)
+        _sources_stacked(mu, plan)   # without an order there is nothing to check
+    # the Y = 1 tempered-stable model at gamma 1, vg, nig and the CGMY
+    # models at gamma 1 for Y < 1 and gamma 2 otherwise
+    accepted = [(1, lambda y: np.exp(-y) / y), (1, lambda y: np.exp(-y)),
+                (2, lambda y: y * sp.k1(y) / np.pi)]
+    accepted += [(g, _cgmy_mu(g - 1 - Y))
+                 for Y, g in ((0.1, 1), (0.9, 1), (1.0, 2), (1.5, 2), (1.9, 2))]
+    for gamma, mu in accepted:
+        assert np.array_equal(_sources_stacked(mu, plan, gamma), _sources_stacked(mu, plan))
+    # a mu that vanishes at 0 has no power to measure
+    _sources_stacked(lambda y: np.where(y < 1e-3, 0.0, 1 / y), plan, 2)
 
 
 def test_splice_plan_rules():

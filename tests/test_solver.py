@@ -209,6 +209,31 @@ def test_solve_evaluates_the_reference_only_when_read():
     assert bare.p_exact is None and bare.abs_err is None
 
 
+def test_reference_is_evaluated_on_the_half_line():
+    seen = []
+
+    def counted(x, t):
+        seen.append(np.array(x))
+        return exact_vg(x, t)
+
+    model = custom_model("vg-counted", 1, vg_model().mu, exact_density=counted,
+                         exact_exponent=vg_model().exact_exponent)
+    grid, euler = setup_case(model, 9)
+    res = solve(model, grid, 1.5, euler, use_exact_exponent=True)
+    assert np.array_equal(res.p_exact, exact_vg(res.x, 1.5))
+    (x,) = seen
+    assert x.shape == (grid.n + 1,) and x[0] == 0.0 and np.all(x >= 0)
+    # the mirrored reference equals the reference on the full line, bitwise
+    for model, exact in ((vg_model(), exact_vg), (nig_model(), exact_nig)):
+        for i in range(7, 15):
+            grid, euler = setup_case(model, i)
+            for t in (1.5, 4.0):
+                res = solve(model, grid, t, euler, use_exact_exponent=True)
+                full = exact(res.x, t)
+                assert np.array_equal(res.p_exact, full), (model.name, i, t)
+                assert np.array_equal(res.abs_err, np.abs(res.p - full))
+
+
 def test_solve_nig_pin():
     model = nig_model()
     grid, euler = setup_case(model, 11)
@@ -314,9 +339,13 @@ def test_solve_t_consistency():
 def test_solve_timings_and_echo():
     model = nig_model()
     grid, euler = setup_case(model, 10)
+    clear_exponent_cache()
     res = solve(model, grid, 1.5, euler)
-    assert set(res.timings) >= {"step1", "step2", "step3", "total", "exponent_cached",
-                                "plan_cached"}
+    assert set(res.timings) >= {"step1", "step1_plan", "step2", "step3", "total",
+                                "exponent_cached", "plan_cached"}
+    assert 0.0 < res.timings["step1_plan"] <= res.timings["step1"]
+    clear = solve(custom_model("nig-again", 2, model.mu), grid, 1.5, euler).timings
+    assert clear["plan_cached"] and clear["step1_plan"] == 0.0 and clear["step1"] > 0.0
     echo = res.params_echo
     needed = {"model", "gamma", "n", "n_gamma", "m", "x_l", "x_u", "d", "h_tilde",
               "h_hat", "zeta0_rule", "zeta0_low", "zeta0_high", "h_de_rule", "h_de",
@@ -514,3 +543,24 @@ def test_singular_cgmy_density_matches_exact_exponent_inversion():
     ref = solve(model, grid, 1.0, euler, use_exact_exponent=True)
     window = (np.abs(res.x) >= 2.0) & (np.abs(res.x) <= 5.0)
     assert np.max(np.abs(res.p - ref.p)[window]) <= 1e-6
+
+
+def test_solve_refuses_a_mu_whose_nu_is_not_a_levy_density():
+    # nu passed as mu: y^2 nu is then not integrable at 0
+    for gamma, mu in ((2, lambda y: np.exp(-y) / y), (2, lambda y: sp.k1(y) / (np.pi * y)),
+                      (1, lambda y: np.exp(-y) / y**2)):
+        model = custom_model("nu-as-mu", gamma, mu)
+        grid, euler = setup_case(model, 7)
+        with pytest.raises(ValueError, match=r"\[step 1\] mu grows like y\^-[12] at 0: "
+                                             r"nu = mu/y\^gamma is not a Levy density"):
+            solve(model, grid, 1.0, euler)
+
+
+def test_tempered_stable_y_1_at_gamma_1_matches_its_closed_form():
+    # nu = e^{-y} / y^2 (mu = e^{-y} / y, which grows like y^-1 at 0) is a
+    # Levy density of order 1 with G = -2 (w arctan w - log(1 + w^2) / 2)
+    model = custom_model("ts-y1", 1, lambda y: np.exp(-y) / y)
+    grid, _ = setup_case(model, 12)
+    w = np.arange(grid.n + 1) * grid.h_tilde
+    exact = -2.0 * (w * np.arctan(w) - 0.5 * np.log1p(w * w))
+    assert np.max(np.abs(g_gamma(model, grid) - exact)) <= 1e-12 * np.max(np.abs(exact))
