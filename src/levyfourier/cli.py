@@ -21,7 +21,6 @@ from scipy.integrate import quad
 from .de_ft import _sources_stacked, node_plan, splice_plan
 from .euler_ft import EulerParams, inverse_ft, weight
 from .numkit import frft_even
-from .nufft import _forward_stacked, gridding_plan, source_shift
 from .sinc_gauss import kernel_table
 from .solver import (KERNEL_ECHO, _spliced_transform, clear_exponent_cache, custom_model,
                      g_gamma, make_grid, nig_model, params_echo, solve, vg_model)
@@ -371,19 +370,17 @@ def _check_euler_even():
 def _check_nufft():
     model = vg_model()
     grid = make_grid(model, EulerParams(128, 2.0, 5.0, 1.0))
-    runs = [run for run, _ in splice_plan(grid.n_gamma, grid.h_tilde)]
-    nodes = node_plan(runs, source_shift(grid.h_tilde, grid.n_gamma))
-    gridding = gridding_plan(nodes.points, grid.h_tilde, grid.n_gamma, nodes.live)
-    got = _forward_stacked(_sources_stacked(model.mu, nodes), gridding)
-    # the plain (unshifted) weights of both runs, summed directly
-    plain = node_plan(runs)
+    got = _spliced_transform(model, grid)
+    # the plain (unshifted) weights of the run covering each k, summed directly
+    splice = splice_plan(grid.n_gamma, grid.h_tilde)
+    plain = node_plan(run for run, _ in splice)
     weights = _sources_stacked(model.mu, plain)
-    k = np.arange(grid.n_gamma + 1)
     worst = 0.0
-    for row in range(len(got)):
+    for row, (_, krange) in enumerate(splice):
         mine = plain.live // grid.m == row
+        k = np.asarray(krange)
         direct = np.exp(-1j * np.outer(k * grid.h_tilde, plain.y[mine])) @ weights[mine]
-        worst = max(worst, float(np.max(np.abs(got[row] - direct))))
+        worst = max(worst, float(np.max(np.abs(got[k] - direct))))
     return worst, 1e-8
 
 

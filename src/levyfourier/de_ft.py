@@ -167,11 +167,21 @@ def _sources_stacked(mu, plan: NodePlan, gamma=None) -> np.ndarray:
     Given the model order gamma, it also raises when mu grows like y^s at 0,
     measured at the two smallest live points, with s <= gamma - 3: then
     nu = mu/y^gamma is not a Levy density, since y^2 nu is not integrable.
+    A mu that is not finite everywhere is measured at the two smallest points
+    where it is finite and positive, so one that overflows there is named too.
     """
     def node(i):
         m = plan.points.shape[1]
         j = plan.live[i] % m - m // 2
         return f"j={j}, y={float(plan.y[i])}"
+
+    def check_power(low):
+        (mu_1, mu_2), (y_1, y_2) = mu_vals[low], plan.y[low]
+        if gamma is not None and mu_1 > 0 and mu_2 > 0 and y_2 > y_1:
+            s = (math.log(mu_2) - math.log(mu_1)) / math.log(y_2 / y_1)
+            if s <= gamma - 3 + 1e-9:
+                raise ValueError(f"mu grows like y^{s:.4g} at 0: nu = mu/y^gamma is not a "
+                                 "Levy density (y^2 nu must be integrable); pass mu = y^gamma nu")
 
     mu_vals = np.asarray(mu(plan.y))
     if mu_vals.shape != plan.y.shape:
@@ -184,13 +194,11 @@ def _sources_stacked(mu, plan: NodePlan, gamma=None) -> np.ndarray:
     mu_vals = mu_vals.astype(float, copy=False)
     bad = np.flatnonzero(~np.isfinite(mu_vals))
     if bad.size:
+        usable = np.flatnonzero(np.isfinite(mu_vals) & (mu_vals > 0))
+        if usable.size >= 2:
+            check_power(usable[np.argsort(plan.y[usable])[:2]])
         raise ValueError(f"mu returned non-finite value {mu_vals[bad[0]]} at {node(bad[0])}")
-    (mu_1, mu_2), (y_1, y_2) = mu_vals[plan.low], plan.y[plan.low]
-    if gamma is not None and mu_1 > 0 and mu_2 > 0 and y_2 > y_1:
-        s = (math.log(mu_2) - math.log(mu_1)) / math.log(y_2 / y_1)
-        if s <= gamma - 3 + 1e-9:
-            raise ValueError(f"mu grows like y^{s:.4g} at 0: nu = mu/y^gamma is not a Levy "
-                             "density (y^2 nu must be integrable); pass mu = y^gamma nu")
+    check_power(plan.low)
     return mu_vals * plan.factor
 
 

@@ -6,13 +6,15 @@ integrates term by term into differences of G_r(v) = integral_0^v sinc(eta)
 exp(-eta^2/(2r^2)) d eta at integer arguments, so one table of G_r(0..N') plus
 an FFT convolution evaluates all N' indefinite integrals in O(N' log N').
 
-G_r is real and the formula is linear in f, so a pass runs on real samples as
-one real FFT pair against the kernel's half spectrum; a complex f is
-integrated as its real and imaginary parts."""
+A pass maps the real half line of an even or odd f, l = 0..2N', to the half
+line of its integral, l = 0..N', so passes chain; G_r is real, so a pass is
+one real FFT pair against the kernel's half spectrum, tabulated once per N'.
+"""
 from __future__ import annotations
 
 import math
 from dataclasses import dataclass
+from functools import lru_cache
 
 import numpy as np
 from scipy.special import erf
@@ -28,10 +30,6 @@ class KernelTable:
     g: np.ndarray
     r: float
     circulant_spectrum: np.ndarray
-
-    @property
-    def n_prime(self) -> int:
-        return len(self.g) - 1
 
 
 def kernel_table(r: float, n_prime: int) -> KernelTable:
@@ -71,44 +69,50 @@ def kernel_table(r: float, n_prime: int) -> KernelTable:
     return KernelTable(g, r, spectrum)
 
 
-def indefinite_integral(f, h: float, table: KernelTable) -> np.ndarray:
-    """Integrals integral_0^{l h~} f for l = 1..N' from 3N' equispaced samples
-    at spacing h = h~, with N' = table.n_prime.
+@lru_cache(maxsize=32)
+def _table_cached(n_prime: int) -> KernelTable:
+    return kernel_table(math.sqrt(n_prime / math.pi), n_prime)
 
-    f must hold f(l h~) exactly for l = -N'..2N'-1.  With the discrete
-    convolution conv_l = sum_{k=-N'+1}^{N'} f((l-k)h~) G_r(k), the formula is
+
+def indefinite_integral(half, h: float, odd: bool = False) -> np.ndarray:
+    """Integrals integral_0^{l h~} f for l = 0..N' (out_0 = 0) from the real
+    half line f(l h~), l = 0..2N', with N' = (len(half) - 1)/2, h = h~ and
+    f(-l) = f(l), or -f(l) if odd.  With r = sqrt(N'/pi) and the convolution
+    conv_l = sum_{k=-N'+1}^{N'} f((l-k)h~) G_r(k), the formula is
 
       out_l = h~ [conv_l - sum_{k=-N'+1}^{N'} f(k h~) G_r(-k)
                   + G_r(N') sum_{j=1}^{l-1} (f((N'+j)h~) + f((-N'+j)h~))].
 
     G_r is odd, so the lower-limit sum is conv_0 - G_r(N') (f(N'h~) + f(-N'h~)),
     and its last term joins the tail sum as j = 0.  conv_l reads f at
-    l-N'..l+N'-1, so conv_0..conv_N' need only the samples given: one
-    rfft/irfft pair on a 4N' circle against the kernel's half spectrum (kept
-    with the table) yields them all, and the tail sum is one prefix sum.  A
-    complex f is integrated as its real and imaginary parts.
+    l-N'..l+N'-1, so conv_0..conv_N' need only f at -N'..2N'-1: one
+    rfft/irfft pair on a 4N' circle against the kernel's half spectrum yields
+    them all, and the tail sum is one prefix sum.  The integral of an even f
+    is odd and that of an odd f even, so the output feeds the next pass.
     """
-    n = table.n_prime
-    f = np.asarray(f)
-    if f.shape != (3 * n,):
-        raise ValueError(f"need exactly 3N' = {3 * n} samples at l = {-n}..{2 * n - 1}; "
-                         f"got shape {f.shape}")
+    half = np.asarray(half)
+    if np.iscomplexobj(half):
+        raise ValueError("half must be real: integrate the real and imaginary parts apart")
+    if half.ndim != 1:
+        raise ValueError(f"half must be 1-d, got shape {half.shape}")
+    if len(half) < 3 or len(half) % 2 == 0:
+        raise ValueError(f"half must hold f at l = 0..2N', an odd length 2N'+1 >= 3; "
+                         f"got length {len(half)}")
     if not (math.isfinite(h) and h > 0):
         raise ValueError(f"h must be finite and positive, got {h}")
-    if np.iscomplexobj(f):
-        return (indefinite_integral(f.real, h, table)
-                + 1j * indefinite_integral(f.imag, h, table))
-    big = 4 * n
+    n = len(half) // 2
+    table = _table_cached(n)
 
     # l = 0..2N'-1 at the start of the circle, l = -N'..-1 at its end
-    u = np.zeros(big)
-    u[:2 * n] = f[n:]
-    u[3 * n:] = f[:n]
+    u = np.zeros(4 * n)
+    u[:2 * n] = half[:2 * n]
+    u[3 * n:] = -half[n:0:-1] if odd else half[n:0:-1]
+    tail = np.cumsum(u[n:2 * n] + u[3 * n:])
     spectrum = np.fft.rfft(u)
     spectrum *= table.circulant_spectrum
-    conv = np.fft.irfft(spectrum, big, out=u)
+    conv = np.fft.irfft(spectrum, 4 * n, out=u)
 
-    out = conv[1:n + 1] - conv[0]
-    out += table.g[n] * np.cumsum(f[2 * n:] + f[:n])
+    out = conv[:n + 1] - conv[0]
+    out[1:] += table.g[n] * tail
     out *= h
     return out

@@ -15,7 +15,7 @@ import scipy.special as sp
 from .de_ft import DE_BETA, _sources_stacked, node_plan, splice_plan
 from .euler_ft import EulerParams, inverse_ft
 from .nufft import BETA, WIDTH, _forward_stacked, gridding_plan, source_shift
-from .sinc_gauss import indefinite_integral, kernel_table
+from .sinc_gauss import indefinite_integral
 
 # Step-1 plans kept at once; one M = 2^14 plan holds about 7 MB
 PLAN_CACHE_SIZE = 4
@@ -199,25 +199,6 @@ def custom_model(name: str, gamma: int, mu,
     return LevyModel(gamma, mu, name, exact_density, exact_exponent)
 
 
-@lru_cache(maxsize=32)
-def _table_cached(n_prime: int):
-    return kernel_table(math.sqrt(n_prime / math.pi), n_prime)
-
-
-def _window(half: np.ndarray, n_prime: int, odd: bool = False) -> np.ndarray:
-    """The 3N' samples f(l h~), l = -N'..2N'-1, of a Step-2 pass, from f at
-    l = 0..2N'-1 or beyond: f(-l) = conj f(l), or -conj f(l) (odd).  For a
-    real half (Step 2 passes only real parts) that is the even or the odd
-    extension."""
-    head = np.conj(half[n_prime:0:-1])
-    return np.concatenate((-head if odd else head, half[:2 * n_prime]))
-
-
-def _integrate(half: np.ndarray, n_prime: int, h: float, odd: bool = False) -> np.ndarray:
-    """Step 2: integral_0^{l h~} f for l = 1..N' from f at l >= 0."""
-    return indefinite_integral(_window(half, n_prime, odd), h, _table_cached(n_prime))
-
-
 @lru_cache(maxsize=PLAN_CACHE_SIZE)
 def _step1_plan(grid: GridSpec):
     """Everything of Step 1 that does not depend on mu: the DE nodes and
@@ -265,13 +246,12 @@ def _exponent_cached(model: LevyModel, grid: GridSpec):
     # Step 2 is linear, so it integrates only the real part G keeps
     try:
         if model.gamma == 1:
-            g = 2.0 * _integrate(mhat.imag, grid.n, h, odd=True)
+            g = 2.0 * indefinite_integral(mhat.imag, h, odd=True)
         else:
-            first = np.concatenate(([0.0], _integrate(mhat.real, 2 * grid.n, h)))
-            g = -2.0 * _integrate(first, grid.n, h, odd=True)
+            g = -2.0 * indefinite_integral(indefinite_integral(mhat.real, h), h, odd=True)
     except ValueError as exc:
         raise ValueError(f"[step 2] {exc}") from exc
-    g = np.concatenate(([0.0], g))
+    g[0] = 0.0  # not -2.0 * 0.0 = -0.0
     g.flags.writeable = False
     t2 = time.perf_counter()
     return g, t1 - t0, plan_s, t2 - t1, plan_cached
@@ -290,11 +270,10 @@ def g_gamma(model: LevyModel, grid: GridSpec) -> np.ndarray:
     """Characteristic exponent G_gamma(l h~), l = 0..N, as a read-only float64
     array with G(0) = 0; G is even, so G(-l) = G(l) gives the rest.
 
-    gamma = 1 runs Step 2 once with N' = N on Im m^ (odd extension) and
-    returns twice the indefinite integral; gamma = 2 runs Step 2 twice on
-    Re m^ (N' = 2N with the even extension, then N' = N on that first
-    integral with the odd extension) and returns -2 times the double
-    integral.  Both equal 2 Im and -2 Re of the integrals of m^ itself.
+    gamma = 1 runs Step 2 once with N' = N on Im m^ (odd) and returns twice
+    the indefinite integral; gamma = 2 runs Step 2 on Re m^ (N' = 2N, even)
+    and then on that first integral (N' = N, odd) and returns -2 times the
+    double integral.  Both equal 2 Im and -2 Re of the integrals of m^ itself.
     Results are cached per (model, grid) and reused across times.
     """
     return _exponent_cached(model, grid)[0]
@@ -302,8 +281,9 @@ def g_gamma(model: LevyModel, grid: GridSpec) -> np.ndarray:
 
 def clear_exponent_cache():
     """Drop every cached exponent and Step-1 plan, so the next solve runs
-    Steps 1-2 and builds its plan.  Kept: the Step-2 kernel tables, the
-    Step-3 weights and chirp tables, the output points x and the echo."""
+    Steps 1-2 and builds its plan.  Kept: the Step-2 kernel tables (in
+    sinc_gauss), the Step-3 weights and chirp tables, the output points x
+    and the echo."""
     _exponent_cached.cache_clear()
     _step1_plan.cache_clear()
 

@@ -155,6 +155,14 @@ def kernel_midpoint_direct(r, n_prime, m_table):
     return g.astype(np.float64)
 
 
+def window(half, n_prime, odd=False):
+    """The 3N' samples f(l h~), l = -N'..2N'-1, of a series from its half line
+    f(l h~), l >= 0: f(-l) = conj f(l), or -conj f(l) if odd (for a real half
+    the even or the odd extension)."""
+    head = np.conj(half[n_prime:0:-1])
+    return np.concatenate((-head if odd else head, half[:2 * n_prime]))
+
+
 def indefinite_direct(f, g, h_tilde):
     """The partitioned indefinite-integration sum by explicit loops.
 

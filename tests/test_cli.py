@@ -349,11 +349,14 @@ def test_failed_solve_creates_no_output_directory(tmp_path, capsys):
     assert rc == 2
     assert "error: [step 1] mu returned shape () for y of shape (" in capsys.readouterr().err
     assert not out.exists()
-    # nu passed as mu, or a mu whose nu is not a Levy density at 0
-    for gamma, mu in (("2", "np.exp(-y)/y"), ("2", "np.exp(-y)/y**2"),
-                      ("1", "np.exp(-y)/y**2")):
+    # nu passed as mu, or a mu whose nu is not a Levy density at 0; at i = 14
+    # e^-y/y^2 overflows at the smallest DE points, as nig's nu K_1(y)/(pi y)
+    # does at gamma 2 (a --mu cannot call K_1)
+    for gamma, mu, i in (("2", "np.exp(-y)/y", "7"), ("2", "np.exp(-y)/y**2", "7"),
+                         ("1", "np.exp(-y)/y**2", "7"), ("2", "np.exp(-y)/y**2", "14"),
+                         ("1", "np.exp(-y)/y**2", "14")):
         rc = main(["solve", "--model", "custom", "--gamma", gamma, "--mu", mu,
-                   "--i-range", "7", "--out", str(out)])
+                   "--i-range", i, "--out", str(out)])
         assert rc == 2
         assert "error: [step 1] mu grows like y^" in capsys.readouterr().err
         assert not out.exists()

@@ -10,7 +10,6 @@ from levyfourier.de_ft import _sources_stacked, node_plan, splice_plan
 from levyfourier.euler_ft import EulerParams
 from levyfourier.nufft import (BETA, ES_STEP, HALF_WIDTH, SUBNORMAL_WEIGHT, WIDTH, _es_transform,
                                _forward_stacked, gridding_plan, source_shift)
-from levyfourier.solver import _window
 
 
 def vg_runs(n=128):
@@ -211,30 +210,3 @@ def test_stacked_forward_matches_composition():
     for row, (w, pts, _) in enumerate(runs):
         ref = forward(w, pts, h_tilde, n_gamma)
         assert np.max(np.abs(both[row] - ref)) <= 1e-13 * np.max(np.abs(ref))
-
-
-def test_extend_conjugate():
-    # the Step-2 window of a transform of mu: f(-k) = conj f(k) at k < 0
-    v = np.array([1.0 + 0j, 2.0 + 1j, 3.0 - 2j, 4.0 + 3j, 5.0 - 1j])
-    ext = _window(v, 2)
-    # 3N' values at k = -N'..2N'-1
-    assert ext.shape == (6,)
-    assert np.array_equal(ext[:2], np.conj(v[2:0:-1]))
-    assert np.array_equal(ext[2:], v[:4])
-    assert ext[2] == v[0]
-
-
-def test_extend_conjugate_vg_closed_form():
-    # splice the two runs, build the Step-2 window, and compare against
-    # 1/(1 + i zeta) on both sides of the origin
-    h_tilde, n_gamma, runs = vg_runs()
-    spliced = np.empty(n_gamma + 1, dtype=complex)
-    for weights, points, krange in runs:
-        out = forward(weights, points, h_tilde, n_gamma)
-        spliced[np.asarray(krange)] = out[np.asarray(krange)]
-    n_prime = n_gamma // 2
-    full = _window(spliced, n_prime)
-    zeta = np.arange(-n_prime, 2 * n_prime) * h_tilde
-    exact = 1.0 / (1.0 + 1j * zeta)
-    assert np.min(zeta) < 0 < np.max(zeta)
-    assert np.max(np.abs(full - exact)) <= 1e-6

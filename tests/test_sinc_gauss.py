@@ -8,7 +8,6 @@ from scipy.special import sici
 
 import oracles
 from levyfourier.sinc_gauss import indefinite_integral, kernel_table
-from levyfourier.solver import _window
 
 
 def h_rule(n_prime):
@@ -19,7 +18,7 @@ def h_rule(n_prime):
 def test_kernel_table_zero_and_odd_extension():
     tab = kernel_table(math.sqrt(32 / math.pi), 32)
     assert tab.g[0] == 0.0
-    assert tab.n_prime == 32
+    assert len(tab.g) == 33
     k = np.array([-5, -1, 0, 1, 5])
     signed = np.sign(k) * tab.g[np.abs(k)]
     assert signed[2] == 0.0
@@ -81,7 +80,7 @@ def test_kernel_table_size_errors():
     for n_prime in (600, 0, -4):
         with pytest.raises(ValueError, match=f"n_prime = {n_prime}"):
             kernel_table(3.0, n_prime)
-    assert kernel_table(3.0, 200).n_prime == 200
+    assert len(kernel_table(3.0, 200).g) == 201
 
 
 def test_sg_interpolate_reproduces_nodes():
@@ -114,56 +113,81 @@ def test_sg_interpolate_coverage_error():
 
 def arctan_setup(n_prime):
     h = h_rule(n_prime)
-    ell = np.arange(-n_prime, 2 * n_prime)
-    f = 1.0 / (1.0 + (ell * h) ** 2)
-    tab = kernel_table(math.sqrt(n_prime / math.pi), n_prime)
-    return f, tab, h
+    f = 1.0 / (1.0 + (np.arange(2 * n_prime + 1) * h) ** 2)
+    return f, h
+
+
+def table_g(n_prime):
+    return kernel_table(math.sqrt(n_prime / math.pi), n_prime).g
+
+
+def random_half(rng, n_prime, odd):
+    half = rng.standard_normal(2 * n_prime + 1)
+    if odd:
+        half[0] = 0.0
+    return half
 
 
 def test_indefinite_zero():
-    _, tab, h = arctan_setup(16)
-    out = indefinite_integral(np.zeros(48), h, tab)
-    assert out.shape == (16,)
-    assert np.array_equal(out, np.zeros(16))
+    out = indefinite_integral(np.zeros(33), h_rule(16))
+    assert out.shape == (17,)
+    assert np.array_equal(out, np.zeros(17))
+    assert not np.signbit(out[0])
 
 
 def test_indefinite_constant():
     n_prime = 256
     h = h_rule(n_prime)
-    tab = kernel_table(math.sqrt(n_prime / math.pi), n_prime)
-    out = indefinite_integral(np.ones(3 * n_prime), h, tab)
-    assert np.max(np.abs(out - np.arange(1, n_prime + 1) * h)) <= 1e-6
+    out = indefinite_integral(np.ones(2 * n_prime + 1), h)
+    assert np.max(np.abs(out - np.arange(n_prime + 1) * h)) <= 1e-6
 
 
 def test_indefinite_arctan():
-    f, tab, h = arctan_setup(256)
-    out = indefinite_integral(f, h, tab)
-    assert np.max(np.abs(out - np.arctan(np.arange(1, 257) * h))) <= 5e-8
+    f, h = arctan_setup(256)
+    out = indefinite_integral(f, h)
+    assert out[0] == 0.0
+    assert np.max(np.abs(out - np.arctan(np.arange(257) * h))) <= 5e-8
 
 
 def test_indefinite_shape_errors():
-    f, tab, h = arctan_setup(16)
-    with pytest.raises(ValueError, match="3N' = 48"):
-        indefinite_integral(np.ones(50), h, tab)
-    with pytest.raises(ValueError, match="3N' = 48"):
-        indefinite_integral(np.ones((3, 16)), h, tab)
-    with pytest.raises(ValueError, match="3N' = 96"):
-        indefinite_integral(f, h, kernel_table(tab.r, 32))
+    f, h = arctan_setup(16)
+    with pytest.raises(ValueError, match="half must be real"):
+        indefinite_integral(f.astype(complex), h)
+    with pytest.raises(ValueError, match=r"half must be 1-d, got shape \(3, 33\)"):
+        indefinite_integral(np.ones((3, 33)), h)
+    for length in (32, 2, 1, 0):
+        with pytest.raises(ValueError, match=f"odd length 2N'\\+1 >= 3.*got length {length}$"):
+            indefinite_integral(np.ones(length), h)
     for bad_h in (0.0, -h, float("inf"), float("nan")):
         with pytest.raises(ValueError, match="h must be finite and positive"):
-            indefinite_integral(f, bad_h, tab)
+            indefinite_integral(f, bad_h)
+
+
+@pytest.mark.parametrize("odd", [False, True], ids=["even", "odd"])
+def test_indefinite_integral_extends_the_half_line_by_its_parity(odd):
+    # f(-l) = f(l), or -f(l) if odd: the half line integrates exactly as the
+    # explicitly extended 3N' window does in the direct partitioned sum
+    rng = np.random.default_rng(37)
+    for n_prime in (2, 4, 8, 16, 64):
+        h = 0.27
+        half = random_half(rng, n_prime, odd)
+        got = indefinite_integral(half, h, odd)
+        ref = oracles.indefinite_direct(oracles.window(half, n_prime, odd), table_g(n_prime), h)
+        assert got[0] == 0.0
+        assert np.max(np.abs(got[1:] - ref)) <= 1e-12 * np.max(np.abs(ref)), n_prime
 
 
 def test_indefinite_fft_matches_direct_partitioned_sum():
     rng = np.random.default_rng(19)
     for n_prime in (16, 64):
-        h = 0.31
-        f = rng.standard_normal(3 * n_prime) + 1j * rng.standard_normal(3 * n_prime)
-        tab = kernel_table(math.sqrt(n_prime / math.pi), n_prime)
-        got = indefinite_integral(f, h, tab)
-        ref = oracles.indefinite_direct(f, tab.g, h)
-        scale = np.max(np.abs(ref))
-        assert np.max(np.abs(got - ref)) <= 1e-11 * scale
+        for odd in (False, True):
+            h = 0.31
+            half = random_half(rng, n_prime, odd)
+            got = indefinite_integral(half, h, odd)[1:]
+            ref = oracles.indefinite_direct(oracles.window(half, n_prime, odd),
+                                            table_g(n_prime), h)
+            scale = np.max(np.abs(ref))
+            assert np.max(np.abs(got - ref)) <= 1e-11 * scale
 
 
 def test_indefinite_partition_covers_index_set():
@@ -172,24 +196,40 @@ def test_indefinite_partition_covers_index_set():
     # sum over every sample equals the three-part split exactly
     rng = np.random.default_rng(29)
     for n_prime in (2, 4, 8, 16):
-        h = 0.4
-        f = rng.standard_normal(3 * n_prime) + 1j * rng.standard_normal(3 * n_prime)
-        tab = kernel_table(math.sqrt(n_prime / math.pi), n_prime)
-        fft_out = indefinite_integral(f, h, tab)
-        split = oracles.indefinite_direct(f, tab.g, h)
-        whole = oracles.indefinite_saturated(f, tab.g, h)
-        scale = max(np.max(np.abs(split)), 1.0)
-        assert np.max(np.abs(whole - split)) <= 1e-12 * scale
-        assert np.max(np.abs(fft_out - split)) <= 1e-12 * scale
+        for odd in (False, True):
+            h = 0.4
+            half = random_half(rng, n_prime, odd)
+            f = oracles.window(half, n_prime, odd)
+            g = table_g(n_prime)
+            fft_out = indefinite_integral(half, h, odd)[1:]
+            split = oracles.indefinite_direct(f, g, h)
+            whole = oracles.indefinite_saturated(f, g, h)
+            scale = max(np.max(np.abs(split)), 1.0)
+            assert np.max(np.abs(whole - split)) <= 1e-12 * scale
+            assert np.max(np.abs(fft_out - split)) <= 1e-12 * scale
+
+
+def test_indefinite_passes_chain_to_the_double_integral():
+    # the first pass's output (odd) is the second pass's half line: two
+    # passes on f = 1/(1 + x^2) give x arctan x - log(1 + x^2)/2
+    errs = {}
+    for n_prime in (64, 256, 1024):
+        h = h_rule(n_prime)
+        f = 1.0 / (1.0 + (np.arange(4 * n_prime + 1) * h) ** 2)
+        out = indefinite_integral(indefinite_integral(f, h), h, odd=True)
+        x = np.arange(n_prime + 1) * h
+        errs[n_prime] = np.max(np.abs(out - (x * np.arctan(x) - 0.5 * np.log1p(x * x))))
+    assert errs[1024] <= 1e-12
+    assert errs[256] <= errs[64] / 100.0
 
 
 def test_indefinite_convergence_in_n_prime():
     errs = []
     sizes = (64, 128, 256, 512)
     for n_prime in sizes:
-        f, tab, h = arctan_setup(n_prime)
-        out = indefinite_integral(f, h, tab)
-        errs.append(np.max(np.abs(out - np.arctan(np.arange(1, n_prime + 1) * h))))
+        f, h = arctan_setup(n_prime)
+        out = indefinite_integral(f, h)
+        errs.append(np.max(np.abs(out - np.arctan(np.arange(n_prime + 1) * h))))
     errs = np.array(errs)
     assert np.all(np.diff(errs) < 0)
     root_n = np.sqrt(np.array(sizes, dtype=float))
@@ -199,22 +239,3 @@ def test_indefinite_convergence_in_n_prime():
     ss_tot = np.sum((np.log(errs) - np.mean(np.log(errs))) ** 2)
     assert slope < 0
     assert 1 - ss_res / ss_tot >= 0.9
-
-
-def test_negative_extension_conjugate_odd():
-    # an indefinite integral from 0 (value 0 at l = 0) extended by
-    # f(-l) = -conj f(l) onto the second-pass window l = -2..3
-    half = np.array([0j, 1j, 0.5 + 0.25j, 2.0 - 1j])
-    ext = _window(half, 2, odd=True)
-    assert ext.shape == (6,)
-    assert ext[2] == 0.0
-    assert ext[1] == -np.conj(ext[3]) == 1j
-    assert ext[0] == -np.conj(half[2])
-    assert np.array_equal(ext[2:], half)
-
-
-def test_negative_extension_even():
-    # a real half extended by f(-l) = conj f(l) is the even extension
-    half = np.array([0.0, 3.0, 7.0, 2.0])
-    ext = _window(half, 2)
-    assert np.array_equal(ext, [7.0, 3.0, 0.0, 3.0, 7.0, 2.0])

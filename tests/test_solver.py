@@ -12,7 +12,7 @@ from levyfourier.euler_ft import EulerParams
 from levyfourier.numkit import frft_even
 from levyfourier.nufft import _forward_stacked, gridding_plan, source_shift
 from levyfourier.sinc_gauss import kernel_table
-from levyfourier.solver import (GridSpec, LevyModel, _spliced_transform, _window,
+from levyfourier.solver import (GridSpec, LevyModel, _spliced_transform,
                                 clear_exponent_cache, custom_model,
                                 exact_nig, exact_vg, g_gamma, make_grid, nig_model,
                                 solve, vg_model)
@@ -158,12 +158,13 @@ def test_g_gamma_real_parts_match_the_complex_integrals(model):
             f, kernel_table(math.sqrt(n_prime / math.pi), n_prime).g, h)
     mhat = _spliced_transform(model, grid)
     if model.gamma == 1:
-        ref = 2 * integral(_window(mhat, n), n).imag
+        ref = 2 * integral(oracles.window(mhat, n), n).imag
     else:
-        first = np.concatenate(([0j], integral(_window(mhat, 2 * n), 2 * n)))
-        ref = -2 * integral(_window(first, n, odd=True), n).real
-    got = g_gamma(model, grid)[1:]
-    assert np.max(np.abs(got - ref)) <= 1e-13 * max(1.0, np.max(np.abs(ref)))
+        first = np.concatenate(([0j], integral(oracles.window(mhat, 2 * n), 2 * n)))
+        ref = -2 * integral(oracles.window(first, n, odd=True), n).real
+    g = g_gamma(model, grid)
+    assert g[0] == 0.0 and not np.signbit(g[0])   # +0.0, also after the -2 of gamma = 2
+    assert np.max(np.abs(g[1:] - ref)) <= 1e-13 * max(1.0, np.max(np.abs(ref)))
 
 
 def test_g_gamma_grid_mismatch():
@@ -546,11 +547,14 @@ def test_singular_cgmy_density_matches_exact_exponent_inversion():
 
 
 def test_solve_refuses_a_mu_whose_nu_is_not_a_levy_density():
-    # nu passed as mu: y^2 nu is then not integrable at 0
-    for gamma, mu in ((2, lambda y: np.exp(-y) / y), (2, lambda y: sp.k1(y) / (np.pi * y)),
-                      (1, lambda y: np.exp(-y) / y**2)):
+    # nu passed as mu: y^2 nu is then not integrable at 0.  At i = 14 the
+    # last two overflow at the smallest DE points (y ~ 6e-216), so the power
+    # is measured where mu is finite
+    k1_nu, exp_y2 = (lambda y: sp.k1(y) / (np.pi * y)), (lambda y: np.exp(-y) / y**2)
+    for gamma, mu, i in ((2, lambda y: np.exp(-y) / y, 7), (2, k1_nu, 7), (1, exp_y2, 7),
+                         (2, k1_nu, 14), (1, exp_y2, 14)):
         model = custom_model("nu-as-mu", gamma, mu)
-        grid, euler = setup_case(model, 7)
+        grid, euler = setup_case(model, i)
         with pytest.raises(ValueError, match=r"\[step 1\] mu grows like y\^-[12] at 0: "
                                              r"nu = mu/y\^gamma is not a Levy density"):
             solve(model, grid, 1.0, euler)
