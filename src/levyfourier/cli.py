@@ -22,7 +22,7 @@ from .de_ft import _sources_stacked, node_plan, splice_plan
 from .euler_ft import EulerParams, inverse_ft, weight
 from .numkit import frft_even
 from .sinc_gauss import kernel_table
-from .solver import (KERNEL_ECHO, _spliced_transform, clear_exponent_cache, custom_model,
+from .solver import (_spliced_transform, clear_exponent_cache, custom_model,
                      g_gamma, make_grid, nig_model, params_echo, solve, vg_model)
 
 CONFIG_SCHEMA_VERSION = "1"
@@ -314,7 +314,7 @@ def cmd_bench(config: RunConfig) -> int:
     if config.reps < 5:
         warnings.warn(f"reps = {config.reps} < 5; timing medians may be noisy",
                       stacklevel=2)
-    rows = []
+    rows, runs = [], []
     for i in config.exponent_i:
         grid = _grid(model, config, i)
         samples = {"step1": [], "step2": [], "step3": [], "total": []}
@@ -325,6 +325,7 @@ def cmd_bench(config: RunConfig) -> int:
                 samples[key].append(res.timings[key])
         med = {key: statistics.median(vals) for key, vals in samples.items()}
         rows.append((grid.m, med, med["total"] / (grid.m * math.log2(grid.m))))
+        runs.append({**params_echo(model, grid), "i": i})
     outdir = Path(config.out)
     outdir.mkdir(parents=True, exist_ok=True)
     fname = f"bench_{model.name}.csv"
@@ -339,8 +340,8 @@ def cmd_bench(config: RunConfig) -> int:
           f"max/min = {max(norm) / min(norm):.2f})")
     _write_manifest(outdir, f"bench_{model.name}_manifest.json",
                     {"command": "bench", "config": _config_echo(config),
-                     **KERNEL_ECHO, "t": t, "reps": config.reps,
-                     "normalized_spread": max(norm) / min(norm)})
+                     "t": t, "reps": config.reps,
+                     "normalized_spread": max(norm) / min(norm), "runs": runs})
     return 0
 
 
@@ -377,7 +378,7 @@ def _check_nufft():
     weights = _sources_stacked(model.mu, plain)
     worst = 0.0
     for row, (_, krange) in enumerate(splice):
-        mine = plain.live // grid.m == row
+        mine = plain.run == row
         k = np.asarray(krange)
         direct = np.exp(-1j * np.outer(k * grid.h_tilde, plain.y[mine])) @ weights[mine]
         worst = max(worst, float(np.max(np.abs(got[k] - direct))))
@@ -406,6 +407,17 @@ def _check_de_ft():
     return float(np.max(np.abs(mhat - exact))), 1e-6
 
 
+def _check_de_ft_singular():
+    # CGMY Y = 1.9: mu = y^-0.9 e^-y carries mass near y = 0 that a DE run
+    # cut too far right misses; its transform is Gamma(0.1) (1 + i zeta)^-0.1
+    model = custom_model("cgmy-y1.9", 2, lambda y: y ** -0.9 * np.exp(-y))
+    grid = make_grid(model, EulerParams(128, 2.0, 5.0, 1.0))
+    mhat = _spliced_transform(model, grid)
+    zeta = np.arange(grid.n_gamma + 1) * grid.h_tilde
+    exact = math.gamma(0.1) * (1.0 + 1j * zeta) ** -0.1
+    return float(np.max(np.abs(mhat - exact))), 1e-11
+
+
 def _check_exponent(model, n, tol):
     grid = make_grid(model, EulerParams(n, 2.0, 5.0, 1.0))
     g = g_gamma(model, grid)
@@ -421,6 +433,7 @@ def cmd_selftest() -> int:
         ("nufft-vs-direct-sum", _check_nufft),
         ("kernel-table-vs-quadrature", _check_kernel_table),
         ("de-ft-vs-closed-form", _check_de_ft),
+        ("de-ft-singular-vs-closed-form", _check_de_ft_singular),
         ("exponent-vg-closed-form", lambda: _check_exponent(vg_model(), 256, 1e-6)),
         ("exponent-nig-closed-form", lambda: _check_exponent(nig_model(), 128, 1e-5)),
     ]

@@ -20,14 +20,20 @@ DE_BETA = 0.25
 _E_ASYMP = 500.0
 # below this |t| the direct quotient loses digits to cancellation; use series
 _T_SERIES = 1e-3
+# the node count of splice run B (see splice_plan) once M exceeds it: run B's
+# band k > N_gamma/8 holds its accuracy down to 512 nodes for vg, e^{-0.05y}
+# and CGMY Y = 0.5..1.9, and fails at 256, so this leaves two halvings
+RUN_B_NODES = 2048
 
 
 @dataclass(frozen=True)
 class DeFtParams:
     """One DE-transform run: zeta0, the step h and the node count m, a power
-    of two (the downstream FFT length) split evenly at j = 0 into
-    j = -m/2..m/2-1.  beta is DE_BETA, and alpha is derived from (zeta0, h)
-    at construction.
+    of two >= 8, at j = j_start..j_start+m-1 = -5m/8..3m/8-1.  With h, m
+    sets where the trapezoidal sum is truncated; nothing ties it to the FFT
+    length, since the gridding step needs only each point's lattice
+    position.  beta is DE_BETA, and alpha is derived from (zeta0, h) at
+    construction.
     """
 
     zeta0: float
@@ -38,8 +44,8 @@ class DeFtParams:
     def __post_init__(self):
         if not (self.zeta0 > 0 and self.h > 0):
             raise ValueError("zeta0 and h must be positive")
-        if self.m < 2 or self.m & (self.m - 1):
-            raise ValueError(f"m = {self.m} must be a power of two >= 2")
+        if self.m < 8 or self.m & (self.m - 1):
+            raise ValueError(f"m = {self.m} must be a power of two >= 8")
         zeta0, h = self.zeta0, self.h
         object.__setattr__(self, "alpha", DE_BETA / math.sqrt(
             1 + math.log(1 + math.pi / (zeta0 * h)) / (4 * zeta0 * h)))
@@ -48,6 +54,14 @@ class DeFtParams:
     def point_scale(self) -> float:
         """P = pi / (zeta0 * h), the scale of the source points y_j = P*phi(jh)."""
         return math.pi / (self.zeta0 * self.h)
+
+    @property
+    def j_start(self) -> int:
+        """-5m/8, the first j.  The range sits m/8 left of -m/2..m/2-1: the
+        left end cuts off the mass near y = 0 that a singular mu carries
+        (CGMY Y = 1.9 lost seven digits there), while at the right end the
+        weights still fall below 1e-14 of the largest for m >= 128."""
+        return -(5 * self.m // 8)
 
 
 def phi_parts(t, alpha: float, beta: float):
@@ -84,19 +98,18 @@ def phi_parts(t, alpha: float, beta: float):
 
     ser = np.abs(t) < _T_SERIES
     if np.any(ser):
+        ts = t[ser]
+        # alpha may hold one value per element (stacked runs)
+        a = np.broadcast_to(alpha, t.shape)[ser]
         # Taylor coefficients of D(t) = 1 - e^{-E(t)} = c1 t + c2 t^2 + ...
-        e1 = 2 + alpha + beta
-        e2 = (beta - alpha) / 2
-        e3 = (alpha + beta) / 6
-        e4 = (beta - alpha) / 24
+        e1 = 2 + a + beta
+        e2 = (beta - a) / 2
+        e3 = (a + beta) / 6
+        e4 = (beta - a) / 24
         c1 = e1
         c2 = e2 - e1**2 / 2
         c3 = e3 - e1 * e2 + e1**3 / 6
         c4 = e4 - e2**2 / 2 - e1 * e3 + e1**2 * e2 / 2 - e1**4 / 24
-        ts = t[ser]
-        # alpha may carry a broadcast axis (stacked runs); align per element
-        c1, c2, c3, c4 = (np.broadcast_to(ci, t.shape)[ser]
-                          for ci in (c1, c2, c3, c4))
         w = c1 + ts * (c2 + ts * (c3 + ts * c4))      # D(t)/t
         dw = c2 + ts * (2 * c3 + ts * 3 * c4)
         phi[ser] = 1.0 / w
@@ -107,31 +120,42 @@ def phi_parts(t, alpha: float, beta: float):
 
 @dataclass(frozen=True, eq=False)
 class NodePlan:
-    """The mu-free part of the DE sources of runs that share (h, m), built
-    once per grid.
+    """The mu-free part of the DE sources of one or more runs, built once
+    per grid.
 
-    points holds every DE point y_j, j = -m/2..m/2-1, one row per run.
-    A node whose weight vanishes for every mu (phi' or sin((pi/2h) phihat)
-    has underflowed to 0, as at both truncation ends of large grids) is
-    dropped: live lists the flat indices into points of the other nodes, y
-    their points and factor their mu-free weights
+    runs holds each run's DeFtParams, and points every DE point y_j of every
+    run, flat: the m points of runs[0] at j = j_start..j_start+m-1, then
+    those of runs[1], and so on.  A node whose weight vanishes for every mu
+    (phi' or sin((pi/2h) phihat) has underflowed to 0, as at the truncation
+    ends of large grids) is
+    dropped: live lists the indices into points of the other nodes, run the
+    run of each, y their points and factor their mu-free weights
 
       factor_j = -(2 pi i / zeta0) sin((pi/2h) phihat(jh)) phi'(jh)
                  * exp((i pi/2h) phihat(jh)) * exp(-i shift y_j),
 
-    so the weights of a density mu are mu(y_j) * factor_j.  low holds the
-    indices into y of the two smallest live points, in increasing order.
+    with each run's own zeta0, h and alpha, so the weights of a density mu
+    are mu(y_j) * factor_j.  low holds the indices into y of the two
+    smallest live points, in increasing order.
     """
 
+    runs: tuple
     points: np.ndarray
     live: np.ndarray
+    run: np.ndarray
     y: np.ndarray
     factor: np.ndarray
     low: np.ndarray
 
+    def j(self, i: int) -> int:
+        """The j of live source i within its run."""
+        r = int(self.run[i])
+        return int(self.live[i]) - sum(run.m for run in self.runs[:r]) + self.runs[r].j_start
+
 
 def node_plan(runs, shift: float = 0.0) -> NodePlan:
-    """DE points and mu-free weight factors of the given runs.
+    """DE points and mu-free weight factors of the given runs, each with its
+    own zeta0, h and m.
 
     shift moves the transform's output frequencies by zeta -> zeta + shift
     (the gridding step centres its output that way); with shift 0 the
@@ -139,24 +163,26 @@ def node_plan(runs, shift: float = 0.0) -> NodePlan:
     one-sided transform of mu.
     """
     runs = tuple(runs)
-    first = runs[0]
-    if len({(r.h, r.m) for r in runs}) != 1:
-        raise ValueError("stacked runs must share h and m")
-    t = np.broadcast_to(np.arange(-(first.m // 2), first.m // 2) * first.h,
-                        (len(runs), first.m))
-    ph, phat, dph = phi_parts(t, np.array([[r.alpha] for r in runs]), DE_BETA)
-    points = np.array([[r.point_scale] for r in runs]) * ph
-    s = (np.pi / (2 * first.h)) * phat
-    zeta0 = np.array([[r.zeta0] for r in runs])
-    factor = ((-2j * np.pi / zeta0) * np.sin(s) * dph * np.exp(1j * s)
-              * np.exp(-1j * shift * points))
+    counts = [r.m for r in runs]
+
+    def per_node(values):
+        return np.repeat(np.array(values), counts)
+
+    h = per_node([r.h for r in runs])
+    t = np.concatenate([np.arange(r.j_start, r.j_start + r.m) for r in runs]) * h
+    ph, phat, dph = phi_parts(t, per_node([r.alpha for r in runs]), DE_BETA)
+    points = per_node([r.point_scale for r in runs]) * ph
+    s = (np.pi / (2 * h)) * phat
+    factor = ((-2j * np.pi / per_node([r.zeta0 for r in runs])) * np.sin(s) * dph
+              * np.exp(1j * s) * np.exp(-1j * shift * points))
     live = np.flatnonzero(factor)
-    y = points.ravel()[live]
+    y = points[live]
     low = np.argpartition(y, 1)[:2]
-    arrays = (points, live, y, factor.ravel()[live], low[np.argsort(y[low])])
+    arrays = (points, live, per_node(np.arange(len(runs), dtype=np.int32))[live], y,
+              factor[live], low[np.argsort(y[low])])
     for arr in arrays:
         arr.flags.writeable = False
-    return NodePlan(*arrays)
+    return NodePlan(runs, *arrays)
 
 
 def _sources_stacked(mu, plan: NodePlan, gamma=None) -> np.ndarray:
@@ -171,9 +197,7 @@ def _sources_stacked(mu, plan: NodePlan, gamma=None) -> np.ndarray:
     where it is finite and positive, so one that overflows there is named too.
     """
     def node(i):
-        m = plan.points.shape[1]
-        j = plan.live[i] % m - m // 2
-        return f"j={j}, y={float(plan.y[i])}"
+        return f"j={plan.j(i)}, y={float(plan.y[i])}"
 
     def check_power(low):
         (mu_1, mu_2), (y_1, y_2) = mu_vals[low], plan.y[low]
@@ -205,16 +229,17 @@ def _sources_stacked(mu, plan: NodePlan, gamma=None) -> np.ndarray:
 def splice_plan(n_gamma: int, h_tilde: float):
     """Two DE runs whose valid frequency windows are stitched together.
 
-    Run A uses zeta0 = N_gamma*h_tilde/15 and covers k = 0..floor(N_gamma/8);
-    run B uses zeta0 = N_gamma*h_tilde/1.8 and covers the rest up to N_gamma.
-    Both carry h = log(1e3*M)/M and M = 2*N_gamma nodes.
+    Run A uses zeta0 = N_gamma*h_tilde/15 and covers k = 0..floor(N_gamma/8)
+    with m = M = 2*N_gamma nodes; run B uses zeta0 = N_gamma*h_tilde/1.8 and
+    covers the rest up to N_gamma with m = min(M, RUN_B_NODES) nodes.  Each
+    run has h = log(1e3*m)/m for its own m, and j = -5m/8..3m/8-1.
     Returns ((params_a, range_a), (params_b, range_b)).
     """
     if n_gamma < 8:
         raise ValueError("n_gamma must be at least 8")
-    m = 2 * n_gamma
-    h = math.log(1e3 * m) / m
+    m_a = 2 * n_gamma
+    m_b = min(m_a, RUN_B_NODES)
     split = n_gamma // 8
-    run_a = DeFtParams(n_gamma * h_tilde / 15.0, h, m)
-    run_b = DeFtParams(n_gamma * h_tilde / 1.8, h, m)
+    run_a = DeFtParams(n_gamma * h_tilde / 15.0, math.log(1e3 * m_a) / m_a, m_a)
+    run_b = DeFtParams(n_gamma * h_tilde / 1.8, math.log(1e3 * m_b) / m_b, m_b)
     return (run_a, range(0, split + 1)), (run_b, range(split + 1, n_gamma + 1))

@@ -1,11 +1,13 @@
 """Step 1 back half: nonuniform FFT by exponential-of-semicircle gridding.
 
-Evaluates mu_hat_k = sum_j Phi_j e^{-i k h_tilde y_j} for k = 0..N_gamma in
-O(M log M): each source is spread onto a uniform grid of M nodes through the
-exponential-of-semicircle (ES) kernel phi(z) = exp(beta (sqrt(1 - (2z/w)^2) - 1))
-of width w, which is exactly 0 for |z| > w/2 (Barnett, Magland and
-af Klinteberg, arXiv:1808.06736); one length-M FFT transforms the grid, and
-division by the kernel's Fourier transform phi_hat undoes the spreading.
+Evaluates mu_hat_k = sum_j Phi_j e^{-i k h_tilde y_j} for k = 0..N_gamma over
+S sources in O(S w + M log M), M = 2 N_gamma, whatever S is (the DE runs set
+their own node counts): each source is spread onto a uniform grid of M nodes
+through the exponential-of-semicircle (ES) kernel
+phi(z) = exp(beta (sqrt(1 - (2z/w)^2) - 1)) of width w, which is exactly 0
+for |z| > w/2 (Barnett, Magland and af Klinteberg, arXiv:1808.06736); one
+length-M FFT transforms the grid, and division by the kernel's Fourier
+transform phi_hat undoes the spreading.
 With a = 2pi/M the sum is periodic in a source's lattice position
 c_j = h_tilde y_j / a with period M, so the grid is one period and every
 node l is folded onto l mod M (Dutt and Rokhlin, SIAM J. Sci. Comput.
@@ -95,11 +97,12 @@ class GriddingPlan:
     """Everything of a nonuniform FFT over one or more runs except the
     weights, built once per grid.
 
-    matrix (runs*M, live) holds the folded kernel band of each source: row
-    r*M + p is node p of run r, column i is the i-th live source, and each
-    column has exactly w = 15 entries, the ES kernel phi(l - c_j) at the 15
-    nodes l nearest the source's lattice position c_j, stored at p = l mod M.
-    post holds the deconvolution 1 / phi_hat(a k') for k = 0..n_gamma, and
+    matrix (runs*M, sources) holds the folded kernel band of each source:
+    row r*M + p is grid node p of run r, column i is the i-th source, and
+    each column has exactly w = 15 entries, the ES kernel phi(l - c_i) at the
+    15 nodes l nearest the source's lattice position c_i, stored at
+    p = l mod M in the row block of the source's run.  post holds the
+    deconvolution 1 / phi_hat(a k') for k = 0..n_gamma, and
     gather[r, k] = r*M + (k' mod M), the flat index of k's FFT bin in run r.
     """
 
@@ -108,28 +111,31 @@ class GriddingPlan:
     gather: np.ndarray
 
 
-def gridding_plan(points: np.ndarray, h_tilde: float, n_gamma: int,
-                  live: np.ndarray) -> GriddingPlan:
-    """Gridding plan for runs of M sources each at the rows of points.
+def gridding_plan(y: np.ndarray, h_tilde: float, n_gamma: int,
+                  run: np.ndarray | None = None) -> GriddingPlan:
+    """Gridding plan for the sources at the points y on a grid of
+    M = 2 n_gamma nodes per run.
 
-    live lists, in increasing order, the flat indices into points of the
-    sources that can carry weight; the plan's columns are those sources, and
-    every other source is left out.  A source at y sits at c = h_tilde*y/a
-    on the lattice a = 2pi/M and spreads onto the 15 nodes nearest c,
+    run gives the run of each source, 0 for all when omitted; there is one
+    row block of M grid nodes per run up to the largest, and a run may hold
+    any number of sources.  A source at y sits at c = h_tilde*y/a on the
+    lattice a = 2pi/M and spreads onto the 15 nodes nearest c,
     rint(c) - 7..rint(c) + 7: every node inside the kernel's support
     |l - c| <= w/2, except one of the two end nodes when c is a half-integer,
     where the kernel is e^{-beta} ~ 1e-15.  Node l lands on grid position
     l mod M of its run, since e^{-i a k' l} has period M in l for integer k'.
     """
-    points = np.atleast_2d(np.asarray(points, dtype=float))
-    runs, m = points.shape
-    if m != 2 * n_gamma:
-        raise ValueError(f"M = {m} must equal 2*n_gamma = {2 * n_gamma}")
+    y = np.asarray(y, dtype=float)
+    run = np.zeros(len(y), dtype=np.int32) if run is None else np.asarray(run)
+    if y.ndim != 1 or run.shape != y.shape:
+        raise ValueError(f"y and run must be 1-d of one length, got shapes "
+                         f"{y.shape} and {run.shape}")
+    m = 2 * n_gamma
     if m & (m - 1):
         raise ValueError(f"M = {m} must be a power of two")
+    runs = int(run.max()) + 1
     a = 2 * math.pi / m
-    live = np.asarray(live)
-    c = h_tilde * points.ravel()[live] / a
+    c = h_tilde * y / a
     centre = np.rint(c)
     offsets = np.arange(WIDTH, dtype=np.int32) - WIDTH // 2
     # rint(c) - c is exact, so |u| <= 1 holds in floating point too and the
@@ -138,10 +144,10 @@ def gridding_plan(points: np.ndarray, h_tilde: float, n_gamma: int,
     kernel = _es_kernel(u)
     rows = centre.astype(np.int32)[:, None] + offsets
     rows %= m
-    rows += (live // m * m).astype(np.int32)[:, None]
-    indptr = np.arange(0, WIDTH * len(live) + 1, WIDTH, dtype=np.int32)
+    rows += (run * m).astype(np.int32)[:, None]
+    indptr = np.arange(0, WIDTH * len(y) + 1, WIDTH, dtype=np.int32)
     matrix = sparse.csc_array((kernel.ravel(), rows.ravel(), indptr),
-                              shape=(runs * m, len(live)))
+                              shape=(runs * m, len(y)))
 
     kp = np.arange(0, n_gamma + 1) - n_gamma // 2
     post = 1 / _es_transform(a, np.max(np.abs(kp)) + 1)[np.abs(kp)]
@@ -152,9 +158,10 @@ def gridding_plan(points: np.ndarray, h_tilde: float, n_gamma: int,
 
 
 def _forward_stacked(weights: np.ndarray, plan: GriddingPlan) -> np.ndarray:
-    """Source sums sum_j w_j e^{-i k h~ y_j}, k = 0..n_gamma, of every run of
-    the plan; weights are one per plan column, already multiplied by
-    e^{-i zeta_s y_j} (source_shift).  Returns the shape of plan.gather.
+    """Source sums sum_j w_j e^{-i k h~ y_j}, k = 0..n_gamma, over the sources
+    of each run of the plan; weights are one per plan column, already
+    multiplied by e^{-i zeta_s y_j} (source_shift).  Returns the shape of
+    plan.gather.
 
     One real sparse product per part of the weights grids all runs and one
     batched length-M FFT transforms the grids, M = 2 n_gamma.  The grid of

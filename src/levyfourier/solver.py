@@ -17,7 +17,7 @@ from .euler_ft import EulerParams, inverse_ft
 from .nufft import BETA, WIDTH, _forward_stacked, gridding_plan, source_shift
 from .sinc_gauss import indefinite_integral
 
-# Step-1 plans kept at once; one M = 2^14 plan holds about 7 MB
+# Step-1 plans kept at once; one M = 2^14 plan holds about 4.1 MB
 PLAN_CACHE_SIZE = 4
 # the Step-1 gridding kernel (see nufft), echoed with every solve
 KERNEL_ECHO = {"kernel": "es", "width": WIDTH, "beta": BETA}
@@ -63,8 +63,8 @@ class GridSpec:
 
     n = N and h_tilde come from the Euler parameters, so Steps 1-3 share one
     frequency grid; the output spacing is h_hat = x_u / N;
-    n_gamma = 2^gamma N fixes the Step-2 budget and m = 2 n_gamma the DE
-    node count.
+    n_gamma = 2^gamma N fixes the Step-2 budget and m = M = 2 n_gamma the
+    Step-1 FFT length (and the node count of DE run A; see splice_plan).
     """
 
     euler: EulerParams
@@ -206,7 +206,7 @@ def _step1_plan(grid: GridSpec):
     whose gather reads each k from the run that covers it."""
     (run_a, range_a), (run_b, _) = splice_plan(grid.n_gamma, grid.h_tilde)
     nodes = node_plan((run_a, run_b), source_shift(grid.h_tilde, grid.n_gamma))
-    plan = gridding_plan(nodes.points, grid.h_tilde, grid.n_gamma, nodes.live)
+    plan = gridding_plan(nodes.y, grid.h_tilde, grid.n_gamma, nodes.run)
     gather = np.concatenate((plan.gather[0, :range_a.stop], plan.gather[1, range_a.stop:]))
     gather.flags.writeable = False
     return nodes, replace(plan, gather=gather)
@@ -383,8 +383,11 @@ def _echo_base(model: LevyModel, grid: GridSpec) -> dict:
         "zeta0_low": run_a.zeta0,
         "zeta0_high": run_b.zeta0,
         "splice_boundary": range_a.stop - 1,
-        "h_de_rule": "log(1000*m)/m",
-        "h_de": run_a.h,
+        "m_low": run_a.m,
+        "m_high": run_b.m,
+        "h_de_low": run_a.h,
+        "h_de_high": run_b.h,
+        "de_j_rule": "-5*m_run/8..3*m_run/8-1",
         "de_beta": DE_BETA,
         "de_alpha_low": run_a.alpha,
         "de_alpha_high": run_b.alpha,

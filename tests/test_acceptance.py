@@ -33,7 +33,7 @@ def test_criterion_01_nufft_matches_direct_sum_within_1e8_and_50ms():
         t0 = time.perf_counter()
         runs = [run for run, _ in splice_plan(grid.n_gamma, grid.h_tilde)]
         nodes = node_plan(runs, source_shift(grid.h_tilde, grid.n_gamma))
-        gridding = gridding_plan(nodes.points, grid.h_tilde, grid.n_gamma, nodes.live)
+        gridding = gridding_plan(nodes.y, grid.h_tilde, grid.n_gamma, nodes.run)
         got = _forward_stacked(_sources_stacked(model.mu, nodes), gridding)
         best_wall = min(best_wall, time.perf_counter() - t0)
     # reference: each run's plain (unshifted) DE weights, summed directly
@@ -41,7 +41,7 @@ def test_criterion_01_nufft_matches_direct_sum_within_1e8_and_50ms():
     weights = _sources_stacked(model.mu, plain)
     worst = 0.0
     for row in range(len(got)):
-        mine = plain.live // grid.m == row
+        mine = plain.run == row
         direct = oracles.source_sum_direct(weights[mine], plain.y[mine], grid.h_tilde,
                                            grid.n_gamma)
         worst = max(worst, float(np.max(np.abs(got[row] - direct))))

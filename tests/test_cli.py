@@ -133,12 +133,14 @@ def test_solve_writes_csv_and_manifest(tmp_path, capsys):
     assert man["config"]["exponent_i"] == [7]
     (entry,) = man["runs"]
     need = {"model", "gamma", "n", "n_gamma", "m", "x_l", "x_u", "d", "h_tilde",
-            "h_hat", "zeta0_rule", "zeta0_low", "zeta0_high", "h_de_rule", "h_de",
-            "de_beta", "r_rule", "m_table_rule", "t", "kernel", "width", "beta",
+            "h_hat", "zeta0_rule", "zeta0_low", "zeta0_high", "m_low", "m_high",
+            "h_de_low", "h_de_high", "de_j_rule", "de_beta", "r_rule", "m_table_rule", "t", "kernel", "width", "beta",
             "use_exact_exponent", "i", "file"}
     assert need <= set(entry)
     assert entry["i"] == 7 and entry["file"] == "solve_vg_i7_t1.csv"
     assert entry["n"] == 32 and entry["m"] == 128
+    assert entry["m_low"] == entry["m_high"] == 128
+    assert entry["h_de_low"] == entry["h_de_high"] == math.log(1000 * 128) / 128
     assert entry["t"] == 1.0 and entry["kernel"] == "es" and entry["width"] == 15
     assert entry["beta"] == pytest.approx(2.30 * 15, rel=1e-15)
     assert "epsilon" not in entry and "b" not in entry
@@ -265,6 +267,9 @@ def test_bench_writes_table_and_warns_on_few_reps(tmp_path):
         assert r[5] == pytest.approx(r[4] / (r[0] * math.log2(r[0])), rel=1e-12)
     man = json.loads((tmp_path / "bench_vg_manifest.json").read_text(encoding="utf-8"))
     assert man["reps"] == 2 and man["t"] == 1.0
+    assert [(r["i"], r["m"], r["m_low"], r["m_high"]) for r in man["runs"]] \
+        == [(7, 128, 128, 128), (8, 256, 256, 256)]
+    assert all(r["kernel"] == "es" and r["de_j_rule"] for r in man["runs"])
     assert man["normalized_spread"] >= 1.0
 
 
@@ -349,9 +354,9 @@ def test_failed_solve_creates_no_output_directory(tmp_path, capsys):
     assert rc == 2
     assert "error: [step 1] mu returned shape () for y of shape (" in capsys.readouterr().err
     assert not out.exists()
-    # nu passed as mu, or a mu whose nu is not a Levy density at 0; at i = 14
-    # e^-y/y^2 overflows at the smallest DE points, as nig's nu K_1(y)/(pi y)
-    # does at gamma 2 (a --mu cannot call K_1)
+    # nu passed as mu, or a mu whose nu is not a Levy density at 0; at i = 7
+    # and 14 e^-y/y^2 overflows at the smallest DE points, as nig's nu
+    # K_1(y)/(pi y) does at gamma 2 (a --mu cannot call K_1)
     for gamma, mu, i in (("2", "np.exp(-y)/y", "7"), ("2", "np.exp(-y)/y**2", "7"),
                          ("1", "np.exp(-y)/y**2", "7"), ("2", "np.exp(-y)/y**2", "14"),
                          ("1", "np.exp(-y)/y**2", "14")):

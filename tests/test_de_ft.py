@@ -8,9 +8,10 @@ import pytest
 import scipy.special as sp
 
 import oracles
-from levyfourier.de_ft import (DE_BETA, DeFtParams, _sources_stacked, node_plan, phi_parts,
-                               splice_plan)
+from levyfourier.de_ft import (DE_BETA, RUN_B_NODES, DeFtParams, _sources_stacked, node_plan,
+                               phi_parts, splice_plan)
 from levyfourier.euler_ft import EulerParams
+from levyfourier.nufft import _forward_stacked, gridding_plan, source_shift
 
 H_TILDE_2_11 = math.sqrt(14 * math.pi / 2**11)
 
@@ -33,13 +34,16 @@ def test_phi_asymptotes():
 
 
 def test_phi_parts_monotone_positive_on_truncation_range():
+    # the left end of the shifted range reaches phi = 0 (its nodes carry no
+    # weight and node_plan drops them); every live node is positive, in order
     (run_a, _), (run_b, _) = splice_plan(1024, H_TILDE_2_11)
     for run in (run_a, run_b):
-        j = np.arange(-run.m // 2, run.m // 2)
+        j = np.arange(run.j_start, run.j_start + run.m)
         ph, phat, dph = phi_parts(j * run.h, run.alpha, DE_BETA)
-        assert np.all(ph > 0)
-        assert np.all(np.diff(ph) > 0)
-        assert np.all(dph > 0)
+        live = node_plan((run,)).live
+        assert np.all(ph >= 0) and np.all(np.diff(ph) >= 0)
+        assert np.all(ph[live] > 0) and np.all(np.diff(ph[live]) > 0)
+        assert np.all(dph[live] > 0)
         assert np.all(np.isfinite(phat))
 
 
@@ -69,28 +73,46 @@ def test_de_params_validation():
     assert p == DeFtParams(10.0, 0.01, 1024) and hash(p) == hash(DeFtParams(10.0, 0.01, 1024))
     with pytest.raises(TypeError):
         DeFtParams(10.0, 0.01, 1024, alpha=expected)   # alpha is derived, not set
-    for m in (1000, 1, 0):
-        with pytest.raises(ValueError, match=f"m = {m} must be a power of two"):
+    assert p.j_start == -640 and DeFtParams(10.0, 0.01, 8).j_start == -5
+    for m in (1000, 4, 1, 0):
+        with pytest.raises(ValueError, match=f"m = {m} must be a power of two >= 8"):
             DeFtParams(10.0, 0.01, m)
     with pytest.raises(ValueError):
         DeFtParams(-1.0, 0.01, 1024)
     with pytest.raises(ValueError):
         DeFtParams(10.0, 0.0, 1024)
-    with pytest.raises(ValueError, match="share h and m"):
-        node_plan((p, DeFtParams(10.0, 0.02, 1024)))
-    with pytest.raises(ValueError, match="share h and m"):
-        node_plan((p, DeFtParams(10.0, 0.01, 512)))
-    node_plan((p, DeFtParams(20.0, 0.01, 1024)))   # zeta0 may differ
+
+
+def test_node_plan_stacks_runs_of_different_h_and_m():
+    # each run keeps its own zeta0, h and m: the stacked plan is the one-run
+    # plans laid end to end, every live source tagged with its run and j
+    runs = (DeFtParams(10.0, 0.01, 1024), DeFtParams(40.0, 0.03, 256),
+            DeFtParams(20.0, 0.01, 512))
+    mu = lambda y: np.exp(-y)
+    plan = node_plan(runs, 0.37)
+    assert plan.runs == runs and plan.points.shape == (1792,)
+    weights = _sources_stacked(mu, plan)
+    start = 0
+    for r, run in enumerate(runs):
+        one = node_plan((run,), 0.37)
+        assert np.array_equal(plan.points[start:start + run.m], one.points)
+        mine = plan.run == r
+        assert np.array_equal(plan.live[mine] - start, one.live)
+        assert np.array_equal(weights[mine], _sources_stacked(mu, one))
+        j = [plan.j(i) for i in np.flatnonzero(mine)]
+        assert np.array_equal(j, one.live + run.j_start)
+        start += run.m
+    assert plan.run.dtype == np.int32 and np.all(np.diff(plan.run) >= 0)
 
 
 def test_node_plan_vg_geometry():
     (run_a, _), (run_b, _) = splice_plan(1024, H_TILDE_2_11)
     for run in (run_a, run_b):
         plan = node_plan((run,))
-        assert plan.points.shape == (1, run.m)
-        assert np.all(np.diff(plan.points[0]) > 0)
+        assert plan.points.shape == (run.m,)
+        assert np.all(np.diff(plan.points[plan.live]) > 0)
         weights = _sources_stacked(lambda y: np.exp(-y), plan)
-        assert len(plan.live) == run.m and np.array_equal(plan.y, plan.points[0])
+        assert np.array_equal(plan.y, plan.points[plan.live])
         peak = np.max(np.abs(weights))
         # double-exponential decay has flattened out at both truncation ends
         assert abs(weights[0]) <= 1e-12 * peak
@@ -127,23 +149,23 @@ def test_sources_stacked_matches_per_run():
     shift = 0.37
     plan = node_plan((run_a, run_b), shift)
     weights = _sources_stacked(mu, plan)
-    assert len(plan.live) == 2 * run_a.m          # nothing underflows at M = 2^9
     for row, run in ((0, run_a), (1, run_b)):
         one = node_plan((run,))
-        assert np.array_equal(plan.points[row], one.points[0])
+        assert np.array_equal(plan.points[row * run_a.m:][:run.m], one.points)
         ref = _sources_stacked(mu, one) * np.exp(-1j * shift * one.y)
-        got = weights[row * run.m:(row + 1) * run.m]
+        got = weights[plan.run == row]
         assert np.max(np.abs(got - ref)) <= 1e-15 * np.max(np.abs(ref))
 
 
 def test_node_plan_drops_zero_weight_nodes_and_never_evaluates_mu_there():
-    # vg at M = 2^14: phi' underflows to 0 at the left end, 75 points of it
-    # at y = 0, and phihat to 0 at the right end, where the sine vanishes
+    # vg at M = 2^14: phi' underflows to 0 at the left end of both runs,
+    # where the points themselves have underflowed to y = 0 (939 of run A's
+    # 16384, 203 of run B's 2048)
     h_tilde = EulerParams.from_theorem(2**12, 2.0, 5.0, 1.0).h_tilde
     (run_a, _), (run_b, _) = splice_plan(8192, h_tilde)
     plan = node_plan((run_a, run_b))
-    assert 2 * run_a.m - len(plan.live) == 1525
-    assert np.count_nonzero(plan.points == 0.0) == 75 and np.all(plan.y > 0)
+    assert run_a.m + run_b.m - len(plan.live) == 1142
+    assert np.count_nonzero(plan.points == 0.0) == 1142 and np.all(plan.y > 0)
     assert np.all(plan.factor != 0)
     seen = []
 
@@ -151,33 +173,39 @@ def test_node_plan_drops_zero_weight_nodes_and_never_evaluates_mu_there():
         seen.append(y.copy())
         return y ** -0.5                         # infinite at y = 0
     weights = _sources_stacked(mu, plan)
-    assert len(seen) == 1 and np.array_equal(seen[0], plan.points.ravel()[plan.live])
+    assert len(seen) == 1 and np.array_equal(seen[0], plan.points[plan.live])
     assert np.all(np.isfinite(weights))
 
 
 def test_sources_stacked_rejects_nonfinite_mu_at_live_nodes():
-    (run_a, _), (run_b, _) = splice_plan(256, 0.05)
+    # M = 2^12: run A has 4096 nodes and run B 2048, so run B's j range
+    # -1280..767 is its own, not run A's -2560..1535
+    (run_a, _), (run_b, _) = splice_plan(2048, 0.05)
+    assert (run_a.m, run_b.m) == (4096, 2048)
     plan = node_plan((run_a, run_b))
-    y_bad = plan.y[plan.live >= run_a.m][3]      # a node of run b
+    at = np.flatnonzero(plan.run == 1)[3]        # a node of run b
+    y_bad = plan.y[at]
     mu = lambda y: np.where(y == y_bad, np.nan, 1.0)
-    j = plan.live[np.flatnonzero(plan.y == y_bad)[0]] - run_a.m - run_a.m // 2
+    j = plan.live[at] - run_a.m + run_b.j_start
+    assert run_b.j_start == -1280 and run_b.j_start <= j < run_b.j_start + run_b.m
     with pytest.raises(ValueError, match=f"non-finite value nan at j={j}, y=") as info:
         _sources_stacked(mu, plan)
     assert float(str(info.value).partition(", y=")[2]) == y_bad   # a plain number
 
 
 def test_sources_stacked_rejects_complex_mu():
-    (run_a, _), (run_b, _) = splice_plan(256, 0.05)
+    (run_a, _), (run_b, _) = splice_plan(2048, 0.05)
     plan = node_plan((run_a, run_b))
-    y_bad = plan.y[plan.live >= run_a.m][5]      # a node of run b
-    j = plan.live[np.flatnonzero(plan.y == y_bad)[0]] - run_a.m - run_a.m // 2
+    at = np.flatnonzero(plan.run == 1)[5]        # a node of run b
+    y_bad = plan.y[at]
+    j = plan.live[at] - run_a.m + run_b.j_start
     mu = lambda y: np.exp(-y) + np.where(y == y_bad, 2j, 0j)
     with warnings.catch_warnings():
         warnings.simplefilter("error")           # no ComplexWarning, no truncation
         with pytest.raises(ValueError, match=rf"real values: \(1\+2j\) at j={j}, y=") as info:
             _sources_stacked(mu, plan)
         assert float(str(info.value).partition(", y=")[2]) == y_bad
-        j0 = plan.live[0] - run_a.m // 2
+        j0 = plan.live[0] + run_a.j_start
         with pytest.raises(ValueError, match=f"real values: .* at j={j0}, y="):
             _sources_stacked(lambda y: 1j * np.exp(-y), plan)
         # a complex array is refused even where every imaginary part is zero
@@ -217,7 +245,12 @@ def test_sources_stacked_refuses_a_mu_whose_nu_is_not_a_levy_density():
         with pytest.raises(ValueError, match=rf"mu grows like y\^{s} at 0: nu = mu/y\^gamma "
                                              r"is not a Levy density .* pass mu = y\^gamma nu"):
             _sources_stacked(mu, plan, gamma)
-        _sources_stacked(mu, plan)   # without an order there is nothing to check
+    # without an order there is nothing to check: e^-y/y passes, and the two
+    # that overflow at the smallest DE points (y ~ 6e-186) are named as such
+    _sources_stacked(refused[0][1], plan)
+    for _, mu, _ in refused[1:]:
+        with pytest.raises(ValueError, match="non-finite value inf at j=-320, y="):
+            _sources_stacked(mu, plan)
     # the Y = 1 tempered-stable model at gamma 1, vg, nig and the CGMY
     # models at gamma 1 for Y < 1 and gamma 2 otherwise
     accepted = [(1, lambda y: np.exp(-y) / y), (1, lambda y: np.exp(-y)),
@@ -236,6 +269,16 @@ def test_splice_plan_rules():
     m = 2 * n_gamma
     assert run_a.h == run_b.h == pytest.approx(math.log(1e3 * m) / m, rel=1e-14)
     assert run_a.m == run_b.m == m
+    # run A keeps M = 2 N_gamma nodes; run B stops at RUN_B_NODES = 2048,
+    # each at h = log(1000 m)/m for its own m and j = -5m/8..3m/8-1
+    assert RUN_B_NODES == 2048
+    for n_g, m_a, m_b in ((512, 1024, 1024), (4096, 8192, 2048), (8192, 16384, 2048)):
+        (a, _), (b, _) = splice_plan(n_g, H_TILDE_2_11)
+        assert (a.m, b.m) == (m_a, m_b)
+        for run in (a, b):
+            assert run.h == math.log(1e3 * run.m) / run.m
+            assert (run.j_start, run.j_start + run.m - 1) == (-5 * run.m // 8, 3 * run.m // 8 - 1)
+            assert node_plan((run,)).j(-1) == 3 * run.m // 8 - 1
     assert run_a.zeta0 == pytest.approx(n_gamma * H_TILDE_2_11 / 15.0, rel=1e-14)
     assert run_b.zeta0 == pytest.approx(n_gamma * H_TILDE_2_11 / 1.8, rel=1e-14)
     assert run_a.zeta0 == pytest.approx(10.0, abs=0.05)
@@ -245,3 +288,48 @@ def test_splice_plan_rules():
     assert range_b.start == range_a.stop and range_b.stop == n_gamma + 1
     with pytest.raises(ValueError):
         splice_plan(4, H_TILDE_2_11)
+
+
+def _tempered(s):
+    """mu = y^s e^{-y} and its transform Gamma(s+1) (1 + i zeta)^-(s+1)."""
+    return (lambda y: y ** s * np.exp(-y),
+            lambda z: math.gamma(s + 1) * (1 + 1j * z) ** -(s + 1))
+
+
+# (name, gamma, mu, transform of mu, bound on each run against its direct sum
+# relative to the run's sum of |weights|): CGMY with C = G = M = 1 has
+# mu = y^(gamma-1-Y) e^{-y}; the ES kernel of width 15 reaches 1.0e-14 of the
+# mass for the smooth mu, 6.0e-14 for Y = 0.9 and 1.9, whose weights cluster
+# near y = 0, and 1.4e-13 for e^{-0.05 y}, whose weights spread far past one
+# period (i = 11..14; the same with both runs at M centred nodes)
+STEP1_CASES = [("vg", 1, lambda y: np.exp(-y), lambda z: 1 / (1 + 1j * z), 2e-14),
+               ("exp-0.05", 1, lambda y: np.exp(-0.05 * y), lambda z: 1 / (0.05 + 1j * z), 3e-13)]
+STEP1_CASES += [(f"cgmy-{big_y}", gamma, *_tempered(gamma - 1 - big_y), bound)
+                for big_y, gamma, bound in ((0.5, 1, 2e-14), (0.9, 1, 1e-13),
+                                            (1.5, 2, 2e-14), (1.9, 2, 1e-13))]
+
+
+@pytest.mark.parametrize("i", [11, 12, 13, 14])
+@pytest.mark.parametrize("case", STEP1_CASES, ids=[c[0] for c in STEP1_CASES])
+def test_each_run_matches_its_direct_sum_and_run_b_the_closed_form(case, i):
+    # run B holds at 2048 nodes (512 already suffice; 256 miss by 1e-8), and
+    # the shifted j range keeps the mass a singular mu has near y = 0
+    _, gamma, mu, exact, bound = case
+    euler = EulerParams(2 ** (i - gamma - 1), 2.0, 5.0, 1.0)
+    n_gamma, h_tilde = euler.n << gamma, euler.h_tilde
+    splice = splice_plan(n_gamma, h_tilde)
+    runs = [run for run, _ in splice]
+    nodes = node_plan(runs, source_shift(h_tilde, n_gamma))
+    got = _forward_stacked(_sources_stacked(mu, nodes),
+                           gridding_plan(nodes.y, h_tilde, n_gamma, nodes.run))
+    plain = node_plan(runs)
+    weights = _sources_stacked(mu, plain)
+    for row, (_, band) in enumerate(splice):
+        mine = plain.run == row
+        k = np.unique(np.linspace(band.start, band.stop - 1, 129).astype(int))
+        direct = oracles.source_sum_direct(weights[mine], plain.y[mine], h_tilde, n_gamma, k)
+        err = np.max(np.abs(got[row, k] - direct))
+        assert err <= bound * np.sum(np.abs(weights[mine])), row
+    k = np.asarray(splice[1][1])
+    mhat = exact(np.arange(n_gamma + 1) * h_tilde)
+    assert np.max(np.abs(got[1, k] - mhat[k])) <= 1e-13 * np.max(np.abs(mhat))

@@ -23,13 +23,19 @@ def vg_runs(n=128):
         plan = node_plan((run,))
         weights = np.zeros(run.m, dtype=complex)
         weights[plan.live] = _sources_stacked(lambda y: np.exp(-y), plan)
-        out.append((weights, plan.points[0], rng))
+        out.append((weights, plan.points, rng))
     return euler.h_tilde, n_gamma, out
+
+
+def stacked(runs):
+    """The points of every run, flat, and the run of each."""
+    return (np.concatenate([pts for _, pts, _ in runs]),
+            np.repeat(np.arange(len(runs)), [len(pts) for _, pts, _ in runs]))
 
 
 def forward(weights, points, h_tilde, n_gamma):
     """sum_j w_j e^{-i k h~ y_j}, k = 0..n_gamma, of one run by the plan path."""
-    plan = gridding_plan(points, h_tilde, n_gamma, np.arange(len(points)))
+    plan = gridding_plan(points, h_tilde, n_gamma)
     shift = np.exp(-1j * source_shift(h_tilde, n_gamma) * points)
     return _forward_stacked(weights * shift, plan)[0]
 
@@ -43,7 +49,7 @@ def test_params_rules():
     assert BETA == pytest.approx(2.30 * 15, rel=1e-15)
     points = np.concatenate((np.zeros(3), np.linspace(0.5, 7.0, 13)))
     for h_tilde in (0.1, 0.5, 9.0):        # c up to 1.8, 8.9 and 160 = 10 M
-        plan = gridding_plan(points, h_tilde, 8, np.arange(16))
+        plan = gridding_plan(points, h_tilde, 8)
         assert plan.matrix.indices.dtype == np.int32
         assert np.array_equal(plan.matrix.indptr, 15 * np.arange(17))
         assert np.array_equal(plan.matrix.toarray(), oracles.periodic_band(points, h_tilde))
@@ -51,27 +57,30 @@ def test_params_rules():
 
 def test_gridding_plan_rows_are_the_window_pairs():
     # every source's column holds the 15 (node, source) pairs of its folded
-    # band on its own run's block of rows; run A's positions reach 7.5 M, so
+    # band on its own run's block of rows; run A's positions reach 5.6 M, so
     # most of its bands fold
     h_tilde, n_gamma, runs = vg_runs()
     # the high-band run reproduces the published window-plot geometry
     assert splice_plan(n_gamma, h_tilde)[1][0].zeta0 == pytest.approx(41.684, abs=2e-3)
-    points = np.stack([pts for _, pts, _ in runs])
+    y, run = stacked(runs)
     m = 2 * n_gamma
-    plan = gridding_plan(points, h_tilde, n_gamma, np.arange(2 * m))
+    assert len(y) == 2 * m
+    plan = gridding_plan(y, h_tilde, n_gamma, run)
     assert plan.matrix.shape == (2 * m, 2 * m)
     assert plan.matrix.nnz == 15 * 2 * m
     assert np.all(plan.matrix.data > 0)
-    assert h_tilde * points[0].max() * m / (2 * math.pi) > 7 * m
+    assert h_tilde * y[:m].max() * m / (2 * math.pi) > 5 * m
     dense = plan.matrix.toarray()
     for r, (_, pts, _) in enumerate(runs):
         rows = slice(r * m, (r + 1) * m)
         assert np.array_equal(dense[rows, rows], oracles.periodic_band(pts, h_tilde))
         assert not np.any(np.delete(dense[rows], np.arange(r * m, (r + 1) * m), axis=1))
-    # restricting to live sources keeps the other columns' entries unchanged
-    live = np.flatnonzero(np.arange(2 * m) % 3)
-    sub = gridding_plan(points, h_tilde, n_gamma, live)
-    assert np.array_equal(sub.matrix.toarray(), dense[:, live])
+    # a subset of the sources, of different sizes per run (a third of run 0,
+    # all of run 1), keeps the other columns' entries unchanged
+    keep = np.flatnonzero((run == 1) | (np.arange(2 * m) % 3 == 0))
+    sub = gridding_plan(y[keep], h_tilde, n_gamma, run[keep])
+    assert sub.matrix.shape == (2 * m, len(keep))
+    assert np.array_equal(sub.matrix.toarray(), dense[:, keep])
 
 
 def test_kernel_transform_rule_is_the_first_converged_halving():
@@ -101,8 +110,7 @@ def test_deconvolution_is_the_kernel_transform():
     # post = 1 / phi_hat(a k'); phi_hat against adaptive quadrature of
     # the kernel's defining integral at nine frequencies over |a k'| <= pi/2
     h_tilde, n_gamma, runs = vg_runs()
-    points = np.stack([pts for _, pts, _ in runs])
-    plan = gridding_plan(points, h_tilde, n_gamma, np.arange(points.size))
+    plan = gridding_plan(*stacked(runs)[:1], h_tilde, n_gamma)
     a = 2 * math.pi / (2 * n_gamma)
     kp = np.arange(0, n_gamma + 1) - n_gamma // 2
     for k in np.linspace(0, n_gamma, 9).astype(int):
@@ -171,12 +179,13 @@ def test_forward_flat_random_phase_weights_match_direct_sum():
 
 
 def test_forward_size_errors():
-    points = np.linspace(0.3, 4.8, 16)
-    with pytest.raises(ValueError, match="must equal 2"):
-        forward(np.ones(16), points, 0.2, 16)
+    # a run may hold any number of sources; the grid must be a power of two
     points = np.linspace(0.3, 4.8, 24)
-    with pytest.raises(ValueError, match="power of two"):
+    with pytest.raises(ValueError, match="M = 24 must be a power of two"):
         forward(np.ones(24), points, 0.2, 12)
+    for y, run in ((points, np.zeros(23, dtype=int)), (points[None], np.zeros((1, 24), int))):
+        with pytest.raises(ValueError, match="y and run must be 1-d of one length"):
+            gridding_plan(y, 0.2, 16, run)
 
 
 def test_phase_compensated_spectrum_is_m_periodic():
@@ -190,7 +199,7 @@ def test_phase_compensated_spectrum_is_m_periodic():
     a = 2 * math.pi / m
     c = h_tilde * points / a
     assert c.max() > 3 * m
-    plan = gridding_plan(points, h_tilde, n_gamma, np.arange(m))
+    plan = gridding_plan(points, h_tilde, n_gamma)
     spec = np.fft.fft(plan.matrix @ w)
     nodes = np.arange(math.floor(c.min()) - 8, math.ceil(c.max()) + 9)
     unfolded = oracles.es_kernel(nodes[:, None] - c) @ w
@@ -202,10 +211,10 @@ def test_phase_compensated_spectrum_is_m_periodic():
 
 def test_stacked_forward_matches_composition():
     h_tilde, n_gamma, runs = vg_runs()
-    points = np.stack([pts for _, pts, _ in runs])
+    y, run = stacked(runs)
     weights = np.concatenate([w for w, _, _ in runs])
-    shifted = weights * np.exp(-1j * source_shift(h_tilde, n_gamma) * points.ravel())
-    plan = gridding_plan(points, h_tilde, n_gamma, np.arange(weights.size))
+    shifted = weights * np.exp(-1j * source_shift(h_tilde, n_gamma) * y)
+    plan = gridding_plan(y, h_tilde, n_gamma, run)
     both = _forward_stacked(shifted, plan)
     for row, (w, pts, _) in enumerate(runs):
         ref = forward(w, pts, h_tilde, n_gamma)

@@ -15,7 +15,7 @@ from levyfourier.sinc_gauss import kernel_table
 from levyfourier.solver import (GridSpec, LevyModel, _spliced_transform,
                                 clear_exponent_cache, custom_model,
                                 exact_nig, exact_vg, g_gamma, make_grid, nig_model,
-                                solve, vg_model)
+                                params_echo, solve, vg_model)
 
 
 def euler_for(model, i):
@@ -349,12 +349,19 @@ def test_solve_timings_and_echo():
     assert clear["plan_cached"] and clear["step1_plan"] == 0.0 and clear["step1"] > 0.0
     echo = res.params_echo
     needed = {"model", "gamma", "n", "n_gamma", "m", "x_l", "x_u", "d", "h_tilde",
-              "h_hat", "zeta0_rule", "zeta0_low", "zeta0_high", "h_de_rule", "h_de",
-              "de_beta", "r_rule", "m_table_rule", "t", "kernel", "width", "beta",
-              "use_exact_exponent"}
+              "h_hat", "zeta0_rule", "zeta0_low", "zeta0_high", "m_low", "m_high",
+              "h_de_low", "h_de_high", "de_j_rule", "de_beta", "r_rule", "m_table_rule",
+              "t", "kernel", "width", "beta", "use_exact_exponent"}
     assert needed <= set(echo)
     assert echo["t"] == 1.5 and echo["kernel"] == "es" and echo["width"] == 15
     assert echo["beta"] == pytest.approx(2.30 * 15, rel=1e-15)
+    # each DE run's own node count and step: run B stops at 2048 nodes
+    for i, m_high in ((10, 1024), (14, 2048)):
+        echo = params_echo(model, setup_case(model, i)[0])
+        assert (echo["m_low"], echo["m_high"]) == (2**i, m_high)
+        assert echo["h_de_low"] == math.log(1000 * 2**i) / 2**i
+        assert echo["h_de_high"] == math.log(1000 * m_high) / m_high
+        assert echo["de_j_rule"] == "-5*m_run/8..3*m_run/8-1"
 
 
 def test_solve_validation():
@@ -438,7 +445,7 @@ def test_step1_plan_matches_per_run_composition(model):
         ref = np.empty(grid.n_gamma + 1, dtype=complex)
         for run, krange in splice_plan(grid.n_gamma, grid.h_tilde):
             nodes = node_plan((run,), shift)
-            gridding = gridding_plan(nodes.points, grid.h_tilde, grid.n_gamma, nodes.live)
+            gridding = gridding_plan(nodes.y, grid.h_tilde, grid.n_gamma, nodes.run)
             out = _forward_stacked(_sources_stacked(model.mu, nodes), gridding)[0]
             ref[krange.start:krange.stop] = out[krange.start:krange.stop]
         assert np.max(np.abs(cold - ref)) <= 1e-14 * np.max(np.abs(ref)), i
@@ -449,7 +456,7 @@ def per_run_transform(model, grid):
     per run, from the per-run plan of gridding_plan."""
     runs = [run for run, _ in splice_plan(grid.n_gamma, grid.h_tilde)]
     nodes = node_plan(runs, source_shift(grid.h_tilde, grid.n_gamma))
-    gridding = gridding_plan(nodes.points, grid.h_tilde, grid.n_gamma, nodes.live)
+    gridding = gridding_plan(nodes.y, grid.h_tilde, grid.n_gamma, nodes.run)
     return _forward_stacked(_sources_stacked(model.mu, nodes), gridding)
 
 
@@ -476,11 +483,11 @@ def test_step1_plan_matches_direct_sum_with_tied_nodes_at_m_2_14():
     grid, _ = setup_case(model, 14)
     got = per_run_transform(model, grid)
     plain = node_plan(run for run, _ in splice_plan(grid.n_gamma, grid.h_tilde))
-    assert np.any(np.diff(plain.points[1]) == 0)
+    assert np.any(np.diff(plain.points[plain.runs[0].m:]) == 0)
     weights = _sources_stacked(model.mu, plain)
     k = np.linspace(0, grid.n_gamma, 65).astype(int)
     for row in range(2):
-        mine = plain.live // grid.m == row
+        mine = plain.run == row
         direct = oracles.source_sum_direct(weights[mine], plain.y[mine], grid.h_tilde,
                                            grid.n_gamma, k)
         assert np.max(np.abs(got[row, k] - direct)) <= 1e-8, row
@@ -497,7 +504,7 @@ def step1_row_errors(model, i):
     k = np.linspace(0, grid.n_gamma, 129).astype(int)
     out = []
     for row in range(2):
-        mine = plain.live // grid.m == row
+        mine = plain.run == row
         direct = oracles.source_sum_direct(weights[mine], plain.y[mine], grid.h_tilde,
                                            grid.n_gamma, k)
         out.append((np.max(np.abs(got[row, k] - direct)), np.max(np.abs(direct)),
@@ -510,7 +517,7 @@ def step1_row_errors(model, i):
 def test_step1_rows_match_direct_sum_to_gridding_precision(model, i):
     # each run of the production plan against its direct source sum, relative
     # to the largest sum: width 15 gives at most 4.5e-14 here (run A at i = 7,
-    # whose positions reach 7.5 M, so most of its bands fold), and a kernel
+    # whose positions reach 5.5 M, so most of its bands fold), and a kernel
     # one or two nodes narrower misses (width 14: up to 3.9e-13, width 13: up
     # to 3.0e-12)
     for row, (err, peak, _) in enumerate(step1_row_errors(model, i)):
@@ -546,10 +553,30 @@ def test_singular_cgmy_density_matches_exact_exponent_inversion():
     assert np.max(np.abs(res.p - ref.p)[window]) <= 1e-6
 
 
+def test_cgmy_y_1_9_density_matches_exact_exponent_inversion():
+    # CGMY with C = 1.43, G = M = 1.02, Y = 1.9: mu = C y^-0.9 e^{-My} keeps
+    # mass near y = 0 that a DE run cut at j = -m/2 misses (1.7e-8 here);
+    # with every run's j range shifted left by m/8 it is 4e-13
+    c, tempering, big_y = 1.43, 1.02, 1.9
+
+    def exponent(omega):
+        w = np.asarray(omega, dtype=float)
+        return 2 * c * sp.gamma(-big_y) * ((tempering**2 + w * w) ** (big_y / 2)
+                                           * np.cos(big_y * np.arctan(w / tempering))
+                                           - tempering**big_y)
+    model = custom_model("cgmy-y1.9", 2,
+                         lambda y: c * y ** (1 - big_y) * np.exp(-tempering * y),
+                         exact_exponent=exponent)
+    grid, euler = setup_case(model, 12)
+    res = solve(model, grid, 1.0, euler)
+    ref = solve(model, grid, 1.0, euler, use_exact_exponent=True)
+    assert np.max(np.abs(res.p - ref.p)) <= 1e-11
+
+
 def test_solve_refuses_a_mu_whose_nu_is_not_a_levy_density():
-    # nu passed as mu: y^2 nu is then not integrable at 0.  At i = 14 the
-    # last two overflow at the smallest DE points (y ~ 6e-216), so the power
-    # is measured where mu is finite
+    # nu passed as mu: y^2 nu is then not integrable at 0.  The last four
+    # overflow at the smallest DE points (y ~ 2e-169 at i = 7, 1e-215 at
+    # i = 14), so the power is measured where mu is finite
     k1_nu, exp_y2 = (lambda y: sp.k1(y) / (np.pi * y)), (lambda y: np.exp(-y) / y**2)
     for gamma, mu, i in ((2, lambda y: np.exp(-y) / y, 7), (2, k1_nu, 7), (1, exp_y2, 7),
                          (2, k1_nu, 14), (1, exp_y2, 14)):
