@@ -14,7 +14,7 @@ from .de_ft import DeFtParams, node_plan, phi_parts, splice_plan
 from .euler_ft import EulerParams, inverse_ft, weight
 from .numkit import frft_even
 from .nufft import gridding_plan
-from .sinc_gauss import KernelTable, indefinite_integral, kernel_table
+from .sinc_gauss import indefinite_integral, kernel_table
 from .solver import (GridSpec, LevyModel, SolveResult, clear_exponent_cache,
                      custom_model, exact_nig, exact_vg, g_gamma, make_grid, nig_model,
                      solve, vg_model)
@@ -25,7 +25,7 @@ __all__ = [
     "frft_even",
     "DeFtParams", "node_plan", "phi_parts", "splice_plan",
     "gridding_plan",
-    "KernelTable", "indefinite_integral", "kernel_table",
+    "indefinite_integral", "kernel_table",
     "EulerParams", "inverse_ft", "weight",
     "GridSpec", "LevyModel", "SolveResult", "clear_exponent_cache",
     "custom_model", "exact_nig", "exact_vg", "g_gamma", "make_grid",

@@ -375,7 +375,7 @@ def _check_nufft():
     # the plain (unshifted) weights of the run covering each k, summed directly
     splice = splice_plan(grid.n_gamma, grid.h_tilde)
     plain = node_plan(run for run, _ in splice)
-    weights = _sources_stacked(model.mu, plain)
+    weights = _sources_stacked(model.mu, plain, model.gamma)
     worst = 0.0
     for row, (_, krange) in enumerate(splice):
         mine = plain.run == row
@@ -394,28 +394,14 @@ def _check_kernel_table():
         piece, _ = quad(lambda s: np.sinc(s) * math.exp(-s * s / (2 * r * r)),
                         k - 1, k)
         acc += piece
-        worst = max(worst, abs(float(table.g[k]) - acc))
+        worst = max(worst, abs(float(table[k]) - acc))
     return worst, 1e-9
 
 
-def _check_de_ft():
-    model = vg_model()
+def _check_transform(model, exact, tol):
     grid = make_grid(model, EulerParams(128, 2.0, 5.0, 1.0))
-    mhat = _spliced_transform(model, grid)
-    k = np.arange(grid.n_gamma + 1)
-    exact = 1.0 / (1.0 + 1j * k * grid.h_tilde)
-    return float(np.max(np.abs(mhat - exact))), 1e-6
-
-
-def _check_de_ft_singular():
-    # CGMY Y = 1.9: mu = y^-0.9 e^-y carries mass near y = 0 that a DE run
-    # cut too far right misses; its transform is Gamma(0.1) (1 + i zeta)^-0.1
-    model = custom_model("cgmy-y1.9", 2, lambda y: y ** -0.9 * np.exp(-y))
-    grid = make_grid(model, EulerParams(128, 2.0, 5.0, 1.0))
-    mhat = _spliced_transform(model, grid)
     zeta = np.arange(grid.n_gamma + 1) * grid.h_tilde
-    exact = math.gamma(0.1) * (1.0 + 1j * zeta) ** -0.1
-    return float(np.max(np.abs(mhat - exact))), 1e-11
+    return float(np.max(np.abs(_spliced_transform(model, grid) - exact(zeta)))), tol
 
 
 def _check_exponent(model, n, tol):
@@ -432,8 +418,13 @@ def cmd_selftest() -> int:
         ("euler-even-vs-direct-sum", _check_euler_even),
         ("nufft-vs-direct-sum", _check_nufft),
         ("kernel-table-vs-quadrature", _check_kernel_table),
-        ("de-ft-vs-closed-form", _check_de_ft),
-        ("de-ft-singular-vs-closed-form", _check_de_ft_singular),
+        ("de-ft-vs-closed-form",
+         lambda: _check_transform(vg_model(), lambda z: 1.0 / (1.0 + 1j * z), 1e-6)),
+        # CGMY Y = 1.9: mu = y^-0.9 e^-y carries mass near y = 0 that a DE run
+        # cut too far right misses; its transform is Gamma(0.1) (1 + i zeta)^-0.1
+        ("de-ft-singular-vs-closed-form",
+         lambda: _check_transform(custom_model("cgmy-y1.9", 2, lambda y: y ** -0.9 * np.exp(-y)),
+                                  lambda z: math.gamma(0.1) * (1.0 + 1j * z) ** -0.1, 1e-11)),
         ("exponent-vg-closed-form", lambda: _check_exponent(vg_model(), 256, 1e-6)),
         ("exponent-nig-closed-form", lambda: _check_exponent(nig_model(), 128, 1e-5)),
     ]

@@ -28,25 +28,26 @@ RUN_B_NODES = 2048
 
 @dataclass(frozen=True)
 class DeFtParams:
-    """One DE-transform run: zeta0, the step h and the node count m, a power
-    of two >= 8, at j = j_start..j_start+m-1 = -5m/8..3m/8-1.  With h, m
-    sets where the trapezoidal sum is truncated; nothing ties it to the FFT
-    length, since the gridding step needs only each point's lattice
-    position.  beta is DE_BETA, and alpha is derived from (zeta0, h) at
-    construction.
+    """One DE-transform run: zeta0 and the node count m, a power of two
+    >= 8, at j = j_start..j_start+m-1 = -5m/8..3m/8-1.  The step is
+    h = log(1000 m)/m, so m sets where the trapezoidal sum is truncated;
+    nothing ties it to the FFT length, since the gridding step needs only
+    each point's lattice position.  beta is DE_BETA, and h and alpha are
+    derived from (zeta0, m) at construction.
     """
 
     zeta0: float
-    h: float
     m: int
+    h: float = field(init=False, compare=False)
     alpha: float = field(init=False, compare=False)
 
     def __post_init__(self):
-        if not (self.zeta0 > 0 and self.h > 0):
-            raise ValueError("zeta0 and h must be positive")
+        if not self.zeta0 > 0:
+            raise ValueError("zeta0 must be positive")
         if self.m < 8 or self.m & (self.m - 1):
             raise ValueError(f"m = {self.m} must be a power of two >= 8")
-        zeta0, h = self.zeta0, self.h
+        zeta0, h = self.zeta0, math.log(1e3 * self.m) / self.m
+        object.__setattr__(self, "h", h)
         object.__setattr__(self, "alpha", DE_BETA / math.sqrt(
             1 + math.log(1 + math.pi / (zeta0 * h)) / (4 * zeta0 * h)))
 
@@ -64,9 +65,9 @@ class DeFtParams:
         return -(5 * self.m // 8)
 
 
-def phi_parts(t, alpha: float, beta: float):
+def phi_parts(t, alpha: float):
     """phi(t) = t / (1 - exp(-2t - alpha(1-e^{-t}) - beta(e^t-1))) together
-    with phihat(t) = phi(t) - t and the derivative phi'(t).
+    with phihat(t) = phi(t) - t and the derivative phi'(t), beta = DE_BETA.
 
     Evaluated branch-wise so that both tails stay exact down to underflow:
     with E(t) the exponent above, phi -> t and phihat -> 0 double-exponentially
@@ -74,6 +75,7 @@ def phi_parts(t, alpha: float, beta: float):
     Returns (phi, phihat, dphi) as arrays of the shape of t.
     """
     t = np.atleast_1d(np.asarray(t, dtype=float))
+    beta = DE_BETA
     with np.errstate(over="ignore", invalid="ignore", divide="ignore"):
         E = 2 * t + alpha * (-np.expm1(-t)) + beta * np.expm1(t)
         Ep = 2 + alpha * np.exp(-t) + beta * np.exp(t)
@@ -123,34 +125,26 @@ class NodePlan:
     """The mu-free part of the DE sources of one or more runs, built once
     per grid.
 
-    runs holds each run's DeFtParams, and points every DE point y_j of every
-    run, flat: the m points of runs[0] at j = j_start..j_start+m-1, then
-    those of runs[1], and so on.  A node whose weight vanishes for every mu
-    (phi' or sin((pi/2h) phihat) has underflowed to 0, as at the truncation
-    ends of large grids) is
-    dropped: live lists the indices into points of the other nodes, run the
-    run of each, y their points and factor their mu-free weights
+    A node whose weight vanishes for every mu (phi' or sin((pi/2h) phihat)
+    has underflowed to 0, as at the truncation ends of large grids) is
+    dropped.  Each live source i keeps its point y_i, its j within its run,
+    its run (the index into the runs given to node_plan) and its mu-free
+    weight
 
       factor_j = -(2 pi i / zeta0) sin((pi/2h) phihat(jh)) phi'(jh)
                  * exp((i pi/2h) phihat(jh)) * exp(-i shift y_j),
 
-    with each run's own zeta0, h and alpha, so the weights of a density mu
-    are mu(y_j) * factor_j.  low holds the indices into y of the two
-    smallest live points, in increasing order.
+    with its run's zeta0, h and alpha, so the weights of a density mu are
+    mu(y_j) * factor_j.  The sources of each run follow those of the run
+    before, in increasing j.  low holds the indices into y of the two
+    smallest points, in increasing order.
     """
 
-    runs: tuple
-    points: np.ndarray
-    live: np.ndarray
-    run: np.ndarray
     y: np.ndarray
+    j: np.ndarray
+    run: np.ndarray
     factor: np.ndarray
     low: np.ndarray
-
-    def j(self, i: int) -> int:
-        """The j of live source i within its run."""
-        r = int(self.run[i])
-        return int(self.live[i]) - sum(run.m for run in self.runs[:r]) + self.runs[r].j_start
 
 
 def node_plan(runs, shift: float = 0.0) -> NodePlan:
@@ -169,8 +163,8 @@ def node_plan(runs, shift: float = 0.0) -> NodePlan:
         return np.repeat(np.array(values), counts)
 
     h = per_node([r.h for r in runs])
-    t = np.concatenate([np.arange(r.j_start, r.j_start + r.m) for r in runs]) * h
-    ph, phat, dph = phi_parts(t, per_node([r.alpha for r in runs]), DE_BETA)
+    j = np.concatenate([np.arange(r.j_start, r.j_start + r.m, dtype=np.int32) for r in runs])
+    ph, phat, dph = phi_parts(j * h, per_node([r.alpha for r in runs]))
     points = per_node([r.point_scale for r in runs]) * ph
     s = (np.pi / (2 * h)) * phat
     factor = ((-2j * np.pi / per_node([r.zeta0 for r in runs])) * np.sin(s) * dph
@@ -178,30 +172,30 @@ def node_plan(runs, shift: float = 0.0) -> NodePlan:
     live = np.flatnonzero(factor)
     y = points[live]
     low = np.argpartition(y, 1)[:2]
-    arrays = (points, live, per_node(np.arange(len(runs), dtype=np.int32))[live], y,
+    arrays = (y, j[live], per_node(np.arange(len(runs), dtype=np.int32))[live],
               factor[live], low[np.argsort(y[low])])
     for arr in arrays:
         arr.flags.writeable = False
-    return NodePlan(runs, *arrays)
+    return NodePlan(*arrays)
 
 
-def _sources_stacked(mu, plan: NodePlan, gamma=None) -> np.ndarray:
+def _sources_stacked(mu, plan: NodePlan, gamma: int) -> np.ndarray:
     """Weights mu(y_j) * factor_j at the plan's live nodes, from one call of mu.
 
     Raises on a result whose shape is not that of y, naming both shapes, and
     on complex or non-finite mu values, naming the first offending j and y_j.
-    Given the model order gamma, it also raises when mu grows like y^s at 0,
-    measured at the two smallest live points, with s <= gamma - 3: then
-    nu = mu/y^gamma is not a Levy density, since y^2 nu is not integrable.
+    It also raises when mu grows like y^s at 0, measured at the two smallest
+    live points, with s <= gamma - 3: then nu = mu/y^gamma is not a Levy
+    density, since y^2 nu is not integrable.
     A mu that is not finite everywhere is measured at the two smallest points
     where it is finite and positive, so one that overflows there is named too.
     """
     def node(i):
-        return f"j={plan.j(i)}, y={float(plan.y[i])}"
+        return f"j={int(plan.j[i])}, y={float(plan.y[i])}"
 
     def check_power(low):
         (mu_1, mu_2), (y_1, y_2) = mu_vals[low], plan.y[low]
-        if gamma is not None and mu_1 > 0 and mu_2 > 0 and y_2 > y_1:
+        if mu_1 > 0 and mu_2 > 0 and y_2 > y_1:
             s = (math.log(mu_2) - math.log(mu_1)) / math.log(y_2 / y_1)
             if s <= gamma - 3 + 1e-9:
                 raise ValueError(f"mu grows like y^{s:.4g} at 0: nu = mu/y^gamma is not a "
@@ -232,7 +226,7 @@ def splice_plan(n_gamma: int, h_tilde: float):
     Run A uses zeta0 = N_gamma*h_tilde/15 and covers k = 0..floor(N_gamma/8)
     with m = M = 2*N_gamma nodes; run B uses zeta0 = N_gamma*h_tilde/1.8 and
     covers the rest up to N_gamma with m = min(M, RUN_B_NODES) nodes.  Each
-    run has h = log(1e3*m)/m for its own m, and j = -5m/8..3m/8-1.
+    run has h = log(1000 m)/m for its own m, and j = -5m/8..3m/8-1.
     Returns ((params_a, range_a), (params_b, range_b)).
     """
     if n_gamma < 8:
@@ -240,6 +234,6 @@ def splice_plan(n_gamma: int, h_tilde: float):
     m_a = 2 * n_gamma
     m_b = min(m_a, RUN_B_NODES)
     split = n_gamma // 8
-    run_a = DeFtParams(n_gamma * h_tilde / 15.0, math.log(1e3 * m_a) / m_a, m_a)
-    run_b = DeFtParams(n_gamma * h_tilde / 1.8, math.log(1e3 * m_b) / m_b, m_b)
+    run_a = DeFtParams(n_gamma * h_tilde / 15.0, m_a)
+    run_b = DeFtParams(n_gamma * h_tilde / 1.8, m_b)
     return (run_a, range(0, split + 1)), (run_b, range(split + 1, n_gamma + 1))

@@ -112,11 +112,11 @@ class GriddingPlan:
 
 
 def gridding_plan(y: np.ndarray, h_tilde: float, n_gamma: int,
-                  run: np.ndarray | None = None) -> GriddingPlan:
+                  run: np.ndarray) -> GriddingPlan:
     """Gridding plan for the sources at the points y on a grid of
     M = 2 n_gamma nodes per run.
 
-    run gives the run of each source, 0 for all when omitted; there is one
+    run gives the run of each source, numbered from 0; there is one
     row block of M grid nodes per run up to the largest, and a run may hold
     any number of sources.  A source at y sits at c = h_tilde*y/a on the
     lattice a = 2pi/M and spreads onto the 15 nodes nearest c,
@@ -126,7 +126,7 @@ def gridding_plan(y: np.ndarray, h_tilde: float, n_gamma: int,
     l mod M of its run, since e^{-i a k' l} has period M in l for integer k'.
     """
     y = np.asarray(y, dtype=float)
-    run = np.zeros(len(y), dtype=np.int32) if run is None else np.asarray(run)
+    run = np.asarray(run)
     if y.ndim != 1 or run.shape != y.shape:
         raise ValueError(f"y and run must be 1-d of one length, got shapes "
                          f"{y.shape} and {run.shape}")

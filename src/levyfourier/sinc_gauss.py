@@ -13,27 +13,15 @@ one real FFT pair against the kernel's half spectrum, tabulated once per N'.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
 from functools import lru_cache
 
 import numpy as np
 from scipy.special import erf
 
 
-@dataclass(frozen=True, eq=False)
-class KernelTable:
-    """G_r(k) for k = 0..N'; negative arguments go through the odd extension
-    G_r(-k) = -G_r(k).  circulant_spectrum is the half spectrum (rfft, 2N'+1
-    bins) of G_r(k), k = -N'+1..N', zero-extended onto the 4N' circle of
-    indefinite_integral."""
-
-    g: np.ndarray
-    r: float
-    circulant_spectrum: np.ndarray
-
-
-def kernel_table(r: float, n_prime: int) -> KernelTable:
-    """Tabulate G_r(k), k = 0..n_prime, from the kernel's Fourier transform.
+def kernel_table(r: float, n_prime: int) -> np.ndarray:
+    """G_r(k), k = 0..n_prime, read-only, from the kernel's Fourier transform;
+    negative arguments go through the odd extension G_r(-k) = -G_r(k).
 
     F_SG(w) = (1/2)[erf(r(w+pi)/sqrt(2)) - erf(r(w-pi)/sqrt(2))] is the
     transform of sinc*Gauss; the midpoint rule with step h' = 2pi/m_table on
@@ -46,8 +34,6 @@ def kernel_table(r: float, n_prime: int) -> KernelTable:
     DFT of the real even sequence c, read at its odd bins: one inverse real
     FFT gives all k at once, prefix-summed from G_r(0) = 0 in extended
     precision.  m_table = max(4*n_prime, 2^10), which must be a power of two.
-    The table comes with its half spectrum on the 4N' circle, which every
-    Step-2 pass reads.
     """
     m_table = max(4 * n_prime, 1024)
     if n_prime < 1 or m_table & (m_table - 1):
@@ -58,20 +44,26 @@ def kernel_table(r: float, n_prime: int) -> KernelTable:
     c = f_sg * np.sinc(w / (2 * np.pi))
     # the sum is 2M irfft(c) at bin 2k+1, and h'/2pi = 1/M
     diffs = 2 * np.fft.irfft(c, 2 * m_table)[1:2 * n_prime:2]
-    # G_r(k) at k = -N'+1..N' on the 4N' circle; a float64 prefix sum of N'
-    # terms near 1/2 drifts by several ulps
-    ker = np.zeros(4 * n_prime)
-    ker[1:n_prime + 1] = np.cumsum(diffs, dtype=np.longdouble)
-    ker[3 * n_prime + 1:] = -ker[n_prime - 1:0:-1]
-    g = ker[:n_prime + 1].copy()
-    spectrum = np.fft.rfft(ker)
-    g.flags.writeable = spectrum.flags.writeable = False
-    return KernelTable(g, r, spectrum)
+    # a float64 prefix sum of N' terms near 1/2 drifts by several ulps
+    g = np.zeros(n_prime + 1)
+    g[1:] = np.cumsum(diffs, dtype=np.longdouble)
+    g.flags.writeable = False
+    return g
 
 
 @lru_cache(maxsize=32)
-def _table_cached(n_prime: int) -> KernelTable:
-    return kernel_table(math.sqrt(n_prime / math.pi), n_prime)
+def _table_cached(n_prime: int):
+    """(G_r(N'), the half spectrum of G_r), r = sqrt(N'/pi): what every
+    Step-2 pass on N' reads.  The spectrum is the rfft (2N'+1 bins) of
+    G_r(k), k = -N'+1..N', zero-extended onto the 4N' circle of
+    indefinite_integral."""
+    g = kernel_table(math.sqrt(n_prime / math.pi), n_prime)
+    ker = np.zeros(4 * n_prime)
+    ker[:n_prime + 1] = g
+    ker[3 * n_prime + 1:] = -g[n_prime - 1:0:-1]
+    spectrum = np.fft.rfft(ker)
+    spectrum.flags.writeable = False
+    return g[n_prime], spectrum
 
 
 def indefinite_integral(half, h: float, odd: bool = False) -> np.ndarray:
@@ -101,7 +93,7 @@ def indefinite_integral(half, h: float, odd: bool = False) -> np.ndarray:
     if not (math.isfinite(h) and h > 0):
         raise ValueError(f"h must be finite and positive, got {h}")
     n = len(half) // 2
-    table = _table_cached(n)
+    g_n, kernel_spectrum = _table_cached(n)
 
     # l = 0..2N'-1 at the start of the circle, l = -N'..-1 at its end
     u = np.zeros(4 * n)
@@ -109,10 +101,10 @@ def indefinite_integral(half, h: float, odd: bool = False) -> np.ndarray:
     u[3 * n:] = -half[n:0:-1] if odd else half[n:0:-1]
     tail = np.cumsum(u[n:2 * n] + u[3 * n:])
     spectrum = np.fft.rfft(u)
-    spectrum *= table.circulant_spectrum
+    spectrum *= kernel_spectrum
     conv = np.fft.irfft(spectrum, 4 * n, out=u)
 
     out = conv[:n + 1] - conv[0]
-    out[1:] += table.g[n] * tail
+    out[1:] += g_n * tail
     out *= h
     return out

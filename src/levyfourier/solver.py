@@ -17,10 +17,8 @@ from .euler_ft import EulerParams, inverse_ft
 from .nufft import BETA, WIDTH, _forward_stacked, gridding_plan, source_shift
 from .sinc_gauss import indefinite_integral
 
-# Step-1 plans kept at once; one M = 2^14 plan holds about 4.1 MB
+# Step-1 plans kept at once; one M = 2^14 plan holds about 3.9 MB
 PLAN_CACHE_SIZE = 4
-# the Step-1 gridding kernel (see nufft), echoed with every solve
-KERNEL_ECHO = {"kernel": "es", "width": WIDTH, "beta": BETA}
 
 
 def _check_gamma(gamma):
@@ -357,18 +355,19 @@ def _exact_exponent(model: LevyModel, grid: GridSpec) -> np.ndarray:
 
 def params_echo(model: LevyModel, grid: GridSpec, **extra) -> dict:
     """Every tunable that affects the numbers, resolved."""
-    return {**_echo_base(model, grid), **extra}
+    return {**_echo_base(model.name, model.gamma, grid), **extra}
 
 
 @lru_cache(maxsize=64)
-def _echo_base(model: LevyModel, grid: GridSpec) -> dict:
-    """The part of params_echo fixed by (model, grid); kept, never handed
-    out, so no caller can change it."""
+def _echo_base(name: str, gamma: int, grid: GridSpec) -> dict:
+    """The part of params_echo fixed by the model's name and order and the
+    grid, so models built anew with one name and order share it; kept,
+    never handed out, so no caller can change it."""
     euler = grid.euler
     (run_a, range_a), (run_b, _) = splice_plan(grid.n_gamma, grid.h_tilde)
     return {
-        "model": model.name,
-        "gamma": model.gamma,
+        "model": name,
+        "gamma": gamma,
         "n": grid.n,
         "n_gamma": grid.n_gamma,
         "m": grid.m,
@@ -393,5 +392,7 @@ def _echo_base(model: LevyModel, grid: GridSpec) -> dict:
         "de_alpha_high": run_b.alpha,
         "r_rule": "sqrt(n_prime/pi)",
         "m_table_rule": "max(4*n_prime, 1024)",
-        **KERNEL_ECHO,
+        "kernel": "es",
+        "width": WIDTH,
+        "beta": BETA,
     }

@@ -61,18 +61,18 @@ def es_kernel(d, w=15, beta=2.30 * 15):
     return np.where(inside, np.exp(beta * (np.sqrt(1 - u**2) - 1)), 0.0)
 
 
-def periodic_band(points, h_tilde):
-    """Dense (M, M) gridding matrix of one run of M sources, node by node.
+def periodic_band(points, h_tilde, m):
+    """Dense (M, S) gridding matrix of one run of S sources on M nodes,
+    node by node.
 
     Source j sits at c_j = h~ y_j / a on the lattice a = 2 pi / M; entry
     (l, j), l = 0..M-1, is the kernel at the distance from c_j to the image
     L = l + n M of node l nearest c_j, computed as L - c_j.
     """
     points = np.asarray(points, dtype=float)
-    m = len(points)
     c = h_tilde * points / (2 * math.pi / m)
     nodes = np.arange(m)
-    out = np.zeros((m, m))
+    out = np.zeros((m, len(points)))
     for j, cj in enumerate(c):
         image = nodes + m * np.round((cj - nodes) / m)
         out[:, j] = es_kernel(image - cj)

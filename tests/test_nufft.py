@@ -15,16 +15,19 @@ from levyfourier.nufft import (BETA, ES_STEP, HALF_WIDTH, SUBNORMAL_WEIGHT, WIDT
 def vg_runs(n=128):
     """Both splice runs of the e^{-y} model on the [2, 5] window geometry:
     (h_tilde, n_gamma, [(weights, points, k-range), ...]) with the plain DE
-    weights, zero at nodes that carry no weight."""
+    weights at the nodes that carry weight."""
     euler = EulerParams.from_theorem(n, 2.0, 5.0, 1.0)
     n_gamma = 2 * n
     out = []
     for run, rng in splice_plan(n_gamma, euler.h_tilde):
         plan = node_plan((run,))
-        weights = np.zeros(run.m, dtype=complex)
-        weights[plan.live] = _sources_stacked(lambda y: np.exp(-y), plan)
-        out.append((weights, plan.points, rng))
+        out.append((_sources_stacked(lambda y: np.exp(-y), plan, 1), plan.y, rng))
     return euler.h_tilde, n_gamma, out
+
+
+def one_run(points):
+    """The run of each point when all belong to one run."""
+    return np.zeros(len(points), dtype=np.int32)
 
 
 def stacked(runs):
@@ -35,7 +38,7 @@ def stacked(runs):
 
 def forward(weights, points, h_tilde, n_gamma):
     """sum_j w_j e^{-i k h~ y_j}, k = 0..n_gamma, of one run by the plan path."""
-    plan = gridding_plan(points, h_tilde, n_gamma)
+    plan = gridding_plan(points, h_tilde, n_gamma, one_run(points))
     shift = np.exp(-1j * source_shift(h_tilde, n_gamma) * points)
     return _forward_stacked(weights * shift, plan)[0]
 
@@ -49,10 +52,10 @@ def test_params_rules():
     assert BETA == pytest.approx(2.30 * 15, rel=1e-15)
     points = np.concatenate((np.zeros(3), np.linspace(0.5, 7.0, 13)))
     for h_tilde in (0.1, 0.5, 9.0):        # c up to 1.8, 8.9 and 160 = 10 M
-        plan = gridding_plan(points, h_tilde, 8)
+        plan = gridding_plan(points, h_tilde, 8, one_run(points))
         assert plan.matrix.indices.dtype == np.int32
         assert np.array_equal(plan.matrix.indptr, 15 * np.arange(17))
-        assert np.array_equal(plan.matrix.toarray(), oracles.periodic_band(points, h_tilde))
+        assert np.array_equal(plan.matrix.toarray(), oracles.periodic_band(points, h_tilde, 16))
 
 
 def test_gridding_plan_rows_are_the_window_pairs():
@@ -64,20 +67,19 @@ def test_gridding_plan_rows_are_the_window_pairs():
     assert splice_plan(n_gamma, h_tilde)[1][0].zeta0 == pytest.approx(41.684, abs=2e-3)
     y, run = stacked(runs)
     m = 2 * n_gamma
-    assert len(y) == 2 * m
     plan = gridding_plan(y, h_tilde, n_gamma, run)
-    assert plan.matrix.shape == (2 * m, 2 * m)
-    assert plan.matrix.nnz == 15 * 2 * m
+    assert plan.matrix.shape == (2 * m, len(y))
+    assert plan.matrix.nnz == 15 * len(y)
     assert np.all(plan.matrix.data > 0)
-    assert h_tilde * y[:m].max() * m / (2 * math.pi) > 5 * m
+    assert h_tilde * y[run == 0].max() * m / (2 * math.pi) > 5 * m
     dense = plan.matrix.toarray()
     for r, (_, pts, _) in enumerate(runs):
-        rows = slice(r * m, (r + 1) * m)
-        assert np.array_equal(dense[rows, rows], oracles.periodic_band(pts, h_tilde))
-        assert not np.any(np.delete(dense[rows], np.arange(r * m, (r + 1) * m), axis=1))
+        block = dense[r * m:(r + 1) * m]
+        assert np.array_equal(block[:, run == r], oracles.periodic_band(pts, h_tilde, m))
+        assert not np.any(block[:, run != r])
     # a subset of the sources, of different sizes per run (a third of run 0,
     # all of run 1), keeps the other columns' entries unchanged
-    keep = np.flatnonzero((run == 1) | (np.arange(2 * m) % 3 == 0))
+    keep = np.flatnonzero((run == 1) | (np.arange(len(y)) % 3 == 0))
     sub = gridding_plan(y[keep], h_tilde, n_gamma, run[keep])
     assert sub.matrix.shape == (2 * m, len(keep))
     assert np.array_equal(sub.matrix.toarray(), dense[:, keep])
@@ -110,7 +112,8 @@ def test_deconvolution_is_the_kernel_transform():
     # post = 1 / phi_hat(a k'); phi_hat against adaptive quadrature of
     # the kernel's defining integral at nine frequencies over |a k'| <= pi/2
     h_tilde, n_gamma, runs = vg_runs()
-    plan = gridding_plan(*stacked(runs)[:1], h_tilde, n_gamma)
+    y, run = stacked(runs)
+    plan = gridding_plan(y, h_tilde, n_gamma, run)
     a = 2 * math.pi / (2 * n_gamma)
     kp = np.arange(0, n_gamma + 1) - n_gamma // 2
     for k in np.linspace(0, n_gamma, 9).astype(int):
@@ -199,7 +202,7 @@ def test_phase_compensated_spectrum_is_m_periodic():
     a = 2 * math.pi / m
     c = h_tilde * points / a
     assert c.max() > 3 * m
-    plan = gridding_plan(points, h_tilde, n_gamma)
+    plan = gridding_plan(points, h_tilde, n_gamma, one_run(points))
     spec = np.fft.fft(plan.matrix @ w)
     nodes = np.arange(math.floor(c.min()) - 8, math.ceil(c.max()) + 9)
     unfolded = oracles.es_kernel(nodes[:, None] - c) @ w

@@ -7,7 +7,7 @@ import pytest
 from scipy.special import sici
 
 import oracles
-from levyfourier.sinc_gauss import indefinite_integral, kernel_table
+from levyfourier.sinc_gauss import _table_cached, indefinite_integral, kernel_table
 
 
 def h_rule(n_prime):
@@ -17,20 +17,20 @@ def h_rule(n_prime):
 
 def test_kernel_table_zero_and_odd_extension():
     tab = kernel_table(math.sqrt(32 / math.pi), 32)
-    assert tab.g[0] == 0.0
-    assert len(tab.g) == 33
+    assert tab[0] == 0.0
+    assert len(tab) == 33
     k = np.array([-5, -1, 0, 1, 5])
-    signed = np.sign(k) * tab.g[np.abs(k)]
+    signed = np.sign(k) * tab[np.abs(k)]
     assert signed[2] == 0.0
     assert np.array_equal(signed[:2], -signed[:2:-1])
     with pytest.raises(ValueError):
-        tab.g[0] = 1.0
+        tab[0] = 1.0
 
 
 def test_kernel_table_bounded():
     for n_prime in (32, 128, 1024):
         tab = kernel_table(math.sqrt(n_prime / math.pi), n_prime)
-        assert np.max(np.abs(tab.g)) <= 0.6
+        assert np.max(np.abs(tab)) <= 0.6
 
 
 def test_kernel_table_matches_quadrature():
@@ -38,7 +38,7 @@ def test_kernel_table_matches_quadrature():
         r = math.sqrt(n_prime / math.pi)
         tab = kernel_table(r, n_prime)
         ref = oracles.kernel_quad(r, n_prime)
-        assert np.max(np.abs(tab.g - ref)) <= 1e-9
+        assert np.max(np.abs(tab - ref)) <= 1e-9
 
 
 def test_kernel_table_matches_its_midpoint_sum():
@@ -47,7 +47,7 @@ def test_kernel_table_matches_its_midpoint_sum():
         r = math.sqrt(n_prime / math.pi)
         tab = kernel_table(r, n_prime)
         ref = oracles.kernel_midpoint_direct(r, n_prime, max(4 * n_prime, 1024))
-        assert np.max(np.abs(tab.g - ref)) <= 1e-15, n_prime
+        assert np.max(np.abs(tab - ref)) <= 1e-15, n_prime
 
 
 def test_kernel_table_huge_r_gives_sine_integral():
@@ -56,7 +56,7 @@ def test_kernel_table_huge_r_gives_sine_integral():
     # refinement ratio is ~16 per 4x and 2^16 points reach 1e-9.  The table
     # has 4 N' points, so N' = m/4 sets the mesh.
     ref = sici(math.pi)[0] / math.pi
-    err = {m: abs(float(kernel_table(1e6, m // 4).g[1]) - ref)
+    err = {m: abs(float(kernel_table(1e6, m // 4)[1]) - ref)
            for m in (4096, 16384, 65536)}
     assert err[65536] <= 1e-9
     assert err[4096] >= 8 * err[16384]
@@ -65,13 +65,15 @@ def test_kernel_table_huge_r_gives_sine_integral():
 def test_kernel_table_keeps_its_circulant_spectrum():
     n_prime = 64
     table = kernel_table(math.sqrt(n_prime / math.pi), n_prime)
-    spectrum = table.circulant_spectrum
-    assert spectrum is table.circulant_spectrum
+    g_n, spectrum = _table_cached(n_prime)
+    assert _table_cached(n_prime)[1] is spectrum and g_n == table[n_prime]
     # the half spectrum of the real kernel, zero-extended onto the 4N' circle
     ker = np.zeros(4 * n_prime)
     k = np.arange(-n_prime + 1, n_prime + 1)
-    ker[k % (4 * n_prime)] = np.sign(k) * table.g[np.abs(k)]
+    ker[k % (4 * n_prime)] = np.sign(k) * table[np.abs(k)]
     assert np.array_equal(spectrum, np.fft.rfft(ker))
+    with pytest.raises(ValueError):
+        spectrum[0] = 1.0
 
 
 def test_kernel_table_size_errors():
@@ -80,7 +82,7 @@ def test_kernel_table_size_errors():
     for n_prime in (600, 0, -4):
         with pytest.raises(ValueError, match=f"n_prime = {n_prime}"):
             kernel_table(3.0, n_prime)
-    assert len(kernel_table(3.0, 200).g) == 201
+    assert len(kernel_table(3.0, 200)) == 201
 
 
 def test_sg_interpolate_reproduces_nodes():
@@ -118,7 +120,7 @@ def arctan_setup(n_prime):
 
 
 def table_g(n_prime):
-    return kernel_table(math.sqrt(n_prime / math.pi), n_prime).g
+    return kernel_table(math.sqrt(n_prime / math.pi), n_prime)
 
 
 def random_half(rng, n_prime, odd):

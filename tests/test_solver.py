@@ -12,7 +12,7 @@ from levyfourier.euler_ft import EulerParams
 from levyfourier.numkit import frft_even
 from levyfourier.nufft import _forward_stacked, gridding_plan, source_shift
 from levyfourier.sinc_gauss import kernel_table
-from levyfourier.solver import (GridSpec, LevyModel, _spliced_transform,
+from levyfourier.solver import (GridSpec, LevyModel, _echo_base, _spliced_transform,
                                 clear_exponent_cache, custom_model,
                                 exact_nig, exact_vg, g_gamma, make_grid, nig_model,
                                 params_echo, solve, vg_model)
@@ -155,7 +155,7 @@ def test_g_gamma_real_parts_match_the_complex_integrals(model):
 
     def integral(f, n_prime):
         return oracles.indefinite_direct(
-            f, kernel_table(math.sqrt(n_prime / math.pi), n_prime).g, h)
+            f, kernel_table(math.sqrt(n_prime / math.pi), n_prime), h)
     mhat = _spliced_transform(model, grid)
     if model.gamma == 1:
         ref = 2 * integral(oracles.window(mhat, n), n).imag
@@ -364,6 +364,21 @@ def test_solve_timings_and_echo():
         assert echo["de_j_rule"] == "-5*m_run/8..3*m_run/8-1"
 
 
+def test_models_of_one_name_and_order_share_their_echo():
+    # the echo reads only the model's name and order, so a model built anew
+    # for each request, each with its own mu, finds the entry of the first
+    grid, _ = setup_case(vg_model(), 9)
+    first, second = (custom_model("scaled", 1, lambda y, s=s: np.exp(-s * y))
+                     for s in (1.0, 2.0))
+    _echo_base.cache_clear()
+    echo = params_echo(first, grid)
+    assert params_echo(second, grid) == echo
+    info = _echo_base.cache_info()
+    assert (info.hits, info.currsize) == (1, 1)
+    assert params_echo(custom_model("other", 1, first.mu), grid)["model"] == "other"
+    assert _echo_base.cache_info().currsize == 2
+
+
 def test_solve_validation():
     model = vg_model()
     grid, euler = setup_case(model, 10)
@@ -446,7 +461,7 @@ def test_step1_plan_matches_per_run_composition(model):
         for run, krange in splice_plan(grid.n_gamma, grid.h_tilde):
             nodes = node_plan((run,), shift)
             gridding = gridding_plan(nodes.y, grid.h_tilde, grid.n_gamma, nodes.run)
-            out = _forward_stacked(_sources_stacked(model.mu, nodes), gridding)[0]
+            out = _forward_stacked(_sources_stacked(model.mu, nodes, model.gamma), gridding)[0]
             ref[krange.start:krange.stop] = out[krange.start:krange.stop]
         assert np.max(np.abs(cold - ref)) <= 1e-14 * np.max(np.abs(ref)), i
 
@@ -457,7 +472,7 @@ def per_run_transform(model, grid):
     runs = [run for run, _ in splice_plan(grid.n_gamma, grid.h_tilde)]
     nodes = node_plan(runs, source_shift(grid.h_tilde, grid.n_gamma))
     gridding = gridding_plan(nodes.y, grid.h_tilde, grid.n_gamma, nodes.run)
-    return _forward_stacked(_sources_stacked(model.mu, nodes), gridding)
+    return _forward_stacked(_sources_stacked(model.mu, nodes, model.gamma), gridding)
 
 
 @pytest.mark.parametrize("model", [vg_model(), nig_model()], ids=["vg", "nig"])
@@ -482,9 +497,10 @@ def test_step1_plan_matches_direct_sum_with_tied_nodes_at_m_2_14():
     model = vg_model()
     grid, _ = setup_case(model, 14)
     got = per_run_transform(model, grid)
-    plain = node_plan(run for run, _ in splice_plan(grid.n_gamma, grid.h_tilde))
-    assert np.any(np.diff(plain.points[plain.runs[0].m:]) == 0)
-    weights = _sources_stacked(model.mu, plain)
+    (run_a, _), (run_b, _) = splice_plan(grid.n_gamma, grid.h_tilde)
+    plain = node_plan((run_a, run_b))
+    assert np.count_nonzero(plain.run == 1) < run_b.m and np.all(plain.y > 0)
+    weights = _sources_stacked(model.mu, plain, model.gamma)
     k = np.linspace(0, grid.n_gamma, 65).astype(int)
     for row in range(2):
         mine = plain.run == row
@@ -500,7 +516,7 @@ def step1_row_errors(model, i):
     grid, _ = setup_case(model, i)
     got = per_run_transform(model, grid)
     plain = node_plan(run for run, _ in splice_plan(grid.n_gamma, grid.h_tilde))
-    weights = _sources_stacked(model.mu, plain)
+    weights = _sources_stacked(model.mu, plain, model.gamma)
     k = np.linspace(0, grid.n_gamma, 129).astype(int)
     out = []
     for row in range(2):
