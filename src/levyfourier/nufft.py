@@ -31,7 +31,8 @@ is within 1.8e-15 relative of a 40-digit quadrature of the kernel.
 
 Everything except the weights depends only on the grid: gridding_plan builds
 the kernel bands of all runs as one sparse matrix, with the deconvolution,
-and _forward_stacked applies it to one set of weights."""
+and _forward_stacked applies the columns of it that carry weight to one set
+of weights."""
 from __future__ import annotations
 
 import math
@@ -39,6 +40,7 @@ from dataclasses import dataclass
 
 import numpy as np
 from scipy import sparse
+from scipy.sparse._sparsetools import csc_matvec
 
 # ES kernel width w in grid nodes, and its shape beta = 2.30 w, chosen for
 # an upsampling factor of 2
@@ -157,23 +159,36 @@ def gridding_plan(y: np.ndarray, h_tilde: float, n_gamma: int,
     return GriddingPlan(matrix, post, gather)
 
 
-def _forward_stacked(weights: np.ndarray, plan: GriddingPlan) -> np.ndarray:
+def _forward_stacked(weights: np.ndarray, spans, plan: GriddingPlan) -> np.ndarray:
     """Source sums sum_j w_j e^{-i k h~ y_j}, k = 0..n_gamma, over the sources
-    of each run of the plan; weights are one per plan column, already
-    multiplied by e^{-i zeta_s y_j} (source_shift).  Returns the shape of
-    plan.gather.
+    of each run of the plan.  spans are the (start, stop) column ranges of
+    the sources whose weights, already multiplied by e^{-i zeta_s y_j}
+    (source_shift), follow one another in weights; every other source
+    counts as weight 0.  Returns the shape of plan.gather.
 
-    One real sparse product per part of the weights grids all runs and one
-    batched length-M FFT transforms the grids, M = 2 n_gamma.  The grid of
-    a run folds every node l onto position l mod M, and e^{-i(2pi/M)k'l}
-    has period M in l since k' is an integer, so bin (k' mod M) is exactly
-    the sum over the unfolded nodes.  Parts below SUBNORMAL_WEIGHT are set
-    to 0: each would add less than 1e-290 to any output.
+    Each span is one real product per part of the weights with the plan's
+    CSC arrays over its columns, by the CSC kernel that csc_array's own
+    product calls, so no matrix is built per call: building a csc_array from
+    the slices cost 0.16 ms at M = 2^14 and a column slice of the plan's
+    0.54 ms.  One batched length-M FFT transforms the grids, M = 2 n_gamma.
+    The grid of a run folds every node l onto position l mod M, and
+    e^{-i(2pi/M)k'l} has period M in l since k' is an integer, so bin
+    (k' mod M) is exactly the sum over the unfolded nodes.  Parts below
+    SUBNORMAL_WEIGHT are set to 0: each would add less than 1e-290 to any
+    output.
     """
     parts = np.stack((weights.real, weights.imag))
     parts[np.abs(parts) < SUBNORMAL_WEIGHT] = 0
-    grids = np.empty(plan.matrix.shape[0], dtype=complex)
-    grids.real = plan.matrix @ parts[0]
-    grids.imag = plan.matrix @ parts[1]
+    matrix = plan.matrix
+    rows = matrix.shape[0]
+    sums = np.zeros((2, rows))
+    done = 0
+    for start, stop in spans:
+        for part, grid in zip(parts, sums):
+            csc_matvec(rows, stop - start, matrix.indptr[start:stop + 1], matrix.indices,
+                       matrix.data, part[done:done + stop - start], grid)
+        done += stop - start
+    grids = np.empty(rows, dtype=complex)
+    grids.real, grids.imag = sums
     spectrum = np.fft.fft(grids.reshape(-1, 2 * (len(plan.post) - 1)), axis=-1)
     return plan.post * spectrum.ravel()[plan.gather]

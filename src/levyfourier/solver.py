@@ -12,7 +12,8 @@ from typing import Callable, Optional
 import numpy as np
 import scipy.special as sp
 
-from .de_ft import DE_BETA, _sources_stacked, node_plan, splice_plan
+from .de_ft import (DE_BETA, PROBE_SHARE, PROBE_STRIDE, _sources_stacked, node_plan,
+                    splice_plan)
 from .euler_ft import EulerParams, inverse_ft
 from .nufft import BETA, WIDTH, _forward_stacked, gridding_plan, source_shift
 from .sinc_gauss import indefinite_integral
@@ -131,20 +132,47 @@ def exact_vg(x, t: float):
     """Closed-form variance-gamma density (|x|/2)^(t-1/2) K_{1/2-t}(|x|) / (sqrt(pi) Gamma(t)).
 
     The x = 0 limit is Gamma(t-1/2) / (2 sqrt(pi) Gamma(t)) for t > 1/2 and
-    +inf for t <= 1/2 (the density genuinely diverges there).
+    +inf for t <= 1/2 (the density genuinely diverges there).  Past t = 170
+    Gamma(t) overflows, and at smaller t the power or K can overflow or
+    underflow near x = 0; there the density comes from _vg_density_log.
     """
     if not t > 0:
         raise ValueError("t must be positive")
     ax = np.abs(np.asarray(x, dtype=float))
     scalar = ax.ndim == 0
     ax = np.atleast_1d(ax)
-    out = np.empty_like(ax)
+    out = np.full_like(ax, math.nan)
     nz = ax > 0
-    out[nz] = ((ax[nz] / 2) ** (t - 0.5) * sp.kv(0.5 - t, ax[nz])
-               / (math.sqrt(math.pi) * sp.gamma(t)))
-    out[~nz] = (sp.gamma(t - 0.5) / (2 * math.sqrt(math.pi) * sp.gamma(t))
-                if t > 0.5 else math.inf)
+    if t <= 170:
+        with np.errstate(over="ignore", invalid="ignore"):
+            out[nz] = ((ax[nz] / 2) ** (t - 0.5) * sp.kv(0.5 - t, ax[nz])
+                       / (math.sqrt(math.pi) * sp.gamma(t)))
+        out[~nz] = (sp.gamma(t - 0.5) / (2 * math.sqrt(math.pi) * sp.gamma(t))
+                    if t > 0.5 else math.inf)
+    else:
+        out[~nz] = 1 / (2 * math.sqrt(math.pi) * sp.poch(t - 0.5, 0.5))
+    redo = nz & ~(np.isfinite(out) & (out > 0))
+    out[redo] = _vg_density_log(ax[redo], t)
     return float(out[0]) if scalar else out
+
+
+def _vg_density_log(ax: np.ndarray, t: float) -> np.ndarray:
+    """The variance-gamma density at |x| = ax > 0 through logarithms, for
+    any t: with nu = t - 1/2, p = q_nu / sqrt(pi) for
+    q_v = (x/2)^v K_v(x) / Gamma(v + 1/2), and q_{v+1}/q_v =
+    (x/2) r_v / (v + 1/2) with r_v = K_{v+1}/K_v = 1/r_{v-1} + 2v/x.  The
+    recurrence starts from kve at the order nu mod 1 and runs upward, the
+    stable direction since K grows with its order; its factors tend to 1,
+    so the sum of their logarithms keeps its digits.
+    """
+    order = (t - 0.5) % 1.0
+    log_q = (order * np.log(ax / 2) + np.log(sp.kve(order, ax)) - ax
+             - sp.gammaln(order + 0.5))
+    ratio = sp.kve(order + 1, ax) / sp.kve(order, ax)
+    for step in range(round(t - 0.5 - order)):
+        log_q += np.log(ax / 2 * ratio / (order + step + 0.5))
+        ratio = 1 / ratio + 2 * (order + step + 1) / ax
+    return np.exp(log_q) / math.sqrt(math.pi)
 
 
 def exact_nig(x, t: float):
@@ -210,23 +238,25 @@ def _step1_plan(grid: GridSpec):
     return nodes, replace(plan, gather=gather)
 
 
-def _spliced_transform(model: LevyModel, grid: GridSpec) -> np.ndarray:
-    """Step 1: m^(k h~) for k = 0..N_gamma, stitched from the two DE runs;
-    m^(-k h~) is its conjugate.
+def _spliced_transform(model: LevyModel, grid: GridSpec):
+    """Step 1: m^(k h~) for k = 0..N_gamma, stitched from the two DE runs
+    (m^(-k h~) is its conjugate), and the number of points mu was called at.
 
-    With the grid's plan this is mu at the DE nodes times the mu-free
-    factors, one sparse gridding product and one batched FFT over both runs,
-    read at the bins of the run that covers each k.
+    With the grid's plan this is mu where the DE terms count times the
+    mu-free factors, one sparse gridding product per evaluated column range
+    and one batched FFT over both runs, read at the bins of the run that
+    covers each k.
     """
     nodes, plan = _step1_plan(grid)
-    return _forward_stacked(_sources_stacked(model.mu, nodes, model.gamma), plan)
+    weights, spans, evaluated = _sources_stacked(model.mu, nodes, model.gamma)
+    return _forward_stacked(weights, spans, plan), evaluated
 
 
 @lru_cache(maxsize=64)
 def _exponent_cached(model: LevyModel, grid: GridSpec):
     """(exponent G(l h~) for l = 0..N, step-1 seconds, the seconds of them
     spent building the Step-1 plan, step-2 seconds, whether Step 1 found its
-    plan cached)."""
+    plan cached, the number of mu values Step 1 computed)."""
     if grid.gamma != model.gamma:
         raise ValueError(f"grid built for gamma = {grid.gamma}, "
                          f"model {model.name} has gamma = {model.gamma}")
@@ -236,7 +266,7 @@ def _exponent_cached(model: LevyModel, grid: GridSpec):
         _step1_plan(grid)
         plan_cached = _step1_plan.cache_info().hits > plan_hits
         plan_s = 0.0 if plan_cached else time.perf_counter() - t0
-        mhat = _spliced_transform(model, grid)
+        mhat, evaluated = _spliced_transform(model, grid)
     except ValueError as exc:
         raise ValueError(f"[step 1] {exc}") from exc
     t1 = time.perf_counter()
@@ -252,7 +282,7 @@ def _exponent_cached(model: LevyModel, grid: GridSpec):
     g[0] = 0.0  # not -2.0 * 0.0 = -0.0
     g.flags.writeable = False
     t2 = time.perf_counter()
-    return g, t1 - t0, plan_s, t2 - t1, plan_cached
+    return g, t1 - t0, plan_s, t2 - t1, plan_cached, evaluated
 
 
 @lru_cache(maxsize=64)
@@ -295,10 +325,11 @@ def solve(model: LevyModel, grid: GridSpec, t: float, euler: EulerParams,
 
     timings holds seconds per step and in total, step1_plan (the part of
     step1 spent building the Step-1 plan, 0.0 when it was cached),
-    exponent_cached (the exponent came from the cache) and plan_cached (Step 1
-    found the grid's plan built).  step1, step1_plan, step2 and plan_cached
-    describe the solve that computed the exponent, which is this one unless
-    exponent_cached.
+    exponent_cached (the exponent came from the cache), plan_cached (Step 1
+    found the grid's plan built) and step1_sources (the number of points
+    Step 1 evaluated mu at; 0 with use_exact_exponent).  step1, step1_plan,
+    step2, plan_cached and step1_sources describe the solve that computed
+    the exponent, which is this one unless exponent_cached.
     model.exact_density, if any, runs only when p_exact or abs_err is read.
     Every result on one grid holds the same read-only x.
     """
@@ -312,9 +343,10 @@ def solve(model: LevyModel, grid: GridSpec, t: float, euler: EulerParams,
     if use_exact_exponent:
         g = _exact_exponent(model, grid)
         s1 = s1_plan = s2 = 0.0
+        evaluated = 0
     else:
         hits_before = _exponent_cached.cache_info().hits
-        g, s1, s1_plan, s2, plan_cached = _exponent_cached(model, grid)
+        g, s1, s1_plan, s2, plan_cached, evaluated = _exponent_cached(model, grid)
         cached = _exponent_cached.cache_info().hits > hits_before
     t3 = time.perf_counter()
     try:
@@ -326,7 +358,8 @@ def solve(model: LevyModel, grid: GridSpec, t: float, euler: EulerParams,
     if not np.all(np.isfinite(p)):
         raise ValueError("density output contains non-finite values")
     timings = {"step1": s1, "step1_plan": s1_plan, "step2": s2, "step3": s3, "total": total,
-               "exponent_cached": cached, "plan_cached": plan_cached}
+               "exponent_cached": cached, "plan_cached": plan_cached,
+               "step1_sources": evaluated}
     return SolveResult(_abscissae(grid), p, timings,
                        params_echo(model, grid, t=t, use_exact_exponent=use_exact_exponent),
                        model.exact_density)
@@ -387,6 +420,10 @@ def _echo_base(name: str, gamma: int, grid: GridSpec) -> dict:
         "h_de_low": run_a.h,
         "h_de_high": run_b.h,
         "de_j_rule": "-5*m_run/8..3*m_run/8-1",
+        "probe_rule": (f"low band: a probe every {PROBE_STRIDE} live sources, then mu from one "
+                       f"probe before the first to one after the last whose |weight| > "
+                       f"{PROBE_SHARE:g}*{PROBE_STRIDE}*sum(probe |weights|); "
+                       "high band: every live source"),
         "de_beta": DE_BETA,
         "de_alpha_low": run_a.alpha,
         "de_alpha_high": run_b.alpha,

@@ -190,6 +190,14 @@ def test_solve_nig_past_t_709_writes_a_finite_exact_column(tmp_path):
     assert np.all(np.isfinite(rows[:, 2])) and np.all(rows[:, 2] > 0)
 
 
+def test_solve_vg_past_t_170_writes_finite_exact_columns(tmp_path):
+    # Gamma(t) overflows a float past t = 171.6; the closed form must not
+    rc = main(["solve", "--i-range", "8", "--t", "180", "--out", str(tmp_path)])
+    assert rc == 0
+    rows = np.loadtxt(tmp_path / "solve_vg_i8_t180.csv", delimiter=",", skiprows=1)
+    assert np.all(np.isfinite(rows)) and np.all(rows[:, 2] > 0)
+
+
 def test_solve_output_is_deterministic(tmp_path):
     a, b = tmp_path / "a", tmp_path / "b"
     for out in (a, b):

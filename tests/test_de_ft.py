@@ -1,6 +1,5 @@
 """Double-exponential Fourier-transform sources and the two-run splice plan."""
 import math
-import re
 import warnings
 
 import numpy as np
@@ -8,8 +7,9 @@ import pytest
 import scipy.special as sp
 
 import oracles
-from levyfourier.de_ft import (DE_BETA, RUN_B_NODES, DeFtParams, _sources_stacked, node_plan,
-                               phi_parts, splice_plan)
+from levyfourier import de_ft
+from levyfourier.de_ft import (_E_ASYMP, DE_BETA, PROBE_STRIDE, RUN_B_NODES, DeFtParams,
+                               _sources_stacked, node_plan, phi_parts, splice_plan)
 from levyfourier.euler_ft import EulerParams
 from levyfourier.nufft import _forward_stacked, gridding_plan, source_shift
 
@@ -21,6 +21,11 @@ def de_points(run):
     those node_plan drops included."""
     j = np.arange(run.j_start, run.j_start + run.m)
     return j, run.point_scale * phi_parts(j * run.h, run.alpha)[0]
+
+
+def columns(spans):
+    """The plan sources whose weights _sources_stacked returned, in order."""
+    return np.concatenate([np.arange(start, stop) for start, stop in spans])
 
 
 def j_of(run, y):
@@ -102,17 +107,15 @@ def test_node_plan_stacks_runs_of_different_h_and_m():
     # each run keeps its own zeta0, h and m: the stacked plan is the one-run
     # plans laid end to end, every live source tagged with its run and j
     runs = (DeFtParams(10.0, 1024), DeFtParams(40.0, 256), DeFtParams(20.0, 512))
-    mu = lambda y: np.exp(-y)
     plan = node_plan(runs, 0.37)
     assert len(plan.y) == len(plan.j) == len(plan.run) == len(plan.factor) <= 1792
     assert np.all(plan.y > 0)
-    weights = _sources_stacked(mu, plan, 1)
     for r, run in enumerate(runs):
         one = node_plan((run,), 0.37)
         mine = plan.run == r
         assert np.array_equal(plan.y[mine], one.y)
         assert np.array_equal(plan.j[mine], one.j)
-        assert np.array_equal(weights[mine], _sources_stacked(mu, one, 1))
+        assert np.array_equal(plan.factor[mine], one.factor)
         j, points = de_points(run)
         assert np.array_equal(one.y, points[one.j - run.j_start])
         assert np.all(np.diff(one.j) > 0) and run.j_start <= one.j[0] and one.j[-1] <= j[-1]
@@ -125,7 +128,7 @@ def test_node_plan_vg_geometry():
         plan = node_plan((run,))
         assert len(plan.y) == len(plan.j) == len(plan.run) == len(plan.factor) <= run.m
         assert np.all(plan.y > 0) and np.all(np.diff(plan.y) > 0)
-        weights = _sources_stacked(lambda y: np.exp(-y), plan, 1)
+        weights = np.exp(-plan.y) * plan.factor
         peak = np.max(np.abs(weights))
         # double-exponential decay has flattened out at both truncation ends
         assert abs(weights[0]) <= 1e-12 * peak
@@ -143,7 +146,7 @@ def test_direct_sum_accurate_on_assigned_window_only():
     errs = {}
     for name, run in (("a", run_a), ("b", run_b)):
         plan = node_plan((run,))
-        weights = _sources_stacked(lambda y: np.exp(-y), plan, 1)
+        weights = np.exp(-plan.y) * plan.factor
         direct = oracles.source_sum_direct(weights, plan.y, h_tilde, n_gamma)
         exact = 1.0 / (1.0 + 1j * np.arange(n_gamma + 1) * h_tilde)
         errs[name] = np.abs(direct - exact)
@@ -161,12 +164,18 @@ def test_sources_stacked_matches_per_run():
     mu = lambda y: np.exp(-y)
     shift = 0.37
     plan = node_plan((run_a, run_b), shift)
-    weights = _sources_stacked(mu, plan, 1)
+    weights, spans, evaluated = _sources_stacked(mu, plan, 1)
+    # the weights are mu times factor at the returned columns, bit for bit:
+    # a range of run A, then all of run B
+    assert np.array_equal(weights, (mu(plan.y) * plan.factor)[columns(spans)])
+    (lo, hi), (tail, size) = spans
+    assert 0 <= lo < hi <= tail == np.count_nonzero(plan.run == 0) and size == len(plan.y)
+    assert evaluated == len(range(0, tail, PROBE_STRIDE)) + 2 + (size - tail) + (hi - lo)
     for row, run in ((0, run_a), (1, run_b)):
         one = node_plan((run,))
         assert np.array_equal(plan.y[plan.run == row], one.y)
-        ref = _sources_stacked(mu, one, 1) * np.exp(-1j * shift * one.y)
-        got = weights[plan.run == row]
+        ref = mu(one.y) * one.factor * np.exp(-1j * shift * one.y)
+        got = (mu(plan.y) * plan.factor)[plan.run == row]
         assert np.max(np.abs(got - ref)) <= 1e-15 * np.max(np.abs(ref))
 
 
@@ -186,9 +195,32 @@ def test_node_plan_drops_zero_weight_nodes_and_never_evaluates_mu_there():
     def mu(y):
         seen.append(y.copy())
         return y ** -0.5                         # infinite at y = 0
-    weights = _sources_stacked(mu, plan, 1)
-    assert len(seen) == 1 and np.array_equal(seen[0], plan.y)
+    weights, _, evaluated = _sources_stacked(mu, plan, 1)
+    # mu never sees y = 0, and sees fewer points than there are live sources
+    assert len(seen) == 2 and all(np.all(y > 0) for y in seen)
+    assert evaluated == sum(map(len, seen)) < len(plan.y)
     assert np.all(np.isfinite(weights))
+
+
+@pytest.mark.parametrize("n_gamma", [64, 1024, 8192])
+def test_node_plan_starts_each_run_at_its_first_live_j(n_gamma, monkeypatch):
+    # node_plan computes no node before the first j with E(jh) >= -500, and
+    # its arrays are, bit for bit, those it builds from the whole range
+    # j_start.. with the nodes of zero weight dropped
+    h_tilde = EulerParams.from_theorem(n_gamma // 2, 2.0, 5.0, 1.0).h_tilde
+    runs = [run for run, _ in splice_plan(n_gamma, h_tilde)]
+    shift = source_shift(h_tilde, n_gamma)
+    plan = node_plan(runs, shift)
+    monkeypatch.setattr(de_ft, "_first_live", lambda run: run.j_start)
+    whole = node_plan(runs, shift)
+    for name in ("y", "j", "run", "factor", "low"):
+        assert np.array_equal(getattr(plan, name), getattr(whole, name)), name
+    for r, run in enumerate(runs):
+        first = plan.j[plan.run == r][0]
+        t = np.arange(run.j_start, first + 1) * run.h
+        exponent = 2 * t + run.alpha * -np.expm1(-t) + DE_BETA * np.expm1(t)
+        assert np.all(exponent[:-1] < -_E_ASYMP) and exponent[-1] >= -_E_ASYMP
+        assert first > run.j_start or n_gamma < 8192
 
 
 def test_sources_stacked_rejects_nonfinite_mu_at_live_nodes():
@@ -197,14 +229,19 @@ def test_sources_stacked_rejects_nonfinite_mu_at_live_nodes():
     (run_a, _), (run_b, _) = splice_plan(2048, 0.05)
     assert (run_a.m, run_b.m) == (4096, 2048)
     plan = node_plan((run_a, run_b))
-    at = np.flatnonzero(plan.run == 1)[3]        # a node of run b
-    y_bad = plan.y[at]
-    mu = lambda y: np.where(y == y_bad, np.nan, 1.0)
-    j = j_of(run_b, y_bad)
-    assert run_b.j_start == -1280 and run_b.j_start <= j < run_b.j_start + run_b.m
-    with pytest.raises(ValueError, match=f"non-finite value nan at j={j}, y=") as info:
-        _sources_stacked(mu, plan, 1)
-    assert float(str(info.value).partition(", y=")[2]) == y_bad   # a plain number
+    assert run_b.j_start == -1280
+    (lo, hi), _ = _sources_stacked(lambda y: np.exp(-y), plan, 1)[1]
+    # a node of run b, which the first call of mu sees, and a node of run a
+    # between two probes, which only the second sees
+    mid = lo + PROBE_STRIDE * ((hi - lo) // (2 * PROBE_STRIDE)) + 1
+    for run, at in ((run_b, np.flatnonzero(plan.run == 1)[3]), (run_a, mid)):
+        y_bad = plan.y[at]
+        mu = lambda y: np.where(y == y_bad, np.nan, np.exp(-y))
+        j = j_of(run, y_bad)
+        assert run.j_start <= j < run.j_start + run.m
+        with pytest.raises(ValueError, match=f"non-finite value nan at j={j}, y=") as info:
+            _sources_stacked(mu, plan, 1)
+        assert float(str(info.value).partition(", y=")[2]) == y_bad   # a plain number
 
 
 def test_sources_stacked_rejects_complex_mu():
@@ -230,12 +267,20 @@ def test_sources_stacked_rejects_complex_mu():
 def test_sources_stacked_rejects_mu_of_another_shape():
     (run_a, _), (run_b, _) = splice_plan(256, 0.05)
     plan = node_plan((run_a, run_b))
-    shape = plan.y.shape
-    # a scalar would broadcast to every node, a column to an (S, S) block
-    for mu, got in ((lambda y: 1.0, ()), (lambda y: np.exp(-y)[:, None], shape + (1,))):
-        with pytest.raises(ValueError, match=rf"mu returned shape {re.escape(str(got))} "
-                                             rf"for y of shape \({shape[0]},\)"):
+    # a scalar would broadcast to every node, a column to an (S, S) block;
+    # the message names the shape of the y that mu was given
+    for bad, got in ((lambda y: 1.0, lambda shape: ()),
+                     (lambda y: y[:, None], lambda shape: shape + (1,))):
+        seen = []
+
+        def mu(y):
+            seen.append(y.shape)
+            return bad(y)
+        with pytest.raises(ValueError) as info:
             _sources_stacked(mu, plan, 1)
+        (shape,) = seen
+        assert str(info.value) == f"mu returned shape {got(shape)} for y of shape {shape}"
+        assert 0 < shape[0] < len(plan.y)
 
 
 def test_node_plan_records_its_two_smallest_live_points():
@@ -266,7 +311,8 @@ def test_sources_stacked_refuses_a_mu_whose_nu_is_not_a_levy_density():
     accepted += [(g, _cgmy_mu(g - 1 - Y))
                  for Y, g in ((0.1, 1), (0.9, 1), (1.0, 2), (1.5, 2), (1.9, 2))]
     for gamma, mu in accepted:
-        assert np.array_equal(_sources_stacked(mu, plan, gamma), mu(plan.y) * plan.factor)
+        weights, spans, _ = _sources_stacked(mu, plan, gamma)
+        assert np.array_equal(weights, (mu(plan.y) * plan.factor)[columns(spans)])
     # a mu that vanishes at 0 has no power to measure
     _sources_stacked(lambda y: np.where(y < 1e-3, 0.0, 1 / y), plan, 2)
 
@@ -328,10 +374,10 @@ def test_each_run_matches_its_direct_sum_and_run_b_the_closed_form(case, i):
     splice = splice_plan(n_gamma, h_tilde)
     runs = [run for run, _ in splice]
     nodes = node_plan(runs, source_shift(h_tilde, n_gamma))
-    got = _forward_stacked(_sources_stacked(mu, nodes, gamma),
+    got = _forward_stacked(*_sources_stacked(mu, nodes, gamma)[:2],
                            gridding_plan(nodes.y, h_tilde, n_gamma, nodes.run))
     plain = node_plan(runs)
-    weights = _sources_stacked(mu, plain, gamma)
+    weights = mu(plain.y) * plain.factor
     for row, (_, band) in enumerate(splice):
         mine = plain.run == row
         k = np.unique(np.linspace(band.start, band.stop - 1, 129).astype(int))
@@ -341,3 +387,44 @@ def test_each_run_matches_its_direct_sum_and_run_b_the_closed_form(case, i):
     k = np.asarray(splice[1][1])
     mhat = exact(np.arange(n_gamma + 1) * h_tilde)
     assert np.max(np.abs(got[1, k] - mhat[k])) <= 1e-13 * np.max(np.abs(mhat))
+
+
+@pytest.mark.parametrize("i", [11, 12, 13, 14])
+@pytest.mark.parametrize("case", STEP1_CASES, ids=[c[0] for c in STEP1_CASES])
+def test_trimmed_transform_matches_mu_at_every_live_source(case, i):
+    # mu evaluated only where run A's terms count: run A's row within 1e-15
+    # of its sum of |weights| of the transform with mu at every live source,
+    # and run B's row, which mu sees in full, bit for bit that transform
+    _, gamma, mu, _, _ = case
+    euler = EulerParams(2 ** (i - gamma - 1), 2.0, 5.0, 1.0)
+    n_gamma, h_tilde = euler.n << gamma, euler.h_tilde
+    nodes = node_plan((run for run, _ in splice_plan(n_gamma, h_tilde)),
+                      source_shift(h_tilde, n_gamma))
+    gridding = gridding_plan(nodes.y, h_tilde, n_gamma, nodes.run)
+    weights, spans, _ = _sources_stacked(mu, nodes, gamma)
+    (lo, hi), (tail, size) = spans
+    assert hi - lo < tail and size - tail == np.count_nonzero(nodes.run == 1)
+    got = _forward_stacked(weights, spans, gridding)
+    full = mu(nodes.y) * nodes.factor
+    ref = _forward_stacked(full, ((0, size),), gridding)
+    assert np.max(np.abs(got[0] - ref[0])) <= 1e-15 * np.sum(np.abs(full[:tail]))
+    assert np.array_equal(got[1], ref[1])
+
+
+def test_probes_keep_every_source_outside_the_negligible_tails():
+    # at M = 2^14, the range of run A that mu is evaluated over holds every
+    # source outside a prefix and a suffix that each carry less than 1e-17
+    # of run A's sum of |weights| (at most 8.5e-25 measured).  The stride
+    # is odd: at an even one the probes in run A's left cluster see only the
+    # zeros of sin(-pi j/2) there and start the range too late for nig and
+    # CGMY Y = 1.9, whose weights cluster near y = 0
+    nig = lambda y: y * sp.k1(y) / np.pi
+    cgmy = lambda y: 1.43 * y ** -0.9 * np.exp(-1.02 * y)
+    for gamma, mu in ((2, nig), (2, cgmy)):
+        euler = EulerParams(2 ** (14 - gamma - 1), 2.0, 5.0, 1.0)
+        n_gamma = euler.n << gamma
+        nodes = node_plan(run for run, _ in splice_plan(n_gamma, euler.h_tilde))
+        (lo, hi), (tail, _) = _sources_stacked(mu, nodes, gamma)[1]
+        share = np.abs(mu(nodes.y[:tail]) * nodes.factor[:tail])
+        share /= np.sum(share)
+        assert np.sum(share[:lo]) < 1e-17 and np.sum(share[hi:]) < 1e-17

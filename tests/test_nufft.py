@@ -6,7 +6,7 @@ import numpy as np
 import pytest
 
 import oracles
-from levyfourier.de_ft import _sources_stacked, node_plan, splice_plan
+from levyfourier.de_ft import node_plan, splice_plan
 from levyfourier.euler_ft import EulerParams
 from levyfourier.nufft import (BETA, ES_STEP, HALF_WIDTH, SUBNORMAL_WEIGHT, WIDTH, _es_transform,
                                _forward_stacked, gridding_plan, source_shift)
@@ -21,7 +21,7 @@ def vg_runs(n=128):
     out = []
     for run, rng in splice_plan(n_gamma, euler.h_tilde):
         plan = node_plan((run,))
-        out.append((_sources_stacked(lambda y: np.exp(-y), plan, 1), plan.y, rng))
+        out.append((np.exp(-plan.y) * plan.factor, plan.y, rng))
     return euler.h_tilde, n_gamma, out
 
 
@@ -40,7 +40,7 @@ def forward(weights, points, h_tilde, n_gamma):
     """sum_j w_j e^{-i k h~ y_j}, k = 0..n_gamma, of one run by the plan path."""
     plan = gridding_plan(points, h_tilde, n_gamma, one_run(points))
     shift = np.exp(-1j * source_shift(h_tilde, n_gamma) * points)
-    return _forward_stacked(weights * shift, plan)[0]
+    return _forward_stacked(weights * shift, ((0, len(points)),), plan)[0]
 
 
 def test_params_rules():
@@ -218,7 +218,15 @@ def test_stacked_forward_matches_composition():
     weights = np.concatenate([w for w, _, _ in runs])
     shifted = weights * np.exp(-1j * source_shift(h_tilde, n_gamma) * y)
     plan = gridding_plan(y, h_tilde, n_gamma, run)
-    both = _forward_stacked(shifted, plan)
+    both = _forward_stacked(shifted, ((0, len(y)),), plan)
     for row, (w, pts, _) in enumerate(runs):
         ref = forward(w, pts, h_tilde, n_gamma)
         assert np.max(np.abs(both[row] - ref)) <= 1e-13 * np.max(np.abs(ref))
+    # spans skip columns: a product over some columns is the full product
+    # with the others' weights set to 0, bit for bit
+    lo, hi, tail = 10, 100, np.count_nonzero(run == 0)
+    zeroed = shifted.copy()
+    zeroed[:lo] = zeroed[hi:tail] = 0
+    kept = np.concatenate((shifted[lo:hi], shifted[tail:]))
+    assert np.array_equal(_forward_stacked(kept, ((lo, hi), (tail, len(y))), plan),
+                          _forward_stacked(zeroed, ((0, len(y)),), plan))

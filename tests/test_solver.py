@@ -12,7 +12,7 @@ from levyfourier.euler_ft import EulerParams
 from levyfourier.numkit import frft_even
 from levyfourier.nufft import _forward_stacked, gridding_plan, source_shift
 from levyfourier.sinc_gauss import kernel_table
-from levyfourier.solver import (GridSpec, LevyModel, _echo_base, _spliced_transform,
+from levyfourier.solver import (GridSpec, LevyModel, _echo_base, _spliced_transform, _step1_plan,
                                 clear_exponent_cache, custom_model,
                                 exact_nig, exact_vg, g_gamma, make_grid, nig_model,
                                 params_echo, solve, vg_model)
@@ -76,6 +76,38 @@ def test_exact_vg_pins():
     assert exact_vg(0.0, 0.3) == math.inf
     with pytest.raises(ValueError):
         exact_vg(1.0, 0.0)
+
+
+def test_exact_vg_past_t_170_matches_mpmath():
+    # Gamma(t) overflows past t = 171.6 and K_{1/2-t}(2) past t = 172, so
+    # the direct form gave NaN or 0 there; the reference is the same closed
+    # form in 40-digit mpmath
+    import mpmath
+
+    def reference(x, t):
+        with mpmath.workdps(40):
+            if x == 0:
+                return float(mpmath.gamma(t - 0.5) / (2 * mpmath.sqrt(mpmath.pi) * mpmath.gamma(t)))
+            return float((mpmath.mpf(x) / 2) ** (t - 0.5) * mpmath.besselk(t - 0.5, x)
+                         / (mpmath.sqrt(mpmath.pi) * mpmath.gamma(t)))
+    for t in (172.0, 180.0, 300.0):
+        got = exact_vg(np.array([2.0, -5.0, 0.0]), t)
+        for x, value in zip((2, 5, 0), got):
+            assert value == pytest.approx(reference(x, t), rel=1e-12), (t, x)
+    assert exact_vg(np.array([2.0, 5.0]), 180.0) == pytest.approx(
+        [0.020952328315511682, 0.02034512603685773], rel=1e-12)
+    # up to t = 170 the direct form stands wherever it is finite and positive;
+    # elsewhere (inf at x = 0.5 and t = 170, 0 * inf = NaN at x = 0.01) the
+    # log form takes over
+    x = np.array([0.01, 0.5, 2.0, 5.0, 30.0])
+    for t in (0.3, 1.0, 7.5, 170.0):
+        with np.errstate(over="ignore", invalid="ignore"):
+            direct = (x / 2) ** (t - 0.5) * sp.kv(0.5 - t, x) / (math.sqrt(math.pi) * sp.gamma(t))
+        got = exact_vg(x, t)
+        kept = np.isfinite(direct) & (direct > 0)
+        assert np.array_equal(got[kept], direct[kept]) and np.all(got > 0), t
+        assert np.all(kept) == (t < 170), t
+    assert exact_vg(0.01, 170.0) == pytest.approx(exact_vg(0.0, 170.0), rel=1e-4)
 
 
 def test_exact_vg_bessel_order_symmetry():
@@ -156,7 +188,7 @@ def test_g_gamma_real_parts_match_the_complex_integrals(model):
     def integral(f, n_prime):
         return oracles.indefinite_direct(
             f, kernel_table(math.sqrt(n_prime / math.pi), n_prime), h)
-    mhat = _spliced_transform(model, grid)
+    mhat, _ = _spliced_transform(model, grid)
     if model.gamma == 1:
         ref = 2 * integral(oracles.window(mhat, n), n).imag
     else:
@@ -343,10 +375,17 @@ def test_solve_timings_and_echo():
     clear_exponent_cache()
     res = solve(model, grid, 1.5, euler)
     assert set(res.timings) >= {"step1", "step1_plan", "step2", "step3", "total",
-                                "exponent_cached", "plan_cached"}
+                                "exponent_cached", "plan_cached", "step1_sources"}
     assert 0.0 < res.timings["step1_plan"] <= res.timings["step1"]
     clear = solve(custom_model("nig-again", 2, model.mu), grid, 1.5, euler).timings
     assert clear["plan_cached"] and clear["step1_plan"] == 0.0 and clear["step1"] > 0.0
+    # the mu values of the solve that computed the exponent, also when cached
+    sources = res.timings["step1_sources"]
+    assert 0 < sources < len(_step1_plan(grid)[0].y)
+    cached = solve(model, grid, 2.0, euler).timings
+    assert cached["exponent_cached"]
+    assert cached["step1_sources"] == clear["step1_sources"] == sources
+    assert solve(model, grid, 1.5, euler, use_exact_exponent=True).timings["step1_sources"] == 0
     echo = res.params_echo
     needed = {"model", "gamma", "n", "n_gamma", "m", "x_l", "x_u", "d", "h_tilde",
               "h_hat", "zeta0_rule", "zeta0_low", "zeta0_high", "m_low", "m_high",
@@ -362,6 +401,19 @@ def test_solve_timings_and_echo():
         assert echo["h_de_low"] == math.log(1000 * 2**i) / 2**i
         assert echo["h_de_high"] == math.log(1000 * m_high) / m_high
         assert echo["de_j_rule"] == "-5*m_run/8..3*m_run/8-1"
+        assert echo["probe_rule"].startswith("low band: a probe every 31 live sources")
+
+
+def test_cold_highres_densities_evaluate_mu_at_under_60_percent_of_the_live_sources():
+    # jump densities c mu_1(lam y), c and lam in [0.7, 1.4] as perfbench's
+    # cold-highres draws them, at M = 2^14: run A's range and probes and all
+    # of run B (at most 58.9% of the live sources, nig at lam = 0.7)
+    for base in (vg_model(), nig_model()):
+        grid, euler = setup_case(base, 14)
+        live = len(_step1_plan(grid)[0].y)
+        for c, lam in ((0.7, 0.7), (1.0, 1.0), (1.4, 1.4)):
+            model = custom_model("scaled", base.gamma, lambda y: c * base.mu(lam * y))
+            assert solve(model, grid, 1.0, euler).timings["step1_sources"] <= 0.6 * live
 
 
 def test_models_of_one_name_and_order_share_their_echo():
@@ -452,16 +504,17 @@ def test_step1_plan_matches_per_run_composition(model):
     for i in range(8, 13):
         grid, _ = setup_case(model, i)
         clear_exponent_cache()
-        cold = _spliced_transform(model, grid)
+        cold, evaluated = _spliced_transform(model, grid)
         warm = _spliced_transform(model, grid)
-        assert np.array_equal(cold, warm)
-        # each run on its own one-run plan, spliced
+        assert np.array_equal(cold, warm[0]) and evaluated == warm[1]
+        # each run on its own one-run plan with mu at every live source, spliced
         shift = source_shift(grid.h_tilde, grid.n_gamma)
         ref = np.empty(grid.n_gamma + 1, dtype=complex)
         for run, krange in splice_plan(grid.n_gamma, grid.h_tilde):
             nodes = node_plan((run,), shift)
             gridding = gridding_plan(nodes.y, grid.h_tilde, grid.n_gamma, nodes.run)
-            out = _forward_stacked(_sources_stacked(model.mu, nodes, model.gamma), gridding)[0]
+            out = _forward_stacked(model.mu(nodes.y) * nodes.factor, ((0, len(nodes.y)),),
+                                   gridding)[0]
             ref[krange.start:krange.stop] = out[krange.start:krange.stop]
         assert np.max(np.abs(cold - ref)) <= 1e-14 * np.max(np.abs(ref)), i
 
@@ -472,7 +525,7 @@ def per_run_transform(model, grid):
     runs = [run for run, _ in splice_plan(grid.n_gamma, grid.h_tilde)]
     nodes = node_plan(runs, source_shift(grid.h_tilde, grid.n_gamma))
     gridding = gridding_plan(nodes.y, grid.h_tilde, grid.n_gamma, nodes.run)
-    return _forward_stacked(_sources_stacked(model.mu, nodes, model.gamma), gridding)
+    return _forward_stacked(*_sources_stacked(model.mu, nodes, model.gamma)[:2], gridding)
 
 
 @pytest.mark.parametrize("model", [vg_model(), nig_model()], ids=["vg", "nig"])
@@ -485,7 +538,7 @@ def test_stages_hand_on_only_what_the_next_reads(model):
         (_, range_a), (_, range_b) = splice_plan(grid.n_gamma, grid.h_tilde)
         ref = np.concatenate((rows[0, range_a.start:range_a.stop],
                               rows[1, range_b.start:range_b.stop]))
-        assert np.array_equal(_spliced_transform(model, grid), ref), i
+        assert np.array_equal(_spliced_transform(model, grid)[0], ref), i
         n = grid.n
         half = frft_even(np.linspace(1.0, 0.0, n + 1), grid.h_tilde * grid.h_hat)
         assert half.dtype == np.float64 and half.shape == (n + 1,), i
@@ -500,7 +553,7 @@ def test_step1_plan_matches_direct_sum_with_tied_nodes_at_m_2_14():
     (run_a, _), (run_b, _) = splice_plan(grid.n_gamma, grid.h_tilde)
     plain = node_plan((run_a, run_b))
     assert np.count_nonzero(plain.run == 1) < run_b.m and np.all(plain.y > 0)
-    weights = _sources_stacked(model.mu, plain, model.gamma)
+    weights = model.mu(plain.y) * plain.factor
     k = np.linspace(0, grid.n_gamma, 65).astype(int)
     for row in range(2):
         mine = plain.run == row
@@ -516,7 +569,7 @@ def step1_row_errors(model, i):
     grid, _ = setup_case(model, i)
     got = per_run_transform(model, grid)
     plain = node_plan(run for run, _ in splice_plan(grid.n_gamma, grid.h_tilde))
-    weights = _sources_stacked(model.mu, plain, model.gamma)
+    weights = model.mu(plain.y) * plain.factor
     k = np.linspace(0, grid.n_gamma, 129).astype(int)
     out = []
     for row in range(2):
