@@ -11,12 +11,11 @@ import statistics
 import sys
 import time
 import warnings
-from dataclasses import dataclass, fields
+from dataclasses import asdict, dataclass
 from pathlib import Path
 from typing import Optional
 
 import numpy as np
-from scipy.integrate import quad
 
 from .de_ft import node_plan, splice_plan
 from .euler_ft import EulerParams, inverse_ft, weight
@@ -80,8 +79,9 @@ class RunConfig:
 
 
 def parse_config_file(path) -> dict:
-    """Flat key=value config; requires schema_version=1.  '#' starts a comment."""
-    data = {}
+    """Flat key=value config; requires schema_version=1.  '#' starts a comment;
+    a key may appear once."""
+    data, line_of = {}, {}
     with open(path, encoding="utf-8") as fh:
         for lineno, raw in enumerate(fh, 1):
             line = raw.split("#", 1)[0].strip()
@@ -93,7 +93,10 @@ def parse_config_file(path) -> dict:
             key, value = key.strip(), value.strip()
             if key != "schema_version" and key not in _SETTINGS:
                 raise ValueError(f"{path}:{lineno}: unknown config key {key!r}")
-            data[key] = value
+            if key in data:
+                raise ValueError(f"{path}:{lineno}: config key {key!r} repeats "
+                                 f"line {line_of[key]}")
+            data[key], line_of[key] = value, lineno
     if data.get("schema_version") != CONFIG_SCHEMA_VERSION:
         raise ValueError(f"{path}: missing or unsupported schema_version "
                          f"(need schema_version={CONFIG_SCHEMA_VERSION})")
@@ -113,21 +116,39 @@ def _parse_irange(text: str) -> tuple:
     return tuple(int(tok) for tok in text.split(",") if tok.strip())
 
 
-# each config key, which is also its flag's argparse dest: the RunConfig
-# field it sets and the parser of its text; RunConfig holds the defaults
-_SETTINGS = {"model": ("model", str), "gamma": ("gamma", int), "mu": ("mu_expr", str),
-             "t": ("t_values", _parse_times), "i_range": ("exponent_i", _parse_irange),
-             "xl": ("x_l", float), "xu": ("x_u", float), "d": ("d", float),
-             "out": ("out", str), "reps": ("reps", int)}
+# each config key, which is also its flag (--key, '_' as '-'): the RunConfig
+# field it sets, the parser of its text and the flag's help; RunConfig holds
+# the defaults and checks the parsed values
+_SETTINGS = {
+    "model": ("model", str, "vg, nig or custom"),
+    "gamma": ("gamma", int, "order for --model custom (1 or 2)"),
+    "mu": ("mu_expr", str, "mu(y) = y^gamma nu(y), nu the Levy density, "
+                           "for --model custom, e.g. 'np.exp(-y)'"),
+    "t": ("t_values", _parse_times, "comma-separated times, e.g. 1,2,3"),
+    "i_range": ("exponent_i", _parse_irange,
+                "grid exponents i with M = 2^i: '7..12', '11' or '7,9,11'"),
+    "xl": ("x_l", float, "window lower edge x_l"),
+    "xu": ("x_u", float, "window upper edge x_u"),
+    "d": ("d", float, "window decay tuning constant"),
+    "out": ("out", str, "output directory"),
+    "reps": ("reps", int, "bench repetitions (median taken)"),
+}
 
 
 def resolve_config(args) -> RunConfig:
-    """Merge RunConfig's defaults < config file < explicit flags."""
+    """Merge RunConfig's defaults < config file < explicit flags; a value
+    that does not parse raises ValueError naming its key."""
     given = parse_config_file(args.config) if args.config else {}
     given.update((key, getattr(args, key)) for key in _SETTINGS
                  if getattr(args, key) is not None)
-    return RunConfig(**{name: parse(given[key])
-                        for key, (name, parse) in _SETTINGS.items() if key in given})
+    values = {}
+    for key, (name, parse, _) in _SETTINGS.items():
+        if key in given:
+            try:
+                values[name] = parse(given[key])
+            except ValueError as exc:
+                raise ValueError(f"{key}: {exc}") from None
+    return RunConfig(**values)
 
 
 def _build_model(config: RunConfig):
@@ -189,26 +210,24 @@ def _t_label(t: float) -> str:
     return np.format_float_positional(t, trim="-")
 
 
-def _config_echo(config: RunConfig) -> dict:
-    echo = {}
-    for f in fields(config):
-        v = getattr(config, f.name)
-        echo[f.name] = list(v) if isinstance(v, tuple) else v
-    return echo
-
-
-def _write_manifest(outdir: Path, name: str, payload: dict) -> Path:
+def _write_manifest(outdir: Path, command: str, model: str, config: RunConfig,
+                    **fields) -> None:
+    """{command}_{model}_manifest.json: the versions, the command, the resolved
+    config (its tuples as JSON lists) and the command's own fields."""
     from . import __version__
-    payload = {"schema_version": 1, "package_version": __version__, **payload}
-    path = outdir / name
-    with open(path, "w", encoding="utf-8", newline="") as fh:
+    payload = {"schema_version": 1, "package_version": __version__,
+               "command": command, "config": asdict(config), **fields}
+    with open(outdir / f"{command}_{model}_manifest.json", "w", encoding="utf-8",
+              newline="") as fh:
         json.dump(payload, fh, indent=2)
         fh.write("\n")
-    return path
 
 
-def _fmt(v) -> str:
-    return "%.17g" % v
+def _write_table(path: Path, header, rows) -> None:
+    """A CSV of the header and rows of numbers, each written with %.17g."""
+    with open(path, "w", encoding="utf-8", newline="") as fh:
+        fh.write(",".join(header) + "\n")
+        fh.writelines(",".join("%.17g" % v for v in row) + "\n" for row in rows)
 
 
 def cmd_solve(config: RunConfig) -> int:
@@ -245,8 +264,7 @@ def cmd_solve(config: RunConfig) -> int:
                     if res.abs_err is not None else "")
             print(f"wrote {outdir / fname}  ({len(res.x)} rows, "
                   f"{res.timings['total']:.3f} s){note}")
-    _write_manifest(outdir, f"solve_{model.name}_manifest.json",
-                    {"command": "solve", "config": _config_echo(config), "runs": runs})
+    _write_manifest(outdir, "solve", model.name, config, runs=runs)
     return 0
 
 
@@ -258,38 +276,28 @@ def cmd_converge(config: RunConfig) -> int:
     model = _build_model(config)
     if model.exact_density is None:
         raise ValueError("converge needs a model with an exact density (vg or nig)")
-    m_list = []
-    full_err = {t: [] for t in config.t_values}
-    window_err = {t: [] for t in config.t_values}
-    runs = []
+    rows, runs = [], []   # per grid: M, then the full and window errors per t
     for i in config.exponent_i:
         grid = _grid(model, config, i)
-        m_list.append(grid.m)
+        row = [grid.m]
         for t in config.t_values:
             res = solve(model, grid, t, grid.euler)
             in_window = np.abs(res.x) >= config.x_l
-            full_err[t].append(float(np.max(res.abs_err)))
-            window_err[t].append(float(np.max(res.abs_err[in_window])))
-        entry = params_echo(model, grid)
-        entry["i"] = i
-        runs.append(entry)
+            row += [np.max(res.abs_err), np.max(res.abs_err[in_window])]
+        rows.append(row)
+        runs.append({**params_echo(model, grid), "i": i})
     outdir = Path(config.out)
     outdir.mkdir(parents=True, exist_ok=True)
     fname = f"converge_{model.name}.csv"
-    with open(outdir / fname, "w", encoding="utf-8", newline="") as fh:
-        header = ["M"]
-        for t in config.t_values:
-            header += [f"max_err_full_t{_t_label(t)}", f"max_err_window_t{_t_label(t)}"]
-        fh.write(",".join(header) + "\n")
-        for row_i, m in enumerate(m_list):
-            row = [_fmt(m)]
-            for t in config.t_values:
-                row += [_fmt(full_err[t][row_i]), _fmt(window_err[t][row_i])]
-            fh.write(",".join(row) + "\n")
-    slopes = {}
-    sqrt_m = np.sqrt(np.asarray(m_list, dtype=float))
+    header = ["M"]
     for t in config.t_values:
-        logs = np.log(np.maximum(window_err[t], 1e-300))
+        header += [f"max_err_full_t{_t_label(t)}", f"max_err_window_t{_t_label(t)}"]
+    _write_table(outdir / fname, header, rows)
+    slopes = {}
+    table = np.array(rows, dtype=float)
+    sqrt_m = np.sqrt(table[:, 0])
+    for col, t in enumerate(config.t_values, 1):
+        logs = np.log(np.maximum(table[:, 2 * col], 1e-300))
         slope, intercept = np.polyfit(sqrt_m, logs, 1)
         resid = logs - (slope * sqrt_m + intercept)
         ss_tot = float(np.sum((logs - logs.mean()) ** 2))
@@ -298,9 +306,7 @@ def cmd_converge(config: RunConfig) -> int:
         print(f"t={_t_label(t)}: window-error slope vs sqrt(M) = {slope:.4f} "
               f"(R^2 = {r2:.4f})")
     print(f"wrote {outdir / fname}")
-    _write_manifest(outdir, f"converge_{model.name}_manifest.json",
-                    {"command": "converge", "config": _config_echo(config),
-                     "slopes": slopes, "runs": runs})
+    _write_manifest(outdir, "converge", model.name, config, slopes=slopes, runs=runs)
     return 0
 
 
@@ -323,25 +329,19 @@ def cmd_bench(config: RunConfig) -> int:
             res = solve(model, grid, t, grid.euler)
             for key in samples:
                 samples[key].append(res.timings[key])
-        med = {key: statistics.median(vals) for key, vals in samples.items()}
-        rows.append((grid.m, med, med["total"] / (grid.m * math.log2(grid.m))))
+        med = [statistics.median(vals) for vals in samples.values()]
+        rows.append([grid.m, *med, med[-1] / (grid.m * math.log2(grid.m))])
         runs.append({**params_echo(model, grid), "i": i})
     outdir = Path(config.out)
     outdir.mkdir(parents=True, exist_ok=True)
     fname = f"bench_{model.name}.csv"
-    with open(outdir / fname, "w", encoding="utf-8", newline="") as fh:
-        fh.write("M,step1_s,step2_s,step3_s,total_s,total_per_mlog2m\n")
-        for m, med, ratio in rows:
-            fh.write(",".join([_fmt(m), _fmt(med["step1"]), _fmt(med["step2"]),
-                               _fmt(med["step3"]), _fmt(med["total"]),
-                               _fmt(ratio)]) + "\n")
-    norm = [ratio for _, _, ratio in rows]
+    _write_table(outdir / fname, ("M", "step1_s", "step2_s", "step3_s", "total_s",
+                                  "total_per_mlog2m"), rows)
+    norm = [row[-1] for row in rows]
     print(f"wrote {outdir / fname}  (normalized spread "
           f"max/min = {max(norm) / min(norm):.2f})")
-    _write_manifest(outdir, f"bench_{model.name}_manifest.json",
-                    {"command": "bench", "config": _config_echo(config),
-                     "t": t, "reps": config.reps,
-                     "normalized_spread": max(norm) / min(norm), "runs": runs})
+    _write_manifest(outdir, "bench", model.name, config, t=t, reps=config.reps,
+                    normalized_spread=max(norm) / min(norm), runs=runs)
     return 0
 
 
@@ -386,6 +386,7 @@ def _check_nufft():
 
 
 def _check_kernel_table():
+    from scipy.integrate import quad   # here, so that only selftest loads it
     n_prime = 32
     r = math.sqrt(n_prime / math.pi)
     table = kernel_table(r, n_prime)
@@ -453,18 +454,8 @@ def build_parser() -> argparse.ArgumentParser:
     sub = parser.add_subparsers(dest="command", required=True)
     common = argparse.ArgumentParser(add_help=False)
     common.add_argument("--config", help="key=value config file (flags override)")
-    common.add_argument("--model", choices=("vg", "nig", "custom"))
-    common.add_argument("--gamma", type=int, help="order for --model custom (1 or 2)")
-    common.add_argument("--mu", help="mu(y) = y^gamma nu(y), nu the Levy density, "
-                                     "for --model custom, e.g. 'np.exp(-y)'")
-    common.add_argument("--t", help="comma-separated times, e.g. 1,2,3")
-    common.add_argument("--i-range", dest="i_range",
-                        help="grid exponents i with M = 2^i: '7..12', '11' or '7,9,11'")
-    common.add_argument("--xl", type=float, help="window lower edge x_l")
-    common.add_argument("--xu", type=float, help="window upper edge x_u")
-    common.add_argument("--d", type=float, help="window decay tuning constant")
-    common.add_argument("--out", help="output directory")
-    common.add_argument("--reps", type=int, help="bench repetitions (median taken)")
+    for key, (_, _, text) in _SETTINGS.items():   # parsed in resolve_config
+        common.add_argument("--" + key.replace("_", "-"), help=text)
     sub.add_parser("solve", parents=[common],
                    help="write density tables per (model, i, t)")
     sub.add_parser("converge", parents=[common],

@@ -6,6 +6,7 @@ import os
 import shutil
 import subprocess
 import sys
+from dataclasses import fields
 from pathlib import Path
 
 import numpy as np
@@ -89,6 +90,42 @@ def test_parse_config_file_rejects_bad_input(tmp_path):
     bad.write_text("model=vg\n", encoding="utf-8")
     with pytest.raises(ValueError, match="schema_version"):
         parse_config_file(bad)
+
+
+def test_parse_config_file_rejects_a_repeated_key(tmp_path, capsys):
+    cfg = tmp_path / "twice.cfg"
+    cfg.write_text("schema_version=1\nt=1\nxl=1.5\n# later\nt = 2\n", encoding="utf-8")
+    with pytest.raises(ValueError, match="twice.cfg:5: config key 't' repeats line 2"):
+        parse_config_file(cfg)
+    out = tmp_path / "out"
+    assert main(["solve", "--config", str(cfg), "--i-range", "7", "--out", str(out)]) == 2
+    assert "config key 't' repeats line 2" in capsys.readouterr().err
+    assert not out.exists()
+
+
+def test_every_setting_is_one_field_one_flag_and_one_parser(tmp_path, capsys):
+    config_fields = {f.name for f in fields(RunConfig)}
+    commands = next(a for a in build_parser()._actions if a.dest == "command")
+    actions = {a.dest: a for a in commands.choices["solve"]._actions}
+    for key, (name, _, text) in cli._SETTINGS.items():
+        assert name in config_fields, key
+        flag = "--" + key.replace("_", "-")
+        assert actions[key].option_strings == [flag], key
+        assert actions[key].help == text and text, key
+        assert actions[key].type is None and actions[key].choices is None, key
+    # a malformed value is named by its key, from a file and from the flag alike
+    out = tmp_path / "out"
+    for key, bad in (("xl", "abc"), ("t", "1,x"), ("i_range", "7..x"), ("gamma", "1.5"),
+                     ("reps", "x")):
+        cfg = tmp_path / f"{key}.cfg"
+        cfg.write_text(f"schema_version=1\n{key}={bad}\n", encoding="utf-8")
+        errs = []
+        for argv in (["--config", str(cfg)], ["--" + key.replace("_", "-"), bad]):
+            assert main(["solve", *argv, "--out", str(out)]) == 2, key
+            errs.append(capsys.readouterr().err)
+            assert not out.exists(), key
+        assert errs[0] == errs[1], key
+        assert errs[0].startswith(f"error: {key}: "), errs[0]
 
 
 def test_resolve_config_precedence(tmp_path):
