@@ -260,8 +260,13 @@ def cmd_solve(config: RunConfig) -> int:
             entry["i"] = i
             entry["file"] = fname
             runs.append(entry)
-            note = (f"  max_abs_err={np.max(res.abs_err):.3e}"
-                    if res.abs_err is not None else "")
+            note = ""
+            if res.abs_err is not None:   # vg's p_exact is +inf at x = 0 for t <= 1/2
+                finite = np.isfinite(res.p_exact)
+                note = f"  max_abs_err={np.max(res.abs_err[finite]):.3e}"
+                if not finite.all():
+                    note += (f" (over finite p_exact; {np.count_nonzero(~finite)}"
+                             " point(s) left out)")
             print(f"wrote {outdir / fname}  ({len(res.x)} rows, "
                   f"{res.timings['total']:.3f} s){note}")
     _write_manifest(outdir, "solve", model.name, config, runs=runs)
@@ -270,20 +275,24 @@ def cmd_solve(config: RunConfig) -> int:
 
 def cmd_converge(config: RunConfig) -> int:
     """Error-vs-size table: max errors on the full interval and on the
-    guaranteed window per (M, t), plus fitted slopes of log err vs sqrt(M)."""
+    guaranteed window per (M, t), taken where p_exact is finite, plus fitted
+    slopes of log err vs sqrt(M)."""
     if len(config.exponent_i) < 3:
         raise ValueError("converge needs at least 3 grid exponents (--i-range)")
     model = _build_model(config)
     if model.exact_density is None:
         raise ValueError("converge needs a model with an exact density (vg or nig)")
     rows, runs = [], []   # per grid: M, then the full and window errors per t
+    skipped = 0           # points left out where p_exact is not finite
     for i in config.exponent_i:
         grid = _grid(model, config, i)
         row = [grid.m]
         for t in config.t_values:
             res = solve(model, grid, t, grid.euler)
-            in_window = np.abs(res.x) >= config.x_l
-            row += [np.max(res.abs_err), np.max(res.abs_err[in_window])]
+            finite = np.isfinite(res.p_exact)
+            in_window = finite & (np.abs(res.x) >= config.x_l)
+            row += [np.max(res.abs_err[finite]), np.max(res.abs_err[in_window])]
+            skipped += np.count_nonzero(~finite)
         rows.append(row)
         runs.append({**params_echo(model, grid), "i": i})
     outdir = Path(config.out)
@@ -305,6 +314,8 @@ def cmd_converge(config: RunConfig) -> int:
         slopes[f"t={_t_label(t)}"] = {"slope_vs_sqrt_m": float(slope), "r_squared": r2}
         print(f"t={_t_label(t)}: window-error slope vs sqrt(M) = {slope:.4f} "
               f"(R^2 = {r2:.4f})")
+    if skipped:
+        print(f"max errors are over finite p_exact: {skipped} point(s) left out")
     print(f"wrote {outdir / fname}")
     _write_manifest(outdir, "converge", model.name, config, slopes=slopes, runs=runs)
     return 0

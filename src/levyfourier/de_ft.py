@@ -80,32 +80,10 @@ class DeFtParams:
         return -(5 * self.m // 8)
 
 
-def _exponent(t, alpha, lib=np):
+def _exponent(t, alpha):
     """E(t) = 2t + alpha (1 - e^{-t}) + beta (e^t - 1), beta = DE_BETA, the
-    exponent of phi; it increases with t.  lib = math takes a scalar t."""
-    return 2 * t + alpha * (-lib.expm1(-t)) + DE_BETA * lib.expm1(t)
-
-
-def _first_live(run: DeFtParams) -> int:
-    """The first j of the run with E(jh) >= -_E_ASYMP (run end if none).
-
-    Every node before it has phi = phi' = 0, so its weight is 0 for any mu.
-    A run whose first node is clear of the bound starts there; otherwise,
-    as E increases with j, a search over every 64th j and then over the 64
-    j after the last node below the bound finds it from about m/64 + 64
-    values of E, each computed as phi_parts computes it.
-    """
-    start, stop = run.j_start, run.j_start + run.m
-    if _exponent(start * run.h, run.alpha, math) > -_E_ASYMP + 1e-6:
-        return start
-    for step in (64, 1):
-        j = np.arange(start, stop, step)
-        at = int(np.searchsorted(_exponent(j * run.h, run.alpha), -_E_ASYMP))
-        if at == 0:
-            break
-        start = int(j[at - 1]) + 1
-        stop = int(j[at]) + 1 if at < len(j) else stop
-    return start
+    exponent of phi; it increases with t."""
+    return 2 * t + alpha * (-np.expm1(-t)) + DE_BETA * np.expm1(t)
 
 
 def phi_parts(t, alpha: float):
@@ -197,19 +175,17 @@ def node_plan(runs, shift: float = 0.0) -> NodePlan:
     shift moves the transform's output frequencies by zeta -> zeta + shift
     (the gridding step centres its output that way); with shift 0 the
     weights are the plain DE weights, whose source sum at zeta is the
-    one-sided transform of mu.  Each run starts at its first j whose node
-    can carry weight (_first_live).
+    one-sided transform of mu.  Each run is built over its whole j range,
+    and the nodes of zero weight at both ends are dropped.
     """
     runs = tuple(runs)
-    first = [_first_live(r) for r in runs]
-    counts = [r.j_start + r.m - f for r, f in zip(runs, first)]
 
     def per_node(values):
-        return np.repeat(np.array(values), counts)
+        return np.repeat(np.array(values), [r.m for r in runs])
 
     h = per_node([r.h for r in runs])
-    j = np.concatenate([np.arange(f, r.j_start + r.m, dtype=np.int32)
-                        for r, f in zip(runs, first)])
+    j = np.concatenate([np.arange(r.j_start, r.j_start + r.m, dtype=np.int32)
+                        for r in runs])
     ph, phat, dph = phi_parts(j * h, per_node([r.alpha for r in runs]))
     points = per_node([r.point_scale for r in runs]) * ph
     s = (np.pi / (2 * h)) * phat

@@ -30,16 +30,14 @@ phi_hat(0) for |omega| <= pi/2, and at 65 frequencies of that band the rule
 is within 1.8e-15 relative of a 40-digit quadrature of the kernel.
 
 Everything except the weights depends only on the grid: gridding_plan builds
-the kernel bands of all runs as one sparse matrix, with the deconvolution,
-and _forward_stacked applies the columns of it that carry weight to one set
-of weights."""
+the kernel band of every source of all runs, with the deconvolution, and
+_forward_stacked spreads the sources that carry weight with their bands."""
 from __future__ import annotations
 
 import math
 from dataclasses import dataclass
 
 import numpy as np
-from scipy import sparse
 from scipy.sparse._sparsetools import csc_matvec
 
 # ES kernel width w in grid nodes, and its shape beta = 2.30 w, chosen for
@@ -47,10 +45,6 @@ from scipy.sparse._sparsetools import csc_matvec
 WIDTH = 15
 HALF_WIDTH = WIDTH / 2
 BETA = 2.30 * WIDTH
-# a weight part below the smallest normal number times e^beta, the inverse of
-# the smallest kernel value, would make subnormal products in the gridding
-# step, each far slower than a normal multiply
-SUBNORMAL_WEIGHT = np.finfo(float).tiny * math.exp(BETA)
 
 
 def _es_kernel(u: np.ndarray) -> np.ndarray:
@@ -99,16 +93,18 @@ class GriddingPlan:
     """Everything of a nonuniform FFT over one or more runs except the
     weights, built once per grid.
 
-    matrix (runs*M, sources) holds the folded kernel band of each source:
-    row r*M + p is grid node p of run r, column i is the i-th source, and
-    each column has exactly w = 15 entries, the ES kernel phi(l - c_i) at the
-    15 nodes l nearest the source's lattice position c_i, stored at
-    p = l mod M in the row block of the source's run.  post holds the
+    kernel and rows (sources, w = 15) hold the folded kernel band of each
+    source: kernel[i] is the ES kernel phi(l - c_i) at the 15 nodes l nearest
+    the i-th source's lattice position c_i, and rows[i] = r*M + (l mod M)
+    their flat indices in the grids of all runs stacked, M nodes each, with
+    r the source's run; runs is the number of runs.  post holds the
     deconvolution 1 / phi_hat(a k') for k = 0..n_gamma, and
     gather[r, k] = r*M + (k' mod M), the flat index of k's FFT bin in run r.
     """
 
-    matrix: sparse.csc_array
+    kernel: np.ndarray
+    rows: np.ndarray
+    runs: int
     post: np.ndarray
     gather: np.ndarray
 
@@ -147,48 +143,42 @@ def gridding_plan(y: np.ndarray, h_tilde: float, n_gamma: int,
     rows = centre.astype(np.int32)[:, None] + offsets
     rows %= m
     rows += (run * m).astype(np.int32)[:, None]
-    indptr = np.arange(0, WIDTH * len(y) + 1, WIDTH, dtype=np.int32)
-    matrix = sparse.csc_array((kernel.ravel(), rows.ravel(), indptr),
-                              shape=(runs * m, len(y)))
 
     kp = np.arange(0, n_gamma + 1) - n_gamma // 2
     post = 1 / _es_transform(a, np.max(np.abs(kp)) + 1)[np.abs(kp)]
     gather = np.arange(0, runs * m, m)[:, None] + kp % m
-    for arr in (matrix.data, matrix.indices, matrix.indptr, post, gather):
+    for arr in (kernel, rows, post, gather):
         arr.flags.writeable = False
-    return GriddingPlan(matrix, post, gather)
+    return GriddingPlan(kernel, rows, runs, post, gather)
 
 
 def _forward_stacked(weights: np.ndarray, spans, plan: GriddingPlan) -> np.ndarray:
     """Source sums sum_j w_j e^{-i k h~ y_j}, k = 0..n_gamma, over the sources
-    of each run of the plan.  spans are the (start, stop) column ranges of
-    the sources whose weights, already multiplied by e^{-i zeta_s y_j}
+    of each run of the plan.  spans are the (start, stop) ranges of the
+    sources whose weights, already multiplied by e^{-i zeta_s y_j}
     (source_shift), follow one another in weights; every other source
     counts as weight 0.  Returns the shape of plan.gather.
 
-    Each span is one real product per part of the weights with the plan's
-    CSC arrays over its columns, by the CSC kernel that csc_array's own
-    product calls, so no matrix is built per call: building a csc_array from
-    the slices cost 0.16 ms at M = 2^14 and a column slice of the plan's
-    0.54 ms.  One batched length-M FFT transforms the grids, M = 2 n_gamma.
-    The grid of a run folds every node l onto position l mod M, and
-    e^{-i(2pi/M)k'l} has period M in l since k' is an integer, so bin
-    (k' mod M) is exactly the sum over the unfolded nodes.  Parts below
-    SUBNORMAL_WEIGHT are set to 0: each would add less than 1e-290 to any
-    output.
+    Each span spreads each real part of its weights by scipy's CSC
+    matrix-vector kernel over the plan's kernel and rows of its sources,
+    read as a matrix of one column of w entries per source.  One batched
+    length-M FFT transforms the grids, M = 2 n_gamma.  The grid of a run
+    folds every node l onto position l mod M, and e^{-i(2pi/M)k'l} has
+    period M in l since k' is an integer, so bin (k' mod M) is exactly the
+    sum over the unfolded nodes.
     """
     parts = np.stack((weights.real, weights.imag))
-    parts[np.abs(parts) < SUBNORMAL_WEIGHT] = 0
-    matrix = plan.matrix
-    rows = matrix.shape[0]
-    sums = np.zeros((2, rows))
+    m = 2 * (len(plan.post) - 1)
+    sums = np.zeros((2, plan.runs * m))
     done = 0
     for start, stop in spans:
+        count = stop - start
+        indptr = np.arange(0, WIDTH * count + 1, WIDTH, dtype=np.int32)
+        rows, kernel = plan.rows[start:stop].ravel(), plan.kernel[start:stop].ravel()
         for part, grid in zip(parts, sums):
-            csc_matvec(rows, stop - start, matrix.indptr[start:stop + 1], matrix.indices,
-                       matrix.data, part[done:done + stop - start], grid)
-        done += stop - start
-    grids = np.empty(rows, dtype=complex)
+            csc_matvec(len(grid), count, indptr, rows, kernel, part[done:done + count], grid)
+        done += count
+    grids = np.empty(len(sums[0]), dtype=complex)
     grids.real, grids.imag = sums
-    spectrum = np.fft.fft(grids.reshape(-1, 2 * (len(plan.post) - 1)), axis=-1)
+    spectrum = np.fft.fft(grids.reshape(plan.runs, m), axis=-1)
     return plan.post * spectrum.ravel()[plan.gather]

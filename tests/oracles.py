@@ -61,6 +61,16 @@ def es_kernel(d, w=15, beta=2.30 * 15):
     return np.where(inside, np.exp(beta * (np.sqrt(1 - u**2) - 1)), 0.0)
 
 
+def plan_band(plan):
+    """Dense (runs*M, S) gridding matrix of a gridding plan, M = 2 n_gamma:
+    column i adds each value of plan.kernel[i] at its row in plan.rows[i]."""
+    m = 2 * (len(plan.post) - 1)
+    out = np.zeros((plan.runs * m, len(plan.kernel)))
+    for i, (rows, values) in enumerate(zip(plan.rows, plan.kernel)):
+        np.add.at(out[:, i], rows, values)
+    return out
+
+
 def periodic_band(points, h_tilde, m):
     """Dense (M, S) gridding matrix of one run of S sources on M nodes,
     node by node.

@@ -235,6 +235,26 @@ def test_solve_vg_past_t_170_writes_finite_exact_columns(tmp_path):
     assert np.all(np.isfinite(rows)) and np.all(rows[:, 2] > 0)
 
 
+def test_vg_max_errors_skip_the_infinite_exact_density_at_the_origin(tmp_path, capsys):
+    # the vg density is +inf at x = 0 for t <= 1/2: the CSV keeps abs_err =
+    # inf there, and both commands take their maxima over the finite p_exact
+    assert main(["solve", "--model", "vg", "--t", "0.5", "--i-range", "9",
+                 "--out", str(tmp_path)]) == 0
+    out = capsys.readouterr().out
+    rows = np.loadtxt(tmp_path / "solve_vg_i9_t0.5.csv", delimiter=",", skiprows=1)
+    origin = rows[:, 0] == 0
+    assert np.all(np.isinf(rows[origin, 2:])) and np.all(np.isfinite(rows[~origin]))
+    largest = np.max(rows[~origin, 3])
+    assert f"max_abs_err={largest:.3e} (over finite p_exact; 1 point(s) left out)" in out
+    assert main(["converge", "--model", "vg", "--t", "0.5", "--i-range", "7..9",
+                 "--out", str(tmp_path)]) == 0
+    assert "3 point(s) left out" in capsys.readouterr().out
+    table = np.loadtxt(tmp_path / "converge_vg.csv", delimiter=",", skiprows=1)
+    assert np.all(np.isfinite(table)) and np.all(table[:, 1:] > 0)
+    assert table[2, 1] == largest
+    assert np.all(table[:, 2] < table[:, 1])
+
+
 def test_solve_output_is_deterministic(tmp_path):
     a, b = tmp_path / "a", tmp_path / "b"
     for out in (a, b):

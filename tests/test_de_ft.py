@@ -7,7 +7,6 @@ import pytest
 import scipy.special as sp
 
 import oracles
-from levyfourier import de_ft
 from levyfourier.de_ft import (_E_ASYMP, DE_BETA, PROBE_STRIDE, RUN_B_NODES, DeFtParams,
                                _sources_stacked, node_plan, phi_parts, splice_plan)
 from levyfourier.euler_ft import EulerParams
@@ -203,18 +202,12 @@ def test_node_plan_drops_zero_weight_nodes_and_never_evaluates_mu_there():
 
 
 @pytest.mark.parametrize("n_gamma", [64, 1024, 8192])
-def test_node_plan_starts_each_run_at_its_first_live_j(n_gamma, monkeypatch):
-    # node_plan computes no node before the first j with E(jh) >= -500, and
-    # its arrays are, bit for bit, those it builds from the whole range
-    # j_start.. with the nodes of zero weight dropped
+def test_node_plan_starts_each_run_at_its_first_live_j(n_gamma):
+    # the live filter drops every node before the first j with
+    # E(jh) >= -500, where phi' = 0, and keeps that first one
     h_tilde = EulerParams.from_theorem(n_gamma // 2, 2.0, 5.0, 1.0).h_tilde
     runs = [run for run, _ in splice_plan(n_gamma, h_tilde)]
-    shift = source_shift(h_tilde, n_gamma)
-    plan = node_plan(runs, shift)
-    monkeypatch.setattr(de_ft, "_first_live", lambda run: run.j_start)
-    whole = node_plan(runs, shift)
-    for name in ("y", "j", "run", "factor", "low"):
-        assert np.array_equal(getattr(plan, name), getattr(whole, name)), name
+    plan = node_plan(runs, source_shift(h_tilde, n_gamma))
     for r, run in enumerate(runs):
         first = plan.j[plan.run == r][0]
         t = np.arange(run.j_start, first + 1) * run.h

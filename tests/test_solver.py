@@ -328,6 +328,19 @@ def test_solves_on_one_grid_share_a_read_only_x():
     assert a.x.tobytes() == (np.arange(-grid.n + 1, grid.n + 1) * grid.h_hat).tobytes()
 
 
+def test_cached_step1_plans_are_read_only():
+    # every solve on a grid reads the one cached plan, so no array of it
+    # may be written
+    grid, _ = setup_case(vg_model(), 9)
+    arrays = [value for part in _step1_plan(grid) for value in vars(part).values()
+              if isinstance(value, np.ndarray)]
+    assert len(arrays) == 9
+    for arr in arrays:
+        assert not arr.flags.writeable
+        with pytest.raises(ValueError):
+            arr.flat[0] = arr.flat[0]
+
+
 def test_solve_mass_and_symmetry():
     for model in (vg_model(), nig_model()):
         grid, euler = setup_case(model, 11)
