@@ -117,6 +117,9 @@ def inverse_ft(g, t: float, params: EulerParams) -> np.ndarray:
     if peak > 1 + 1e-6:
         warnings.warn(f"|exp(t G)| reaches {peak}; exponent has positive real "
                       "part, result is unreliable", RuntimeWarning, stacklevel=2)
+    if amp[1] < 2.0 ** -52:
+        warnings.warn(f"exp(t G(h~)) = {amp[1]:.3g} at t = {t} is below 2^-52: no term past "
+                      "l = 0 changes p, so the density is flat", RuntimeWarning, stacklevel=2)
     amp *= _half_weights(params)
     half = frft_even(amp, params.h_tilde * (params.x_u / n))
     return np.concatenate((half[n - 1:0:-1], half))

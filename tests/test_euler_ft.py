@@ -155,6 +155,16 @@ def test_inverse_ft_warns_on_positive_exponent():
     assert np.all(np.isfinite(out))
 
 
+def test_inverse_ft_warns_when_only_the_origin_term_counts():
+    # nig at t = 800: e^{t G(h~)} underflows, so p is flat at the l = 0 term
+    # up to the rounding of the transform
+    model, ep = nig_model(), EulerParams.from_theorem(32, 2.0, 5.0, 1.0)
+    g = g_gamma(model, make_grid(model, ep))
+    with pytest.warns(RuntimeWarning, match=r"exp\(t G\(h~\)\) = .* at t = 800\.0 is below 2\^-52"):
+        out = inverse_ft(g, 800.0, ep)
+    assert np.ptp(out) <= 1e-14 * np.max(out)
+
+
 @pytest.mark.parametrize("model", [vg_model(), nig_model()], ids=lambda m: m.name)
 def test_inverse_ft_matches_direct_complex_sum_on_solver_exponents(model):
     # the full 2N-term sum, at up to 257 outputs (n = -N+1, 0, N among them)

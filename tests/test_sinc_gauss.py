@@ -7,7 +7,8 @@ import pytest
 from scipy.special import sici
 
 import oracles
-from levyfourier.sinc_gauss import _table_cached, indefinite_integral, kernel_table
+from levyfourier.sinc_gauss import (_cell_integrals, _table_cached, indefinite_integral,
+                                     kernel_table)
 
 
 def h_rule(n_prime):
@@ -63,14 +64,19 @@ def test_kernel_table_huge_r_gives_sine_integral():
 
 
 def test_kernel_table_keeps_its_circulant_spectrum():
+    # a pass convolves with D(k) = d_{k-1}, k = -N'+1..N', where
+    # d_m = G_r(m+1) - G_r(m) are the table's cell integrals and
+    # d_{-m-1} = d_m by the odd extension
     n_prime = 64
-    table = kernel_table(math.sqrt(n_prime / math.pi), n_prime)
-    g_n, spectrum = _table_cached(n_prime)
-    assert _table_cached(n_prime)[1] is spectrum and g_n == table[n_prime]
+    r = math.sqrt(n_prime / math.pi)
+    d = _cell_integrals(r, n_prime)
+    assert np.array_equal(kernel_table(r, n_prime)[1:], np.cumsum(d))
+    spectrum = _table_cached(n_prime)
+    assert _table_cached(n_prime) is spectrum
     # the half spectrum of the real kernel, zero-extended onto the 4N' circle
     ker = np.zeros(4 * n_prime)
-    k = np.arange(-n_prime + 1, n_prime + 1)
-    ker[k % (4 * n_prime)] = np.sign(k) * table[np.abs(k)]
+    m = np.arange(-n_prime, n_prime)
+    ker[(m + 1) % (4 * n_prime)] = d[np.where(m < 0, -m - 1, m)]
     assert np.array_equal(spectrum, np.fft.rfft(ker))
     with pytest.raises(ValueError):
         spectrum[0] = 1.0

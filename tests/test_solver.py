@@ -179,9 +179,9 @@ def test_g_gamma_real_parts_match_the_complex_integrals(model):
     # Re m^ (even) and then its first integral (odd) for gamma = 2.  The
     # reference integrates the complex m^ on its conjugate-symmetric windows
     # by the direct partitioned sum and takes 2 Im or -2 Re at the end.
-    # The scale is max |G|: at small l the gamma = 2 error is set by the
-    # largest samples of the second pass (6e-13 at |G| = 0.15 for CGMY
-    # Y = 1.5, against max |G| = 1260)
+    # The scale is max |G| (1260 for CGMY Y = 1.5): the reference is the
+    # lower-limit form of the formula, whose rounding at small l is set by
+    # the whole half line, not by |G_l|
     grid, _ = setup_case(model, 11)
     n, h = grid.n, grid.h_tilde
 
@@ -638,7 +638,9 @@ def test_singular_cgmy_density_matches_exact_exponent_inversion():
 def test_cgmy_y_1_9_density_matches_exact_exponent_inversion():
     # CGMY with C = 1.43, G = M = 1.02, Y = 1.9: mu = C y^-0.9 e^{-My} keeps
     # mass near y = 0 that a DE run cut at j = -m/2 misses (1.7e-8 here);
-    # with every run's j range shifted left by m/8 it is 4e-13
+    # with every run's j range shifted left by m/8 it is 4e-13.  What is left
+    # is Step 2's rounding, which must follow |G| and so fall with M: summed
+    # as conv_l - conv_0 it read 4e-13, 3e-12 and 1e-11 at i = 12, 13, 14
     c, tempering, big_y = 1.43, 1.02, 1.9
 
     def exponent(omega):
@@ -649,10 +651,29 @@ def test_cgmy_y_1_9_density_matches_exact_exponent_inversion():
     model = custom_model("cgmy-y1.9", 2,
                          lambda y: c * y ** (1 - big_y) * np.exp(-tempering * y),
                          exact_exponent=exponent)
-    grid, euler = setup_case(model, 12)
-    res = solve(model, grid, 1.0, euler)
-    ref = solve(model, grid, 1.0, euler, use_exact_exponent=True)
-    assert np.max(np.abs(res.p - ref.p)) <= 1e-11
+    for i in (12, 13, 14):
+        grid, euler = setup_case(model, i)
+        for t in np.arange(1, 9) * 0.5:
+            res = solve(model, grid, t, euler)
+            ref = solve(model, grid, t, euler, use_exact_exponent=True)
+            assert np.max(np.abs(res.p - ref.p)) <= 5e-14, (i, t)
+
+
+def test_cgmy_y_1_5_exponent_is_relatively_accurate_at_small_omega():
+    # CGMY C = G = M = 1, Y = 1.5 (gamma 2): |G(l h~)| is 0.01..0.9 at
+    # l = 1..10 and max |G| is 6,087.  Step 2's rounding there must be set by
+    # |G| itself, not by the whole half line (8e-11 relative when summed as
+    # conv_l - conv_0)
+    big_y = 1.5
+
+    def exponent(omega):
+        w = np.asarray(omega, dtype=float)
+        return 2 * sp.gamma(-big_y) * ((1 + w * w) ** (big_y / 2)
+                                       * np.cos(big_y * np.arctan(w)) - 1)
+    model = custom_model("cgmy-y1.5", 2, lambda y: y ** (1 - big_y) * np.exp(-y))
+    grid, _ = setup_case(model, 14)
+    exact = exponent(np.arange(1, 11) * grid.h_tilde)
+    assert np.max(np.abs(g_gamma(model, grid)[1:11] / exact - 1)) <= 1e-12
 
 
 def test_solve_refuses_a_mu_whose_nu_is_not_a_levy_density():

@@ -1,17 +1,20 @@
-"""Print one SHA-256 digest over the numbers the solver computes, so that
-two checkouts can be compared bit for bit.
+"""Print one SHA-256 digest per stage of the numbers the solver computes,
+so that two checkouts can be compared bit for bit, stage by stage.
 
-The digest covers, in a fixed order, the Step-1 transform
-(_spliced_transform), the exponent (g_gamma) and the density solve(...).p
-for vg, nig and the custom densities y^-0.5 e^-y (gamma 2),
-1.43 y^-0.9 e^-1.02y (CGMY Y = 1.9, gamma 2) and e^-0.05y (gamma 1), at
+The digests cover, in a fixed order, the Step-1 transform
+(_spliced_transform) as `step1`, the exponent (g_gamma) as `exponent` and
+the density solve(...).p as `density`, each for vg, nig and the custom
+densities y^-0.5 e^-y (gamma 2), 1.43 y^-0.9 e^-1.02y (CGMY Y = 1.9,
+gamma 2) and e^-0.05y (gamma 1), at
 M = 2^i for i = 7..14 on the window [2, 5] with d = 1, and at
 t = 0.5, 1, 2.5 and 4.  Run it from the root of each checkout:
 
     python3 tools/parity.py
 
 It imports the package from the src/ directory next to it, not from an
-installed copy.  Equal digests mean every one of those arrays is equal.
+installed copy.  An equal digest means every array of that stage is
+equal, so the first digest that differs names the first stage a change
+alters.
 """
 import hashlib
 import sys
@@ -37,16 +40,18 @@ TIMES = (0.5, 1.0, 2.5, 4.0)
 
 
 def main() -> None:
-    digest = hashlib.sha256()
+    digests = {stage: hashlib.sha256() for stage in ("step1", "exponent", "density")}
     for model in MODELS:
         for i in EXPONENTS:
             euler = EulerParams(2 ** (i - model.i_offset), 2.0, 5.0, 1.0)
             grid = make_grid(model, euler)
-            arrays = [_spliced_transform(model, grid)[0], g_gamma(model, grid)]
-            arrays += [solve(model, grid, t, euler).p for t in TIMES]
-            for arr in arrays:
-                digest.update(np.ascontiguousarray(arr).tobytes())
-    print(digest.hexdigest())
+            arrays = [("step1", _spliced_transform(model, grid)[0]),
+                      ("exponent", g_gamma(model, grid))]
+            arrays += [("density", solve(model, grid, t, euler).p) for t in TIMES]
+            for stage, arr in arrays:
+                digests[stage].update(np.ascontiguousarray(arr).tobytes())
+    for stage, digest in digests.items():
+        print(stage, digest.hexdigest())
 
 
 if __name__ == "__main__":
