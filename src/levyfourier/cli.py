@@ -388,10 +388,9 @@ def _check_nufft():
     plain = node_plan(run for run, _ in splice)
     weights = model.mu(plain.y) * plain.factor
     worst = 0.0
-    for row, (_, krange) in enumerate(splice):
-        mine = plain.run == row
+    for (_, krange), lo, hi in zip(splice, plain.starts, plain.starts[1:]):
         k = np.asarray(krange)
-        direct = np.exp(-1j * np.outer(k * grid.h_tilde, plain.y[mine])) @ weights[mine]
+        direct = np.exp(-1j * np.outer(k * grid.h_tilde, plain.y[lo:hi])) @ weights[lo:hi]
         worst = max(worst, float(np.max(np.abs(got[k] - direct))))
     return worst, 1e-8
 

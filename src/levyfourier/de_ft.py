@@ -148,22 +148,22 @@ class NodePlan:
 
     A node whose weight vanishes for every mu (phi' or sin((pi/2h) phihat)
     has underflowed to 0, as at the truncation ends of large grids) is
-    dropped.  Each live source i keeps its point y_i, its j within its run,
-    its run (the index into the runs given to node_plan) and its mu-free
-    weight
+    dropped.  Each live source i keeps its point y_i, its j within its run
+    and its mu-free weight
 
       factor_j = -(2 pi i / zeta0) sin((pi/2h) phihat(jh)) phi'(jh)
                  * exp((i pi/2h) phihat(jh)) * exp(-i shift y_j),
 
     with its run's zeta0, h and alpha, so the weights of a density mu are
     mu(y_j) * factor_j.  The sources of each run follow those of the run
-    before, in increasing j.  low holds the indices into y of the two
-    smallest points, in increasing order.
+    before, in increasing j: run r holds the sources starts[r]..starts[r+1]-1,
+    and starts ends with the source count.  low holds the indices into y of
+    the two smallest points, in increasing order.
     """
 
     y: np.ndarray
     j: np.ndarray
-    run: np.ndarray
+    starts: tuple
     factor: np.ndarray
     low: np.ndarray
 
@@ -192,13 +192,13 @@ def node_plan(runs, shift: float = 0.0) -> NodePlan:
     factor = ((-2j * np.pi / per_node([r.zeta0 for r in runs])) * np.sin(s) * dph
               * np.exp(1j * s) * np.exp(-1j * shift * points))
     live = np.flatnonzero(factor)
-    y = points[live]
+    y, j, factor = points[live], j[live], factor[live]
     low = np.argpartition(y, 1)[:2]
-    arrays = (y, j[live], per_node(np.arange(len(runs), dtype=np.int32))[live],
-              factor[live], low[np.argsort(y[low])])
-    for arr in arrays:
+    low = low[np.argsort(y[low])]
+    for arr in (y, j, factor, low):
         arr.flags.writeable = False
-    return NodePlan(*arrays)
+    starts = np.searchsorted(live, np.cumsum([0] + [r.m for r in runs]))
+    return NodePlan(y, j, tuple(starts.tolist()), factor, low)
 
 
 def _sources_stacked(mu, plan: NodePlan, gamma: int):
@@ -208,7 +208,7 @@ def _sources_stacked(mu, plan: NodePlan, gamma: int):
     both tails, to y < 1e-17 and, at M = 2^14, past y = 56, where the terms
     of a density like e^{-y} are negligible.  The first call evaluates mu
     at every PROBE_STRIDE-th live source of that run, at the two smallest
-    live points and at every source of the later runs.
+    live points and at every source of the later runs, which are used whole.
     The second evaluates the first run from one probe before the first probe
     whose |weight| exceeds PROBE_SHARE * PROBE_STRIDE times the probes'
     summed |weight| (about PROBE_SHARE of the run's sum of |weights|) to one
@@ -217,9 +217,9 @@ def _sources_stacked(mu, plan: NodePlan, gamma: int):
     their DE sums where the terms are negligible in the same way (J. Comput.
     Appl. Math. 112:229, 1999).
 
-    Returns (weights, spans, evaluated): spans are the (start, stop) ranges
-    of plan sources whose weights follow one another in weights, and
-    evaluated is the number of points mu was called at.
+    Returns (weights, spans, evaluated): spans holds one (start, stop) range
+    of plan sources per run, whose weights follow one another in weights,
+    and evaluated is the number of points mu was called at.
 
     Raises on a result whose shape is not that of its y, naming both shapes,
     and on complex or non-finite mu values, naming the first offending j and
@@ -263,8 +263,7 @@ def _sources_stacked(mu, plan: NodePlan, gamma: int):
             raise ValueError(f"mu returned non-finite value {vals[bad[0]]} at {node(bad[0])}")
         return vals
 
-    size = len(plan.y)
-    tail = int(np.searchsorted(plan.run, 1))           # the later runs start here
+    size, tail = len(plan.y), plan.starts[1]           # the later runs start at tail
     probe = np.arange(0, tail, PROBE_STRIDE)
     first = values(np.concatenate((probe, plan.low, np.arange(tail, size))))
     n = len(probe)
@@ -277,7 +276,8 @@ def _sources_stacked(mu, plan: NodePlan, gamma: int):
         hi = probe[big[-1] + 1] + 1 if big[-1] + 1 < n else tail
     band = values(slice(lo, hi)) if hi > lo else np.empty(0)
     weights = np.concatenate((band * plan.factor[lo:hi], first[n + 2:] * plan.factor[tail:]))
-    return weights, ((int(lo), int(hi)), (tail, size)), len(first) + len(band)
+    spans = ((int(lo), int(hi)), *zip(plan.starts[1:-1], plan.starts[2:]))
+    return weights, spans, len(first) + len(band)
 
 
 def splice_plan(n_gamma: int, h_tilde: float):

@@ -30,8 +30,9 @@ phi_hat(0) for |omega| <= pi/2, and at 65 frequencies of that band the rule
 is within 1.8e-15 relative of a 40-digit quadrature of the kernel.
 
 Everything except the weights depends only on the grid: gridding_plan builds
-the kernel band of every source of all runs, with the deconvolution, and
-_forward_stacked spreads the sources that carry weight with their bands."""
+the kernel band of every source, with the deconvolution and the gather that
+reads the bands of a splice in order, and _forward_stacked spreads each
+run's sources that carry weight onto that run's own grid."""
 from __future__ import annotations
 
 import math
@@ -90,50 +91,49 @@ def _es_transform(step: float, count: int) -> np.ndarray:
 
 @dataclass(frozen=True, eq=False)
 class GriddingPlan:
-    """Everything of a nonuniform FFT over one or more runs except the
+    """Everything of a nonuniform FFT over the bands of a splice except the
     weights, built once per grid.
 
     kernel and rows (sources, w = 15) hold the folded kernel band of each
     source: kernel[i] is the ES kernel phi(l - c_i) at the 15 nodes l nearest
-    the i-th source's lattice position c_i, and rows[i] = r*M + (l mod M)
-    their flat indices in the grids of all runs stacked, M nodes each, with
-    r the source's run; runs is the number of runs.  post holds the
-    deconvolution 1 / phi_hat(a k') for k = 0..n_gamma, and
-    gather[r, k] = r*M + (k' mod M), the flat index of k's FFT bin in run r.
+    the i-th source's lattice position c_i, and rows[i] = l mod M their grid
+    positions.  post holds the deconvolution 1 / phi_hat(a k') for
+    k = 0..n_gamma, and gather[k] = r*M + (k' mod M) the flat index of k's
+    FFT bin in the grid r of the band that covers k.
     """
 
     kernel: np.ndarray
     rows: np.ndarray
-    runs: int
     post: np.ndarray
     gather: np.ndarray
 
 
-def gridding_plan(y: np.ndarray, h_tilde: float, n_gamma: int,
-                  run: np.ndarray) -> GriddingPlan:
-    """Gridding plan for the sources at the points y on a grid of
-    M = 2 n_gamma nodes per run.
+def gridding_plan(y: np.ndarray, h_tilde: float, n_gamma: int, bands) -> GriddingPlan:
+    """Gridding plan for the points y on grids of M = 2 n_gamma nodes, one per
+    band, given as the bands' k-ranges, which split k = 0..n_gamma in order.
 
-    run gives the run of each source, numbered from 0; there is one
-    row block of M grid nodes per run up to the largest, and a run may hold
-    any number of sources.  A source at y sits at c = h_tilde*y/a on the
-    lattice a = 2pi/M and spreads onto the 15 nodes nearest c,
-    rint(c) - 7..rint(c) + 7: every node inside the kernel's support
-    |l - c| <= w/2, except one of the two end nodes when c is a half-integer,
-    where the kernel is e^{-beta} ~ 1e-15.  Node l lands on grid position
-    l mod M of its run, since e^{-i a k' l} has period M in l for integer k'.
+    A source at y sits at c = h_tilde*y/a on the lattice a = 2pi/M and
+    spreads onto the 15 nodes nearest c, rint(c) - 7..rint(c) + 7: every
+    node inside the kernel's support |l - c| <= w/2, except one of the two
+    end nodes when c is a half-integer, where the kernel is e^{-beta} ~
+    1e-15.  Node l lands on grid position l mod M, since e^{-i a k' l} has
+    period M in l for integer k'.  A point whose c is not finite or whose
+    nodes do not fit int32 is refused.
     """
     y = np.asarray(y, dtype=float)
-    run = np.asarray(run)
-    if y.ndim != 1 or run.shape != y.shape:
-        raise ValueError(f"y and run must be 1-d of one length, got shapes "
-                         f"{y.shape} and {run.shape}")
+    if y.ndim != 1:
+        raise ValueError(f"y must be 1-d, got shape {y.shape}")
     m = 2 * n_gamma
     if m & (m - 1):
         raise ValueError(f"M = {m} must be a power of two")
-    runs = int(run.max()) + 1
+    if [0, *(k.stop for k in bands)] != [*(k.start for k in bands), n_gamma + 1]:
+        raise ValueError(f"bands {list(bands)} must split k = 0..{n_gamma} in order")
     a = 2 * math.pi / m
     c = h_tilde * y / a
+    bad = np.flatnonzero(~(np.abs(c) < 2**31 - WIDTH))
+    if bad.size:
+        raise ValueError(f"point {bad[0]}, y = {y[bad[0]]}: its lattice position "
+                         f"{c[bad[0]]} is not finite or does not fit int32")
     centre = np.rint(c)
     offsets = np.arange(WIDTH, dtype=np.int32) - WIDTH // 2
     # rint(c) - c is exact, so |u| <= 1 holds in floating point too and the
@@ -142,43 +142,40 @@ def gridding_plan(y: np.ndarray, h_tilde: float, n_gamma: int,
     kernel = _es_kernel(u)
     rows = centre.astype(np.int32)[:, None] + offsets
     rows %= m
-    rows += (run * m).astype(np.int32)[:, None]
 
     kp = np.arange(0, n_gamma + 1) - n_gamma // 2
     post = 1 / _es_transform(a, np.max(np.abs(kp)) + 1)[np.abs(kp)]
-    gather = np.arange(0, runs * m, m)[:, None] + kp % m
+    gather = np.repeat(np.arange(0, len(bands) * m, m), [len(k) for k in bands]) + kp % m
     for arr in (kernel, rows, post, gather):
         arr.flags.writeable = False
-    return GriddingPlan(kernel, rows, runs, post, gather)
+    return GriddingPlan(kernel, rows, post, gather)
 
 
 def _forward_stacked(weights: np.ndarray, spans, plan: GriddingPlan) -> np.ndarray:
-    """Source sums sum_j w_j e^{-i k h~ y_j}, k = 0..n_gamma, over the sources
-    of each run of the plan.  spans are the (start, stop) ranges of the
-    sources whose weights, already multiplied by e^{-i zeta_s y_j}
-    (source_shift), follow one another in weights; every other source
-    counts as weight 0.  Returns the shape of plan.gather.
+    """Source sums sum_j w_j e^{-i k h~ y_j}, k = 0..n_gamma, each k over the
+    sources of the band that covers it.  spans holds one (start, stop) range
+    of plan sources per band, whose weights, already multiplied by
+    e^{-i zeta_s y_j} (source_shift), follow one another in weights; every
+    other source counts as weight 0.
 
-    Each span spreads each real part of its weights by scipy's CSC
+    Span r spreads each real part of its weights onto grid r by scipy's CSC
     matrix-vector kernel over the plan's kernel and rows of its sources,
-    read as a matrix of one column of w entries per source.  One batched
-    length-M FFT transforms the grids, M = 2 n_gamma.  The grid of a run
-    folds every node l onto position l mod M, and e^{-i(2pi/M)k'l} has
-    period M in l since k' is an integer, so bin (k' mod M) is exactly the
-    sum over the unfolded nodes.
+    read as a matrix of one column of w entries per source; one batched
+    length-M FFT transforms the grids and one gather reads each k.  Bin
+    (k' mod M) of a folded grid is exactly the sum over its unfolded nodes
+    (see gridding_plan).
     """
     parts = np.stack((weights.real, weights.imag))
     m = 2 * (len(plan.post) - 1)
-    sums = np.zeros((2, plan.runs * m))
+    sums = np.zeros((2, len(spans), m))
     done = 0
-    for start, stop in spans:
+    for grid, (start, stop) in enumerate(spans):
         count = stop - start
         indptr = np.arange(0, WIDTH * count + 1, WIDTH, dtype=np.int32)
         rows, kernel = plan.rows[start:stop].ravel(), plan.kernel[start:stop].ravel()
-        for part, grid in zip(parts, sums):
-            csc_matvec(len(grid), count, indptr, rows, kernel, part[done:done + count], grid)
+        for part, out in zip(parts, sums[:, grid]):
+            csc_matvec(m, count, indptr, rows, kernel, part[done:done + count], out)
         done += count
-    grids = np.empty(len(sums[0]), dtype=complex)
+    grids = np.empty((len(spans), m), dtype=complex)
     grids.real, grids.imag = sums
-    spectrum = np.fft.fft(grids.reshape(plan.runs, m), axis=-1)
-    return plan.post * spectrum.ravel()[plan.gather]
+    return plan.post * np.fft.fft(grids, axis=-1).ravel()[plan.gather]

@@ -5,7 +5,7 @@ from __future__ import annotations
 
 import math
 import time
-from dataclasses import dataclass, field, replace
+from dataclasses import dataclass, field
 from functools import cached_property, lru_cache
 from typing import Callable, Optional
 
@@ -228,23 +228,20 @@ def custom_model(name: str, gamma: int, mu,
 @lru_cache(maxsize=PLAN_CACHE_SIZE)
 def _step1_plan(grid: GridSpec):
     """Everything of Step 1 that does not depend on mu: the DE nodes and
-    mu-free weight factors of both splice runs, and their gridding plan,
-    whose gather reads each k from the run that covers it."""
-    (run_a, range_a), (run_b, _) = splice_plan(grid.n_gamma, grid.h_tilde)
-    nodes = node_plan((run_a, run_b), source_shift(grid.h_tilde, grid.n_gamma))
-    plan = gridding_plan(nodes.y, grid.h_tilde, grid.n_gamma, nodes.run)
-    gather = np.concatenate((plan.gather[0, :range_a.stop], plan.gather[1, range_a.stop:]))
-    gather.flags.writeable = False
-    return nodes, replace(plan, gather=gather)
+    mu-free weight factors of the splice's runs, and their gridding plan,
+    whose gather reads each k from the grid of the band that covers it."""
+    bands = splice_plan(grid.n_gamma, grid.h_tilde)
+    nodes = node_plan((run for run, _ in bands), source_shift(grid.h_tilde, grid.n_gamma))
+    return nodes, gridding_plan(nodes.y, grid.h_tilde, grid.n_gamma, [k for _, k in bands])
 
 
 def _spliced_transform(model: LevyModel, grid: GridSpec):
-    """Step 1: m^(k h~) for k = 0..N_gamma, stitched from the two DE runs
+    """Step 1: m^(k h~) for k = 0..N_gamma, stitched from the splice's DE runs
     (m^(-k h~) is its conjugate), and the number of points mu was called at.
 
     With the grid's plan this is mu where the DE terms count times the
-    mu-free factors, one sparse gridding product per evaluated column range
-    and one batched FFT over both runs, read at the bins of the run that
+    mu-free factors, one sparse gridding product per run onto its own grid
+    and one batched FFT over the grids, read at the bins of the band that
     covers each k.
     """
     nodes, plan = _step1_plan(grid)

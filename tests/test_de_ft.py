@@ -104,28 +104,30 @@ def test_de_params_validation():
 
 def test_node_plan_stacks_runs_of_different_h_and_m():
     # each run keeps its own zeta0, h and m: the stacked plan is the one-run
-    # plans laid end to end, every live source tagged with its run and j
+    # plans laid end to end, every live source with its j, and starts marks
+    # where each run begins
     runs = (DeFtParams(10.0, 1024), DeFtParams(40.0, 256), DeFtParams(20.0, 512))
     plan = node_plan(runs, 0.37)
-    assert len(plan.y) == len(plan.j) == len(plan.run) == len(plan.factor) <= 1792
+    assert len(plan.y) == len(plan.j) == len(plan.factor) == plan.starts[-1] <= 1792
     assert np.all(plan.y > 0)
     for r, run in enumerate(runs):
         one = node_plan((run,), 0.37)
-        mine = plan.run == r
+        mine = slice(plan.starts[r], plan.starts[r + 1])
         assert np.array_equal(plan.y[mine], one.y)
         assert np.array_equal(plan.j[mine], one.j)
         assert np.array_equal(plan.factor[mine], one.factor)
         j, points = de_points(run)
         assert np.array_equal(one.y, points[one.j - run.j_start])
         assert np.all(np.diff(one.j) > 0) and run.j_start <= one.j[0] and one.j[-1] <= j[-1]
-    assert plan.run.dtype == plan.j.dtype == np.int32 and np.all(np.diff(plan.run) >= 0)
+    assert plan.j.dtype == np.int32 and len(plan.starts) == 4 and plan.starts[0] == 0
 
 
 def test_node_plan_vg_geometry():
     (run_a, _), (run_b, _) = splice_plan(1024, H_TILDE_2_11)
     for run in (run_a, run_b):
         plan = node_plan((run,))
-        assert len(plan.y) == len(plan.j) == len(plan.run) == len(plan.factor) <= run.m
+        assert len(plan.y) == len(plan.j) == len(plan.factor) <= run.m
+        assert plan.starts == (0, len(plan.y))
         assert np.all(plan.y > 0) and np.all(np.diff(plan.y) > 0)
         weights = np.exp(-plan.y) * plan.factor
         peak = np.max(np.abs(weights))
@@ -168,13 +170,14 @@ def test_sources_stacked_matches_per_run():
     # a range of run A, then all of run B
     assert np.array_equal(weights, (mu(plan.y) * plan.factor)[columns(spans)])
     (lo, hi), (tail, size) = spans
-    assert 0 <= lo < hi <= tail == np.count_nonzero(plan.run == 0) and size == len(plan.y)
+    assert 0 <= lo < hi <= tail and (0, tail, size) == plan.starts == (0, tail, len(plan.y))
     assert evaluated == len(range(0, tail, PROBE_STRIDE)) + 2 + (size - tail) + (hi - lo)
     for row, run in ((0, run_a), (1, run_b)):
         one = node_plan((run,))
-        assert np.array_equal(plan.y[plan.run == row], one.y)
+        mine = slice(plan.starts[row], plan.starts[row + 1])
+        assert np.array_equal(plan.y[mine], one.y)
         ref = mu(one.y) * one.factor * np.exp(-1j * shift * one.y)
-        got = (mu(plan.y) * plan.factor)[plan.run == row]
+        got = (mu(plan.y) * plan.factor)[mine]
         assert np.max(np.abs(got - ref)) <= 1e-15 * np.max(np.abs(ref))
 
 
@@ -209,7 +212,7 @@ def test_node_plan_starts_each_run_at_its_first_live_j(n_gamma):
     runs = [run for run, _ in splice_plan(n_gamma, h_tilde)]
     plan = node_plan(runs, source_shift(h_tilde, n_gamma))
     for r, run in enumerate(runs):
-        first = plan.j[plan.run == r][0]
+        first = plan.j[plan.starts[r]]
         t = np.arange(run.j_start, first + 1) * run.h
         exponent = 2 * t + run.alpha * -np.expm1(-t) + DE_BETA * np.expm1(t)
         assert np.all(exponent[:-1] < -_E_ASYMP) and exponent[-1] >= -_E_ASYMP
@@ -227,7 +230,7 @@ def test_sources_stacked_rejects_nonfinite_mu_at_live_nodes():
     # a node of run b, which the first call of mu sees, and a node of run a
     # between two probes, which only the second sees
     mid = lo + PROBE_STRIDE * ((hi - lo) // (2 * PROBE_STRIDE)) + 1
-    for run, at in ((run_b, np.flatnonzero(plan.run == 1)[3]), (run_a, mid)):
+    for run, at in ((run_b, plan.starts[1] + 3), (run_a, mid)):
         y_bad = plan.y[at]
         mu = lambda y: np.where(y == y_bad, np.nan, np.exp(-y))
         j = j_of(run, y_bad)
@@ -240,7 +243,7 @@ def test_sources_stacked_rejects_nonfinite_mu_at_live_nodes():
 def test_sources_stacked_rejects_complex_mu():
     (run_a, _), (run_b, _) = splice_plan(2048, 0.05)
     plan = node_plan((run_a, run_b))
-    at = np.flatnonzero(plan.run == 1)[5]        # a node of run b
+    at = plan.starts[1] + 5                      # a node of run b
     y_bad = plan.y[at]
     j = j_of(run_b, y_bad)
     mu = lambda y: np.exp(-y) + np.where(y == y_bad, 2j, 0j)
@@ -368,40 +371,41 @@ def test_each_run_matches_its_direct_sum_and_run_b_the_closed_form(case, i):
     runs = [run for run, _ in splice]
     nodes = node_plan(runs, source_shift(h_tilde, n_gamma))
     got = _forward_stacked(*_sources_stacked(mu, nodes, gamma)[:2],
-                           gridding_plan(nodes.y, h_tilde, n_gamma, nodes.run))
+                           gridding_plan(nodes.y, h_tilde, n_gamma, [k for _, k in splice]))
     plain = node_plan(runs)
     weights = mu(plain.y) * plain.factor
     for row, (_, band) in enumerate(splice):
-        mine = plain.run == row
+        mine = slice(plain.starts[row], plain.starts[row + 1])
         k = np.unique(np.linspace(band.start, band.stop - 1, 129).astype(int))
         direct = oracles.source_sum_direct(weights[mine], plain.y[mine], h_tilde, n_gamma, k)
-        err = np.max(np.abs(got[row, k] - direct))
+        err = np.max(np.abs(got[k] - direct))
         assert err <= bound * np.sum(np.abs(weights[mine])), row
     k = np.asarray(splice[1][1])
     mhat = exact(np.arange(n_gamma + 1) * h_tilde)
-    assert np.max(np.abs(got[1, k] - mhat[k])) <= 1e-13 * np.max(np.abs(mhat))
+    assert np.max(np.abs(got[k] - mhat[k])) <= 1e-13 * np.max(np.abs(mhat))
 
 
 @pytest.mark.parametrize("i", [11, 12, 13, 14])
 @pytest.mark.parametrize("case", STEP1_CASES, ids=[c[0] for c in STEP1_CASES])
 def test_trimmed_transform_matches_mu_at_every_live_source(case, i):
-    # mu evaluated only where run A's terms count: run A's row within 1e-15
+    # mu evaluated only where run A's terms count: run A's band within 1e-15
     # of its sum of |weights| of the transform with mu at every live source,
-    # and run B's row, which mu sees in full, bit for bit that transform
+    # and run B's band, which mu sees in full, bit for bit that transform
     _, gamma, mu, _, _ = case
     euler = EulerParams(2 ** (i - gamma - 1), 2.0, 5.0, 1.0)
     n_gamma, h_tilde = euler.n << gamma, euler.h_tilde
-    nodes = node_plan((run for run, _ in splice_plan(n_gamma, h_tilde)),
-                      source_shift(h_tilde, n_gamma))
-    gridding = gridding_plan(nodes.y, h_tilde, n_gamma, nodes.run)
+    (run_a, range_a), (run_b, range_b) = splice_plan(n_gamma, h_tilde)
+    nodes = node_plan((run_a, run_b), source_shift(h_tilde, n_gamma))
+    gridding = gridding_plan(nodes.y, h_tilde, n_gamma, (range_a, range_b))
     weights, spans, _ = _sources_stacked(mu, nodes, gamma)
     (lo, hi), (tail, size) = spans
-    assert hi - lo < tail and size - tail == np.count_nonzero(nodes.run == 1)
+    assert hi - lo < tail and (tail, size) == nodes.starts[1:]
     got = _forward_stacked(weights, spans, gridding)
     full = mu(nodes.y) * nodes.factor
-    ref = _forward_stacked(full, ((0, size),), gridding)
-    assert np.max(np.abs(got[0] - ref[0])) <= 1e-15 * np.sum(np.abs(full[:tail]))
-    assert np.array_equal(got[1], ref[1])
+    ref = _forward_stacked(full, ((0, tail), (tail, size)), gridding)
+    a, b = slice(range_a.start, range_a.stop), slice(range_b.start, range_b.stop)
+    assert np.max(np.abs(got[a] - ref[a])) <= 1e-15 * np.sum(np.abs(full[:tail]))
+    assert np.array_equal(got[b], ref[b])
 
 
 def test_probes_keep_every_source_outside_the_negligible_tails():

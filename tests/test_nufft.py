@@ -1,6 +1,7 @@
 """ES-gridding NUFFT: parameter rules, the folded kernel bands, kernel
 transform, forward accuracy."""
 import math
+import re
 
 import numpy as np
 import pytest
@@ -25,9 +26,9 @@ def vg_runs(n=128):
     return euler.h_tilde, n_gamma, out
 
 
-def one_run(points):
-    """The run of each point when all belong to one run."""
-    return np.zeros(len(points), dtype=np.int32)
+def one_band(n_gamma):
+    """The bands of a plan that reads every k = 0..n_gamma from one grid."""
+    return (range(n_gamma + 1),)
 
 
 def stacked(runs):
@@ -38,9 +39,9 @@ def stacked(runs):
 
 def forward(weights, points, h_tilde, n_gamma):
     """sum_j w_j e^{-i k h~ y_j}, k = 0..n_gamma, of one run by the plan path."""
-    plan = gridding_plan(points, h_tilde, n_gamma, one_run(points))
+    plan = gridding_plan(points, h_tilde, n_gamma, one_band(n_gamma))
     shift = np.exp(-1j * source_shift(h_tilde, n_gamma) * points)
-    return _forward_stacked(weights * shift, ((0, len(points)),), plan)[0]
+    return _forward_stacked(weights * shift, ((0, len(points)),), plan)
 
 
 def test_params_rules():
@@ -52,7 +53,7 @@ def test_params_rules():
     assert BETA == pytest.approx(2.30 * 15, rel=1e-15)
     points = np.concatenate((np.zeros(3), np.linspace(0.5, 7.0, 13)))
     for h_tilde in (0.1, 0.5, 9.0):        # c up to 1.8, 8.9 and 160 = 10 M
-        plan = gridding_plan(points, h_tilde, 8, one_run(points))
+        plan = gridding_plan(points, h_tilde, 8, one_band(8))
         assert plan.rows.dtype == np.int32
         assert plan.rows.shape == plan.kernel.shape == (16, 15)
         assert np.array_equal(oracles.plan_band(plan), oracles.periodic_band(points, h_tilde, 16))
@@ -60,27 +61,25 @@ def test_params_rules():
 
 def test_gridding_plan_rows_are_the_window_pairs():
     # every source's column holds the 15 (node, source) pairs of its folded
-    # band on its own run's block of rows; run A's positions reach 5.6 M, so
-    # most of its bands fold
+    # band; run A's positions reach 5.6 M, so most of its bands fold
     h_tilde, n_gamma, runs = vg_runs()
     # the high-band run reproduces the published window-plot geometry
     assert splice_plan(n_gamma, h_tilde)[1][0].zeta0 == pytest.approx(41.684, abs=2e-3)
     y, run = stacked(runs)
     m = 2 * n_gamma
-    plan = gridding_plan(y, h_tilde, n_gamma, run)
+    bands = [rng for _, _, rng in runs]
+    plan = gridding_plan(y, h_tilde, n_gamma, bands)
     dense = oracles.plan_band(plan)
-    assert dense.shape == (2 * m, len(y))
+    assert dense.shape == (m, len(y))
     assert plan.kernel.shape == (len(y), 15)
     assert np.all(plan.kernel > 0)
     assert h_tilde * y[run == 0].max() * m / (2 * math.pi) > 5 * m
     for r, (_, pts, _) in enumerate(runs):
-        block = dense[r * m:(r + 1) * m]
-        assert np.array_equal(block[:, run == r], oracles.periodic_band(pts, h_tilde, m))
-        assert not np.any(block[:, run != r])
+        assert np.array_equal(dense[:, run == r], oracles.periodic_band(pts, h_tilde, m))
     # a subset of the sources, of different sizes per run (a third of run 0,
     # all of run 1), keeps the other columns' entries unchanged
     keep = np.flatnonzero((run == 1) | (np.arange(len(y)) % 3 == 0))
-    sub = gridding_plan(y[keep], h_tilde, n_gamma, run[keep])
+    sub = gridding_plan(y[keep], h_tilde, n_gamma, bands)
     assert np.array_equal(oracles.plan_band(sub), dense[:, keep])
 
 
@@ -111,8 +110,8 @@ def test_deconvolution_is_the_kernel_transform():
     # post = 1 / phi_hat(a k'); phi_hat against adaptive quadrature of
     # the kernel's defining integral at nine frequencies over |a k'| <= pi/2
     h_tilde, n_gamma, runs = vg_runs()
-    y, run = stacked(runs)
-    plan = gridding_plan(y, h_tilde, n_gamma, run)
+    y, _ = stacked(runs)
+    plan = gridding_plan(y, h_tilde, n_gamma, [rng for _, _, rng in runs])
     a = 2 * math.pi / (2 * n_gamma)
     kp = np.arange(0, n_gamma + 1) - n_gamma // 2
     for k in np.linspace(0, n_gamma, 9).astype(int):
@@ -182,9 +181,35 @@ def test_forward_size_errors():
     points = np.linspace(0.3, 4.8, 24)
     with pytest.raises(ValueError, match="M = 24 must be a power of two"):
         forward(np.ones(24), points, 0.2, 12)
-    for y, run in ((points, np.zeros(23, dtype=int)), (points[None], np.zeros((1, 24), int))):
-        with pytest.raises(ValueError, match="y and run must be 1-d of one length"):
-            gridding_plan(y, 0.2, 16, run)
+    with pytest.raises(ValueError, match=r"y must be 1-d, got shape \(1, 24\)"):
+        gridding_plan(points[None], 0.2, 16, one_band(16))
+    # the bands' k-ranges split k = 0..n_gamma in order, with no gap or overlap
+    for bands in ((range(16),), (range(0, 9), range(8, 17)), (range(9, 17), range(0, 9))):
+        with pytest.raises(ValueError, match=r"bands \[range.*\] must split k = 0..16 in order"):
+            gridding_plan(points, 0.2, 16, bands)
+    gather = gridding_plan(points, 0.2, 16, (range(0, 9), range(9, 17))).gather
+    assert np.array_equal(gather, (np.arange(17) - 8) % 32 + 32 * (np.arange(17) >= 9))
+
+
+def test_gridding_plan_refuses_points_off_the_int32_lattice():
+    # a point that is not finite, or whose lattice position c = h~ y M / 2pi
+    # would wrap the int32 grid nodes, is named by its index and value; the
+    # pipeline's positions stay below 5.6 M
+    points = np.linspace(0.3, 4.8, 24)
+    for bad in (np.nan, np.inf, -np.inf, 1e30):
+        y = points.copy()
+        y[[7, 11]] = bad
+        message = (f"point 7, y = {bad}: its lattice position {0.2 * bad / (2 * math.pi / 32)} "
+                   "is not finite or does not fit int32")
+        with pytest.raises(ValueError, match=re.escape(message)):
+            gridding_plan(y, 0.2, 16, one_band(16))
+    # the last position kept: its 15 nodes fold without wrapping
+    last = 2**31 - WIDTH - 1
+    plan = gridding_plan(np.array([0.0, last * (2 * math.pi / 32) / 0.2]), 0.2, 16, one_band(16))
+    assert np.array_equal(plan.rows[1], (last + np.arange(-7, 8)) % 32)
+    with pytest.raises(ValueError, match="point 1, y = "):
+        gridding_plan(np.array([0.0, (last + 1) * (2 * math.pi / 32) / 0.2]), 0.2, 16,
+                      one_band(16))
 
 
 def test_phase_compensated_spectrum_is_m_periodic():
@@ -198,7 +223,7 @@ def test_phase_compensated_spectrum_is_m_periodic():
     a = 2 * math.pi / m
     c = h_tilde * points / a
     assert c.max() > 3 * m
-    plan = gridding_plan(points, h_tilde, n_gamma, one_run(points))
+    plan = gridding_plan(points, h_tilde, n_gamma, one_band(n_gamma))
     spec = np.fft.fft(oracles.plan_band(plan) @ w)
     nodes = np.arange(math.floor(c.min()) - 8, math.ceil(c.max()) + 9)
     unfolded = oracles.es_kernel(nodes[:, None] - c) @ w
@@ -213,16 +238,17 @@ def test_stacked_forward_matches_composition():
     y, run = stacked(runs)
     weights = np.concatenate([w for w, _, _ in runs])
     shifted = weights * np.exp(-1j * source_shift(h_tilde, n_gamma) * y)
-    plan = gridding_plan(y, h_tilde, n_gamma, run)
-    both = _forward_stacked(shifted, ((0, len(y)),), plan)
-    for row, (w, pts, _) in enumerate(runs):
-        ref = forward(w, pts, h_tilde, n_gamma)
-        assert np.max(np.abs(both[row] - ref)) <= 1e-13 * np.max(np.abs(ref))
+    plan = gridding_plan(y, h_tilde, n_gamma, [rng for _, _, rng in runs])
+    tail = np.count_nonzero(run == 0)
+    both = _forward_stacked(shifted, ((0, tail), (tail, len(y))), plan)
+    for w, pts, rng in runs:
+        ref = forward(w, pts, h_tilde, n_gamma)[rng.start:rng.stop]
+        assert np.max(np.abs(both[rng.start:rng.stop] - ref)) <= 1e-13 * np.max(np.abs(ref))
     # spans skip columns: a product over some columns is the full product
     # with the others' weights set to 0, bit for bit
-    lo, hi, tail = 10, 100, np.count_nonzero(run == 0)
+    lo, hi = 10, 100
     zeroed = shifted.copy()
     zeroed[:lo] = zeroed[hi:tail] = 0
     kept = np.concatenate((shifted[lo:hi], shifted[tail:]))
     assert np.array_equal(_forward_stacked(kept, ((lo, hi), (tail, len(y))), plan),
-                          _forward_stacked(zeroed, ((0, len(y)),), plan))
+                          _forward_stacked(zeroed, ((0, tail), (tail, len(y))), plan))

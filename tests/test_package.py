@@ -1,5 +1,7 @@
 """The package's export list and what importing it loads."""
+import importlib.util
 import os
+import re
 import subprocess
 import sys
 from pathlib import Path
@@ -37,3 +39,19 @@ def test_import_loads_no_quadrature_or_test_dependency():
                           timeout=120, env=env)
     assert proc.returncode == 0, proc.stderr
     assert proc.stdout.split() == []
+
+
+def test_parity_tool_prints_one_digest_per_stage(monkeypatch, capsys):
+    # tools/parity.py is the bitwise gate between two checkouts; a short run
+    # keeps it in step with the package API it imports
+    path = Path(__file__).resolve().parents[1] / "tools" / "parity.py"
+    monkeypatch.setattr(sys, "path", sys.path[:])      # parity puts src/ first
+    spec = importlib.util.spec_from_file_location("parity", path)
+    parity = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(parity)
+    monkeypatch.setattr(parity, "EXPONENTS", range(7, 9))
+    monkeypatch.setattr(parity, "TIMES", (1.0,))
+    parity.main()
+    lines = capsys.readouterr().out.splitlines()
+    assert [line.split()[0] for line in lines] == ["step1", "exponent", "density"]
+    assert all(re.fullmatch(r"\w+ [0-9a-f]{64}", line) for line in lines)

@@ -334,7 +334,7 @@ def test_cached_step1_plans_are_read_only():
     grid, _ = setup_case(vg_model(), 9)
     arrays = [value for part in _step1_plan(grid) for value in vars(part).values()
               if isinstance(value, np.ndarray)]
-    assert len(arrays) == 9
+    assert len(arrays) == 8
     for arr in arrays:
         assert not arr.flags.writeable
         with pytest.raises(ValueError):
@@ -525,20 +525,47 @@ def test_step1_plan_matches_per_run_composition(model):
         ref = np.empty(grid.n_gamma + 1, dtype=complex)
         for run, krange in splice_plan(grid.n_gamma, grid.h_tilde):
             nodes = node_plan((run,), shift)
-            gridding = gridding_plan(nodes.y, grid.h_tilde, grid.n_gamma, nodes.run)
+            gridding = gridding_plan(nodes.y, grid.h_tilde, grid.n_gamma, [range(len(ref))])
             out = _forward_stacked(model.mu(nodes.y) * nodes.factor, ((0, len(nodes.y)),),
-                                   gridding)[0]
+                                   gridding)
             ref[krange.start:krange.stop] = out[krange.start:krange.stop]
         assert np.max(np.abs(cold - ref)) <= 1e-14 * np.max(np.abs(ref)), i
 
 
+THREE_BAND_MODELS = [vg_model(), nig_model(),
+                     custom_model("cgmy-1.9", 2, lambda y: 1.43 * y ** -0.9 * np.exp(-1.02 * y)),
+                     custom_model("e^-0.05y", 1, lambda y: np.exp(-0.05 * y))]
+
+
+@pytest.mark.parametrize("model", THREE_BAND_MODELS, ids=[m.name for m in THREE_BAND_MODELS])
+@pytest.mark.parametrize("i", [7, 12])
+def test_three_bands_with_run_a_split_match_the_splice_bit_for_bit(model, i):
+    # the Step-1 stages read the bands as a list: run A split at
+    # k = N_gamma/16 into two bands, each on a grid of its own (the second
+    # evaluated whole), composes to the two-band transform exactly
+    grid, _ = setup_case(model, i)
+    (run_a, range_a), (run_b, range_b) = splice_plan(grid.n_gamma, grid.h_tilde)
+    cut = grid.n_gamma // 16
+    bands = ((run_a, range(0, cut)), (run_a, range(cut, range_a.stop)), (run_b, range_b))
+    nodes = node_plan((run for run, _ in bands), source_shift(grid.h_tilde, grid.n_gamma))
+    gridding = gridding_plan(nodes.y, grid.h_tilde, grid.n_gamma, [k for _, k in bands])
+    weights, spans, _ = _sources_stacked(model.mu, nodes, model.gamma)
+    assert len(spans) == 3 and spans[1:] == tuple(zip(nodes.starts[1:], nodes.starts[2:]))
+    got = _forward_stacked(weights, spans, gridding)
+    assert np.array_equal(got, _spliced_transform(model, grid)[0])
+
+
 def per_run_transform(model, grid):
     """The Step-1 transform of each splice run over k = 0..N_gamma, one row
-    per run, from the per-run plan of gridding_plan."""
+    per run: each run's span of the production sources on a plan whose one
+    band is every k."""
     runs = [run for run, _ in splice_plan(grid.n_gamma, grid.h_tilde)]
     nodes = node_plan(runs, source_shift(grid.h_tilde, grid.n_gamma))
-    gridding = gridding_plan(nodes.y, grid.h_tilde, grid.n_gamma, nodes.run)
-    return _forward_stacked(*_sources_stacked(model.mu, nodes, model.gamma)[:2], gridding)
+    gridding = gridding_plan(nodes.y, grid.h_tilde, grid.n_gamma, (range(grid.n_gamma + 1),))
+    weights, spans, _ = _sources_stacked(model.mu, nodes, model.gamma)
+    cuts = np.cumsum([0] + [stop - start for start, stop in spans])
+    return np.array([_forward_stacked(weights[a:b], (span,), gridding)
+                     for span, a, b in zip(spans, cuts, cuts[1:])])
 
 
 @pytest.mark.parametrize("model", [vg_model(), nig_model()], ids=["vg", "nig"])
@@ -565,11 +592,11 @@ def test_step1_plan_matches_direct_sum_with_tied_nodes_at_m_2_14():
     got = per_run_transform(model, grid)
     (run_a, _), (run_b, _) = splice_plan(grid.n_gamma, grid.h_tilde)
     plain = node_plan((run_a, run_b))
-    assert np.count_nonzero(plain.run == 1) < run_b.m and np.all(plain.y > 0)
+    assert plain.starts[2] - plain.starts[1] < run_b.m and np.all(plain.y > 0)
     weights = model.mu(plain.y) * plain.factor
     k = np.linspace(0, grid.n_gamma, 65).astype(int)
     for row in range(2):
-        mine = plain.run == row
+        mine = slice(plain.starts[row], plain.starts[row + 1])
         direct = oracles.source_sum_direct(weights[mine], plain.y[mine], grid.h_tilde,
                                            grid.n_gamma, k)
         assert np.max(np.abs(got[row, k] - direct)) <= 1e-8, row
@@ -586,7 +613,7 @@ def step1_row_errors(model, i):
     k = np.linspace(0, grid.n_gamma, 129).astype(int)
     out = []
     for row in range(2):
-        mine = plain.run == row
+        mine = slice(plain.starts[row], plain.starts[row + 1])
         direct = oracles.source_sum_direct(weights[mine], plain.y[mine], grid.h_tilde,
                                            grid.n_gamma, k)
         out.append((np.max(np.abs(got[row, k] - direct)), np.max(np.abs(direct)),
